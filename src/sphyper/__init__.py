@@ -2,16 +2,13 @@
 
 from .harmonics import (
     SPHERE_AREA,
-    HarmonicBasis,
     basis_indices,
     dim_harmonics,
     eval_basis,
     eval_basis_block,
     flat_index,
     kernel_dot,
-    kernel_eval,
     lb_eigenvalue,
-    legendre_normalized,
     sphere_point,
 )
 from .pointsets import (
@@ -23,6 +20,8 @@ from .pointsets import (
     load_pointset,
     product_gauss_rule,
     random_uniform,
+    source_points,
+    source_rule,
 )
 from .quadrature import (
     ExactnessReport,
@@ -31,6 +30,7 @@ from .quadrature import (
     discrete_gram,
     exactness_degree,
     mz_constant,
+    sample_values,
 )
 from .hyperinterp import (
     Hyperinterpolant,
@@ -43,10 +43,9 @@ from .hyperinterp import (
     read_coeffs,
     write_coeffs,
 )
-from .testfuncs import FUNCTION_IDS, TestFunction, by_name, f1, f2, f3, f4, wendland_delta, wendland_phi
+from .testfuncs import FUNCTION_IDS, by_name, f1, f2, f3, f4, wendland_delta, wendland_phi
 from .analysis import (
     RateFit,
-    SobolevWeights,
     banach_algebra_diagnostic,
     fit_rate,
     l2_error,

@@ -6,33 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import lb_eigenvalue
-from .pointsets import equal_area, equal_weight_rule, product_gauss_rule
+from .pointsets import equal_area, product_gauss_rule
 from .hyperinterp import evaluate_block, fit
-from .quadrature import exactness_degree
+from .quadrature import exactness_degree, sample_values
 
-__all__ = ["SobolevWeights", "RateFit", "l2_error", "sobolev_norm",
+__all__ = ["RateFit", "l2_error", "sobolev_norm",
            "uniform_norm_estimate", "uniform_norm_refined", "fit_rate",
            "banach_algebra_diagnostic", "reference_rule_for"]
-
-
-@dataclass(frozen=True)
-class SobolevWeights:
-    """The pinned weight sequence a_l = (1 + lambda_l)^{-s} up to max_degree."""
-
-    s: float
-    max_degree: int
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"smoothness s must be >= 0, got {self.s}")
-        if self.max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {self.max_degree}")
-
-    @property
-    def a(self):
-        lam = np.array([lb_eigenvalue(2, ell) for ell in range(self.max_degree + 1)],
-                       dtype=float)
-        return (1.0 + lam) ** (-self.s)
 
 
 @dataclass(frozen=True)
@@ -55,17 +35,13 @@ def reference_rule_for(n, margin=20):
     return product_gauss_rule(N)
 
 
-def _values(f, points):
-    return f(points) if callable(f) else np.asarray(f, dtype=float)
-
-
 def l2_error(g, h, ref):
     """sqrt(sum_q W_q (g - h)^2) over the reference rule's nodes.
 
     Exact when g - h is a polynomial within the rule's exactness budget,
     a controlled approximation otherwise.
     """
-    diff = _values(g, ref.points) - _values(h, ref.points)
+    diff = sample_values(g, ref.points) - sample_values(h, ref.points)
     return math.sqrt(float(np.dot(ref.weights, diff * diff)))
 
 
@@ -92,7 +68,7 @@ def uniform_norm_estimate(f, grid_size):
     """max |f| over an equal-area grid; a lower bound on the sup norm."""
     if grid_size < 1000:
         raise ValueError(f"grid_size must be >= 1000, got {grid_size}")
-    vals = _values(f, equal_area(grid_size))
+    vals = sample_values(f, equal_area(grid_size))
     return float(np.max(np.abs(vals)))
 
 

@@ -14,44 +14,30 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import uniform_norm_refined
-from .harmonics import SPHERE_AREA, eval_basis_block, kernel_dot
-from .hyperinterp import evaluate_block, fit
+from .harmonics import SPHERE_AREA, eval_basis_block
+from .hyperinterp import evaluate_block, evaluate_kernel, fit
 from .pointsets import (
-    QuadratureRule,
     bundled_tdesign_rule,
     bundled_tdesigns,
     equal_area,
     equal_weight_rule,
-    load_pointset,
     product_gauss_rule,
     random_uniform,
+    source_points,
+    source_rule,
 )
 from .quadrature import discrete_gram, exactness_degree, mz_constant
 from .testfuncs import by_name, wendland_delta, wendland_phi
 from . import experiments
 
-POINT_KINDS = ("random", "equal-area", "gauss-product", "load")
+# CLI kind -> point source of pointsets.source_points
+POINT_KINDS = {"random": "random", "equal-area": "equal_area",
+               "gauss-product": "gauss_product", "load": "loaded"}
 
 
-def _build_points(kind, m, seed, path, gauss_order):
-    if kind == "random":
-        if m is None:
-            raise ValueError("--m is required for kind 'random'")
-        return random_uniform(m, seed), None
-    if kind == "equal-area":
-        if m is None:
-            raise ValueError("--m is required for kind 'equal-area'")
-        return equal_area(m), None
-    if kind == "gauss-product":
-        if gauss_order is None:
-            raise ValueError("--gauss-order is required for kind 'gauss-product'")
-        rule = product_gauss_rule(gauss_order)
-        return rule.points, rule.weights
-    if kind == "load":
-        if path is None:
-            raise ValueError("--path is required for kind 'load'")
-        return load_pointset(path)
-    raise ValueError(f"unknown point kind {kind!r}")
+def _source_args(args):
+    return dict(source=POINT_KINDS[args.kind], m=args.m, seed=args.seed,
+                order=args.gauss_order, path=args.path)
 
 
 def _write_points(out, points, weights):
@@ -69,22 +55,12 @@ def _write_points(out, points, weights):
 
 
 def cmd_points(args):
-    points, weights = _build_points(args.kind, args.m, args.seed, args.path,
-                                    args.gauss_order)
-    _write_points(args.out, points, weights)
+    _write_points(args.out, *source_points(**_source_args(args)))
     return 0
 
 
 def cmd_eta(args):
-    points, weights = _build_points(args.kind, args.m, args.seed, args.path,
-                                    args.gauss_order)
-    if weights is None:
-        rule = equal_weight_rule(points, "loaded" if args.kind == "load" else
-                                 args.kind.replace("-", "_"))
-    else:
-        rule = QuadratureRule(points=points, weights=weights,
-                              provenance="loaded" if args.kind == "load"
-                              else "gauss_product")
+    rule = source_rule(**_source_args(args))
     report = mz_constant(rule, args.n)
     print("n,dim,m,eta,lambda_min,lambda_max,rank_deficient")
     print(f"{report.n},{report.dim},{rule.m},{report.eta:.17g},"
@@ -327,11 +303,7 @@ def check_kernel_consistency():
     x = rng.standard_normal((10, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     direct = evaluate_block(h, x)
-    y = f(rule.points)
-    kernel = np.array([
-        float(np.sum(rule.weights * y * kernel_dot(5, rule.points @ xi)))
-        for xi in x
-    ])
+    kernel = evaluate_kernel(rule, f, 5, x)
     worst = float(np.abs(direct - kernel).max())
     return worst < 1e-9, f"basis vs kernel evaluation, max deviation {worst:.2e}"
 

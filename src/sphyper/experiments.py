@@ -18,14 +18,7 @@ import numpy as np
 
 from .analysis import l2_error, reference_rule_for
 from .hyperinterp import evaluate_block, fit
-from .pointsets import (
-    QuadratureRule,
-    equal_area,
-    equal_weight_rule,
-    load_pointset,
-    product_gauss_rule,
-    random_uniform,
-)
+from .pointsets import source_rule
 from .quadrature import mz_constant
 from .testfuncs import by_name
 
@@ -135,32 +128,12 @@ def cell_seed(config_seed, n, m, rep):
     return int(np.random.SeedSequence((config_seed, n, m, rep)).generate_state(1)[0])
 
 
-class _RuleCache:
-    """Deterministic point sources are rebuilt once per (source, size)."""
-
-    def __init__(self, config):
-        self.config = config
-        self._cache = {}
-
-    def rule(self, m, seed):
-        src = self.config.points
-        if src == "random":
-            return equal_weight_rule(random_uniform(m, seed), "random")
-        key = (src, m)
-        if key not in self._cache:
-            self._cache[key] = self._build(src, m)
-        return self._cache[key]
-
-    def _build(self, src, m):
-        if src == "equal_area":
-            return equal_weight_rule(equal_area(m), "equal_area")
-        if src == "gauss_product":
-            order = max(1, int(math.floor(math.sqrt(m / 2.0))))
-            return product_gauss_rule(order)
-        points, weights = load_pointset(src)
-        if weights is not None:
-            return QuadratureRule(points=points, weights=weights, provenance="loaded")
-        return equal_weight_rule(points, "loaded")
+def _cell_rule(config, m, seed):
+    """The cell's rule; gauss_product gets the largest order N with 2N^2 <= m."""
+    if config.points_is_file():
+        return source_rule("loaded", path=config.points)
+    order = max(1, int(math.floor(math.sqrt(m / 2.0))))
+    return source_rule(config.points, m=m, seed=seed, order=order)
 
 
 def sweep_cells(config):
@@ -182,7 +155,7 @@ def run_sweep(config):
     """Execute every cell; returns rows in deterministic (n, m, rep) order."""
     cells = sweep_cells(config)
     f = by_name(config.function)
-    cache = _RuleCache(config)
+    rules = {}   # deterministic sources: one rule per size
     refs = {}
 
     def ref_for(n):
@@ -198,7 +171,12 @@ def run_sweep(config):
         n, m, rep = cell
         seed = cell_seed(config.seed, n, m, rep)
         start = time.perf_counter()
-        rule = cache.rule(m, seed)
+        if not config.deterministic():
+            rule = _cell_rule(config, m, seed)
+        else:
+            if m not in rules:
+                rules[m] = _cell_rule(config, m, seed)
+            rule = rules[m]
         eta = mz_constant(rule, n).eta
         h = fit(rule, f, n)
         err = l2_error(f, lambda p: evaluate_block(h, p), ref_for(n))

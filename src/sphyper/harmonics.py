@@ -16,7 +16,6 @@ Conventions used throughout the package:
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,16 +24,13 @@ SPHERE_AREA = 4.0 * math.pi
 
 __all__ = [
     "SPHERE_AREA",
-    "HarmonicBasis",
     "sphere_point",
     "dim_harmonics",
     "lb_eigenvalue",
     "flat_index",
     "basis_indices",
-    "legendre_normalized",
     "eval_basis",
     "eval_basis_block",
-    "kernel_eval",
     "kernel_dot",
 ]
 
@@ -102,49 +98,6 @@ def flat_index(ell, k):
 def basis_indices(n):
     """All (ell, k) pairs up to degree n in canonical order."""
     return [(ell, k) for ell in range(n + 1) for k in range(1, 2 * ell + 2)]
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """Ordered real orthonormal basis of P_n(S^d) (numerics: d = 2 only)."""
-
-    n: int
-    d: int = 2
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"degree n must be >= 0, got {self.n}")
-        if self.d != 2:
-            raise ValueError("basis evaluation is implemented for d = 2 only")
-
-    @property
-    def dim(self):
-        return dim_harmonics(self.d + 1, self.n)
-
-    def block(self, points):
-        return eval_basis_block(self.n, points)
-
-
-def legendre_normalized(ell, t):
-    """Legendre polynomial P_ell(t), normalized so that P_ell(1) = 1.
-
-    Standard three-term recurrence; `t` may be a scalar or an array with
-    every entry in [-1, 1] (a slack of 1e-12 is tolerated and clipped).
-    """
-    if ell < 0:
-        raise ValueError(f"degree ell must be >= 0, got {ell}")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(t_arr) > 1.0 + 1e-12):
-        bad = float(np.max(np.abs(t_arr)))
-        raise ValueError(f"|t| = {bad} exceeds 1 + 1e-12")
-    t_arr = np.clip(t_arr, -1.0, 1.0)
-    p_prev = np.ones_like(t_arr)
-    if ell == 0:
-        return p_prev if t_arr.ndim else float(p_prev)
-    p = t_arr.copy()
-    for l in range(1, ell):
-        p, p_prev = ((2 * l + 1) * t_arr * p - l * p_prev) / (l + 1), p
-    return p if t_arr.ndim else float(p)
 
 
 def eval_basis_block(n, points):
@@ -234,9 +187,3 @@ def kernel_dot(n, u):
         p, p_prev = ((2 * l + 1) * u_arr * p - l * p_prev) / (l + 1), p
         acc = acc + (2 * (l + 1) + 1) * p / SPHERE_AREA
     return acc if u_arr.ndim else float(acc)
-
-
-def kernel_eval(n, x, y):
-    """G_n(x, y) for two points on S^2."""
-    u = float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-    return kernel_dot(n, u)

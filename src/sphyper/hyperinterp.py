@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, basis_indices, eval_basis_block, kernel_dot
-from .quadrature import mz_constant, exactness_degree
+from .harmonics import basis_indices, eval_basis_block, flat_index, kernel_dot
+from .quadrature import exactness_degree, mz_constant, sample_values
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate",
            "evaluate_block", "evaluate_kernel", "project_reference",
@@ -45,18 +45,11 @@ class Hyperinterpolant:
         return evaluate_block(self, points)
 
 
-def _samples(rule, f):
-    y = f(rule.points) if callable(f) else np.asarray(f, dtype=float)
-    if y.shape != (rule.m,):
-        raise ValueError(f"expected {rule.m} sample values, got shape {y.shape}")
-    return y
-
-
 def fit(rule, f, n):
     """Hyperinterpolant of degree n: coeffs = B diag(w) y, chunked over points."""
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
-    y = _samples(rule, f)
+    y = sample_values(f, rule.points)
     wy = rule.weights * y
     coeffs = np.zeros((n + 1) ** 2)
     for lo in range(0, rule.m, _CHUNK):
@@ -104,7 +97,7 @@ def evaluate_kernel(rule, f, n, points):
     double sum through the addition theorem; kept as an independent code
     path for cross-checks.
     """
-    y = _samples(rule, f)
+    y = sample_values(f, rule.points)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     wy = rule.weights * y
     out = np.empty(pts.shape[0])
@@ -138,17 +131,27 @@ def write_coeffs(h, path):
 
 
 def read_coeffs(path):
-    """Read a coefficient CSV written by write_coeffs."""
-    rows = []
+    """Read a coefficient CSV written by write_coeffs.
+
+    Every (ell, k) up to the largest degree listed must appear exactly once.
+    """
+    coeffs = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "ell,k,coeff":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             ell_s, k_s, c_s = line.strip().split(",")
-            rows.append((int(ell_s), int(k_s), float(c_s)))
-    n = rows[-1][0]
-    coeffs = np.zeros((n + 1) ** 2)
-    for ell, k, c in rows:
-        coeffs[ell * ell + (k - 1)] = c
-    return Hyperinterpolant(n=n, coeffs=coeffs)
+            index = flat_index(int(ell_s), int(k_s))
+            if index in coeffs:
+                raise ValueError(f"{path}:{lineno}: duplicate row for (ell, k) = "
+                                 f"({ell_s}, {k_s})")
+            coeffs[index] = float(c_s)
+    if not coeffs:
+        raise ValueError(f"{path}: no coefficient rows")
+    n = math.isqrt(max(coeffs))
+    missing = (n + 1) ** 2 - len(coeffs)
+    if missing:
+        raise ValueError(f"{path}: {missing} of the {(n + 1) ** 2} coefficients "
+                         f"up to degree {n} are missing")
+    return Hyperinterpolant(n=n, coeffs=[coeffs[i] for i in range(len(coeffs))])

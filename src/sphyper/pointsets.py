@@ -10,7 +10,7 @@ equal-weight rules use ``w_j = 4*pi/m``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -24,6 +24,8 @@ __all__ = [
     "load_pointset",
     "equal_weight_rule",
     "product_gauss_rule",
+    "source_points",
+    "source_rule",
     "bundled_tdesigns",
     "bundled_tdesign_rule",
 ]
@@ -49,8 +51,15 @@ class QuadratureRule:
             raise ValueError("a rule needs at least one node")
         if self.points.shape[1] != 3:
             raise ValueError(f"points must be (m, 3), got {self.points.shape}")
-        if not np.all(self.weights > 0):
-            raise ValueError("all quadrature weights must be positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("all quadrature weights must be positive and finite")
+        # |x_j| - 1 per node, in one (m,) buffer; NaN fails the comparison
+        dev = np.einsum("ij,ij->i", self.points, self.points)
+        np.sqrt(dev, out=dev)
+        dev -= 1.0
+        np.abs(dev, out=dev)
+        if not np.all(dev <= 1e-6):
+            raise ValueError("points must be finite unit vectors (norm within 1e-6 of 1)")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
@@ -183,15 +192,16 @@ def load_pointset(path, expect_weights=False):
                     f"{path}: line {lineno}: non-numeric field in {line!r}") from None
             v = np.array(vals[:3])
             r = float(np.linalg.norm(v))
-            if abs(r - 1.0) > 1e-6:
+            if not abs(r - 1.0) <= 1e-6:
                 raise ValueError(
                     f"{path}: line {lineno}: point norm {r:.9f} deviates from 1 "
                     "by more than 1e-6")
             points.append(v / r)
             if ncols == 4:
-                if vals[3] <= 0:
+                if not 0 < vals[3] < math.inf:
                     raise ValueError(
-                        f"{path}: line {lineno}: non-positive weight {vals[3]!r}")
+                        f"{path}: line {lineno}: weight {vals[3]!r} is not positive "
+                        "and finite")
                 weights.append(vals[3])
     if not points:
         raise ValueError(f"{path}: no data rows")
@@ -228,6 +238,41 @@ def product_gauss_rule(N):
     z = np.repeat(t, naz)
     w = np.repeat(wt, naz) * (2.0 * math.pi / naz)
     return QuadratureRule(np.stack([x, y, z], axis=-1), w, "gauss_product")
+
+
+def source_points(source, m=None, seed=0, order=None, path=None):
+    """Nodes of a named point source, and its weights if it defines any.
+
+    Sources are the rule provenances: "random" (m points drawn from
+    `seed`), "equal_area" (m points), "gauss_product" (the product rule of
+    polar order `order`, with its weights) and "loaded" (the file at
+    `path`, with its weight column if it has one).  Returns ``(points,
+    weights)`` with ``weights = None`` where the source has no weights.
+    """
+    if source in ("random", "equal_area"):
+        if m is None:
+            raise ValueError(f"point source {source!r} needs m")
+        points = random_uniform(m, seed) if source == "random" else equal_area(m)
+        return points, None
+    if source == "gauss_product":
+        if order is None:
+            raise ValueError("point source 'gauss_product' needs an order")
+        rule = product_gauss_rule(order)
+        return rule.points, rule.weights
+    if source == "loaded":
+        if path is None:
+            raise ValueError("point source 'loaded' needs a path")
+        return load_pointset(path)
+    raise ValueError(f"unknown point source {source!r}; choose from {_PROVENANCES}")
+
+
+def source_rule(source, m=None, seed=0, order=None, path=None):
+    """Rule on the nodes of `source_points`, equal-weight where the source
+    defines no weights; its provenance is the source name."""
+    points, weights = source_points(source, m, seed, order, path)
+    if weights is None:
+        return equal_weight_rule(points, source)
+    return QuadratureRule(points, weights, source)
 
 
 def bundled_tdesigns():

@@ -15,7 +15,7 @@ import numpy as np
 
 from .harmonics import SPHERE_AREA, eval_basis_block
 
-__all__ = ["MZReport", "ExactnessReport", "apply", "mz_constant",
+__all__ = ["MZReport", "ExactnessReport", "sample_values", "apply", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram"]
 
 # lambda_min at or below this marks the Gram as rank deficient (eta >= 1,
@@ -44,12 +44,23 @@ class ExactnessReport:
     tol: float
 
 
+def sample_values(f, points):
+    """Values of `f` at `points`, checked: one finite value per point.
+
+    `f` is a callable on (m, 3) arrays or an array of values already
+    sampled at `points`.
+    """
+    y = f(points) if callable(f) else np.asarray(f, dtype=float)
+    if y.shape != (len(points),):
+        raise ValueError(f"expected {len(points)} sample values, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("sample values are not finite (NaN or inf)")
+    return y
+
+
 def apply(rule, f):
     """sum_j w_j f(x_j); `f` is a callable on (m, 3) arrays or a value array."""
-    y = f(rule.points) if callable(f) else np.asarray(f, dtype=float)
-    if y.shape != (rule.m,):
-        raise ValueError(f"expected {rule.m} sample values, got shape {y.shape}")
-    return float(np.dot(rule.weights, y))
+    return float(np.dot(rule.weights, sample_values(f, rule.points)))
 
 
 def discrete_gram(rule, n):
@@ -76,11 +87,15 @@ def mz_constant(rule, n):
             raise RuntimeError(f"eigensolver failed on the {dim}x{dim} Gram: {exc}")
         lam_min, lam_max = float(lam[0]), float(lam[-1])
     else:
-        from scipy.sparse.linalg import eigsh
+        from scipy.sparse.linalg import ArpackError, eigsh
+        # a fixed start vector makes the Lanczos result repeat bit for bit
+        v0 = np.random.default_rng(0).standard_normal(dim)
         try:
-            lam_max = float(eigsh(G, k=1, which="LA", return_eigenvectors=False)[0])
-            lam_min = float(eigsh(G, k=1, which="SA", return_eigenvectors=False)[0])
-        except Exception as exc:
+            lam_max = float(eigsh(G, k=1, which="LA", v0=v0,
+                                  return_eigenvectors=False)[0])
+            lam_min = float(eigsh(G, k=1, which="SA", v0=v0,
+                                  return_eigenvectors=False)[0])
+        except ArpackError as exc:
             raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
     lam_min = max(lam_min, 0.0)

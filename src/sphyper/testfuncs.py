@@ -14,12 +14,11 @@ in the source describing it, kept verbatim.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["TestFunction", "f1", "f2", "f3", "f4", "wendland_delta",
+__all__ = ["f1", "f2", "f3", "f4", "wendland_delta",
            "wendland_phi", "by_name", "FUNCTION_IDS"]
 
 
@@ -123,27 +122,3 @@ def by_name(name):
     if name.startswith("f4_"):
         return f4(int(name[3:]))
     raise ValueError(f"unknown test function {name!r}; choose from {FUNCTION_IDS}")
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Identifier record for the four families; F4 carries its sigma."""
-
-    id: str
-    sigma: int | None = None
-
-    def __post_init__(self):
-        if self.id not in ("F1", "F2", "F3", "F4"):
-            raise ValueError(f"id must be F1..F4, got {self.id!r}")
-        if self.id == "F4":
-            if self.sigma not in (0, 1, 2, 3, 4):
-                raise ValueError(f"F4 needs sigma in 0..4, got {self.sigma}")
-
-    @property
-    def evaluator(self):
-        if self.id == "F4":
-            return f4(self.sigma)
-        return by_name(self.id.lower())
-
-    def __call__(self, points):
-        return self.evaluator(points)

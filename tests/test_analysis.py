@@ -6,33 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphyper as sp
-from sphyper.analysis import SobolevWeights
 from sphyper.harmonics import SPHERE_AREA
+
+
+def sobolev_weights(s, max_degree):
+    """The weights a_l that sobolev_norm applies: 1 / ||Y_{l,1}||_{H^s}^2."""
+    a = []
+    for ell in range(max_degree + 1):
+        coeffs = np.zeros((max_degree + 1) ** 2)
+        coeffs[sp.flat_index(ell, 1)] = 1.0
+        a.append(sp.sobolev_norm(coeffs, s) ** -2)
+    return np.array(a)
 
 
 class TestSobolevWeights:
     def test_values(self):
-        w = SobolevWeights(s=1.0, max_degree=3)
-        assert np.allclose(w.a, [1.0, 1 / 3, 1 / 7, 1 / 13], rtol=1e-15)
+        assert np.allclose(sobolev_weights(1.0, 3), [1.0, 1 / 3, 1 / 7, 1 / 13],
+                           rtol=1e-15)
 
     def test_strictly_decreasing_for_positive_s(self):
-        a = SobolevWeights(s=2.5, max_degree=12).a
+        a = sobolev_weights(2.5, 12)
         assert np.all(np.diff(a) < 0)
 
     def test_polynomial_envelope(self):
         # a_l (1+l)^{2s} in [1, (4/3)^s]: ratio (1+l)^2 / (1+l(l+1)) peaks
         # at l = 1
         for s in (0.5, 1.5, 3.0):
-            a = SobolevWeights(s=s, max_degree=20).a
+            a = sobolev_weights(s, 20)
             ratio = a * (1.0 + np.arange(21)) ** (2 * s)
             assert ratio.min() >= 1.0 - 1e-12
             assert ratio.max() <= (4 / 3) ** s + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SobolevWeights(s=-0.5, max_degree=3)
-        with pytest.raises(ValueError):
-            SobolevWeights(s=1.0, max_degree=-1)
 
 
 class TestSobolevNorm:
@@ -168,6 +171,19 @@ class TestL2Error:
         ref = sp.reference_rule_for(3)
         assert sp.l2_error(h, zero, ref) == pytest.approx(
             float(np.linalg.norm(coeffs)), rel=1e-12)
+
+    def test_sample_length_checked(self):
+        # a length-1 array must not broadcast against the reference nodes
+        ref = sp.reference_rule_for(3)
+        with pytest.raises(ValueError, match="sample values"):
+            sp.l2_error(sp.f3, np.array([1.0]), ref)
+
+    def test_nan_samples_rejected(self):
+        ref = sp.reference_rule_for(3)
+        values = sp.f3(ref.points)
+        values[7] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            sp.l2_error(sp.f3, values, ref)
 
 
 class TestReferenceRule:

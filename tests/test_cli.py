@@ -107,6 +107,13 @@ class TestEta:
         assert float(fields[3]) < 0.5
 
 
+    def test_load_nan_row_exits_two(self, tmp_path, capsys):
+        pts_file = tmp_path / "p.txt"
+        pts_file.write_text("0 0 1\nnan nan nan\n1 0 0\n")
+        rc = main(["eta", "--kind", "load", "--path", str(pts_file), "--n", "1"])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
 class TestSweep:
     def test_writes_three_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -26,11 +26,6 @@ class TestDimensions:
         # Z(3, n) = (n+1)^2 = dim of spherical polynomials up to degree n on S^2
         assert [sp.dim_harmonics(3, n) for n in range(6)] == [1, 4, 9, 16, 25, 36]
 
-    def test_basis_object(self):
-        basis = sp.HarmonicBasis(7)
-        assert basis.dim == 64
-        assert basis.block(np.array([[0.0, 0.0, 1.0]])).shape == (64, 1)
-
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             sp.dim_harmonics(2, -1)
@@ -60,30 +55,31 @@ class TestIndexing:
             sp.flat_index(2, 6)
 
 
+def legendre(ell, t):
+    """P_ell(t) read off kernel_dot's recurrence: G_ell - G_{ell-1} = (2 ell + 1)/(4 pi) P_ell."""
+    term = sp.kernel_dot(ell, t) - (sp.kernel_dot(ell - 1, t) if ell else 0.0)
+    return term * SPHERE_AREA / (2 * ell + 1)
+
+
 class TestLegendre:
     def test_degree_five_value(self):
         # (63 t^5 - 70 t^3 + 15 t)/8 at t = 0.7
-        assert sp.legendre_normalized(5, 0.7) == pytest.approx(-0.36519875, abs=1e-12)
+        assert legendre(5, 0.7) == pytest.approx(-0.36519875, abs=1e-12)
 
     def test_endpoint_values(self):
         for ell in range(8):
-            assert sp.legendre_normalized(ell, 1.0) == pytest.approx(1.0, abs=1e-12)
-            assert sp.legendre_normalized(ell, -1.0) == pytest.approx(
-                (-1.0) ** ell, abs=1e-12)
+            assert legendre(ell, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert legendre(ell, -1.0) == pytest.approx((-1.0) ** ell, abs=1e-12)
 
     def test_array_input(self):
         t = np.linspace(-1, 1, 11)
-        out = sp.legendre_normalized(3, t)
+        out = legendre(3, t)
         assert out.shape == t.shape
         assert out[5] == pytest.approx(0.0, abs=1e-15)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            sp.legendre_normalized(2, 1.1)
-
     @given(st.integers(0, 12), st.floats(-1.0, 1.0))
     def test_bounded_by_one(self, ell, t):
-        assert abs(sp.legendre_normalized(ell, t)) <= 1.0 + 1e-12
+        assert abs(legendre(ell, t)) <= 1.0 + 1e-12
 
 
 class TestBasisValues:
@@ -131,8 +127,8 @@ class TestAdditionTheoremAndKernel:
         for ell in range(10):
             lo, hi = ell * ell, (ell + 1) ** 2
             lhs = float(bx[lo:hi] @ by[lo:hi])
-            rhs = (2 * ell + 1) / SPHERE_AREA * sp.legendre_normalized(
-                ell, float(x @ y))
+            rhs = (2 * ell + 1) / SPHERE_AREA * np.polynomial.legendre.legval(
+                float(x @ y), [0.0] * ell + [1.0])
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_kernel_matches_basis_sum(self):
@@ -140,12 +136,12 @@ class TestAdditionTheoremAndKernel:
         x = unit(rng.standard_normal(3))
         y = unit(rng.standard_normal(3))
         direct = float(sp.eval_basis(6, x) @ sp.eval_basis(6, y))
-        assert sp.kernel_eval(6, x, y) == pytest.approx(direct, abs=1e-12)
+        assert sp.kernel_dot(6, x @ y) == pytest.approx(direct, abs=1e-12)
 
     def test_kernel_diagonal(self):
         x = unit([1.0, 1.0, -0.5])
         for n in (0, 3, 10):
-            assert sp.kernel_eval(n, x, x) == pytest.approx(
+            assert sp.kernel_dot(n, x @ x) == pytest.approx(
                 (n + 1) ** 2 / SPHERE_AREA, rel=1e-13)
 
     def test_kernel_dot_array(self):

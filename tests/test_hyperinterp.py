@@ -53,6 +53,15 @@ class TestFit:
         with pytest.raises(ValueError):
             sp.fit(rule, np.ones(rule.m - 1), 2)
 
+    def test_nan_samples_rejected(self):
+        rule = sp.product_gauss_rule(3)
+        y = np.ones(rule.m)
+        y[0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            sp.fit(rule, y, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            sp.fit(rule, lambda pts: np.full(len(pts), np.inf), 2)
+
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             sp.fit(sp.product_gauss_rule(2), np.ones(8), -1)
@@ -172,6 +181,19 @@ class TestCoeffsIO:
         assert lines[0] == "ell,k,coeff"
         assert lines[1] == "0,1,0"
         assert lines[-1] == "1,3,3"
+
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no coefficient rows"),
+        ("0,1,1\n1,1,2\n1,3,3\n", "1 of the 4 coefficients"),
+        ("0,1,1\n0,1,2\n", "duplicate"),
+        ("0,1,1\n1,4,2\n", "invalid basis index"),
+        ("-1,1,1\n", "invalid basis index"),
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "c.csv"
+        path.write_text("ell,k,coeff\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            sp.read_coeffs(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -79,6 +79,55 @@ class TestRules:
         with pytest.raises(ValueError):
             QuadratureRule(pts, np.ones(4), "mystery")
 
+    @pytest.mark.parametrize("row, value", [
+        (1, [np.nan, np.nan, np.nan]), (2, [np.inf, 0.0, 0.0]),
+        (3, [0.0, 0.0, 1.0 + 2e-6]), (0, [0.0, 0.0, 0.0])])
+    def test_bad_points_rejected(self, row, value):
+        pts = sp.random_uniform(4, seed=0)
+        pts[row] = value
+        with pytest.raises(ValueError, match="unit vectors"):
+            QuadratureRule(pts, np.ones(4), "loaded")
+
+    def test_points_within_tolerance_accepted(self):
+        pts = sp.random_uniform(4, seed=0)
+        pts[1] *= 1.0 + 5e-7
+        assert QuadratureRule(pts, np.ones(4), "loaded").m == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        pts = sp.random_uniform(4, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(pts, np.array([1.0, bad, 1.0, 1.0]), "loaded")
+
+
+class TestSourceRule:
+    def test_sources_and_provenance(self):
+        for source, kwargs, m in (("random", dict(m=30, seed=2), 30),
+                                  ("equal_area", dict(m=40), 40),
+                                  ("gauss_product", dict(order=3), 18)):
+            rule = sp.source_rule(source, **kwargs)
+            assert rule.m == m and rule.provenance == source
+        assert np.array_equal(sp.source_rule("random", m=30, seed=2).points,
+                              sp.random_uniform(30, 2))
+        assert np.array_equal(sp.source_rule("gauss_product", order=3).weights,
+                              sp.product_gauss_rule(3).weights)
+
+    def test_weights_only_where_the_source_has_them(self, tmp_path):
+        assert sp.source_points("equal_area", m=10)[1] is None
+        assert sp.source_points("gauss_product", order=2)[1].shape == (8,)
+        path = tmp_path / "pts.txt"
+        path.write_text("0 0 1\n1 0 0\n")
+        assert sp.source_points("loaded", path=path)[1] is None
+        rule = sp.source_rule("loaded", path=path)
+        assert rule.provenance == "loaded"
+        assert np.allclose(rule.weights, SPHERE_AREA / 2)
+
+    @pytest.mark.parametrize("source", ["random", "equal_area", "gauss_product",
+                                        "loaded", "hexagonal"])
+    def test_missing_size_or_unknown_source(self, source):
+        with pytest.raises(ValueError, match="point source"):
+            sp.source_rule(source)
+
 
 class TestProductGauss:
     def test_counts(self):
@@ -134,6 +183,14 @@ class TestLoadPointset:
     def test_non_numeric(self, tmp_path):
         path = self.write(tmp_path, "0 0 one\n")
         with pytest.raises(ValueError, match="line 1"):
+            sp.load_pointset(path)
+
+    @pytest.mark.parametrize("text", ["1 0 0\nnan nan nan\n",
+                                      "1 0 0 1\n0 0 1 nan\n",
+                                      "1 0 0 1\n0 0 1 inf\n"])
+    def test_non_finite_rejected(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match="line 2"):
             sp.load_pointset(path)
 
     def test_off_sphere(self, tmp_path):

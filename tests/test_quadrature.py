@@ -37,6 +37,13 @@ class TestApply:
         with pytest.raises(ValueError):
             sp.apply(rule, np.ones(rule.m + 1))
 
+    def test_nan_samples_rejected(self):
+        rule = sp.product_gauss_rule(3)
+        y = np.ones(rule.m)
+        y[-1] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            sp.apply(rule, y)
+
 
 class TestMZConstant:
     def test_exact_rule_is_tiny(self):
@@ -80,6 +87,16 @@ class TestMZConstant:
         rule = sp.product_gauss_rule(2)
         with pytest.raises(ValueError):
             sp.mz_constant(rule, -1)
+
+    def test_lanczos_branch_repeats_and_matches_dense(self):
+        # dim 2025 > 2000 takes the eigsh branch
+        rule = sp.equal_weight_rule(sp.equal_area(2600), "equal_area")
+        first, second = sp.mz_constant(rule, 44), sp.mz_constant(rule, 44)
+        assert first.dim == 2025
+        assert first.eta == second.eta
+        lam = np.linalg.eigvalsh(discrete_gram(rule, 44))
+        assert first.eta == pytest.approx(
+            max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0)), abs=1e-14)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 100))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.testfuncs import FUNCTION_IDS, wendland_delta, wendland_phi
-from sphyper.testfuncs import TestFunction as FunctionRecord
 
 unit_vectors = st.tuples(
     st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
@@ -150,12 +149,3 @@ class TestRegistry:
     def test_by_name_unknown(self):
         with pytest.raises(ValueError):
             sp.by_name("f9")
-
-    def test_record_evaluator(self):
-        rec = FunctionRecord("F4", sigma=3)
-        x = sp.random_uniform(4, seed=5)
-        assert np.allclose(rec(x), sp.f4(3)(x))
-        with pytest.raises(ValueError):
-            FunctionRecord("F4")
-        with pytest.raises(ValueError):
-            FunctionRecord("F7")
