@@ -4,12 +4,10 @@ from .harmonics import (
     SPHERE_AREA,
     basis_indices,
     dim_harmonics,
-    eval_basis,
     eval_basis_block,
     flat_index,
     kernel_dot,
     lb_eigenvalue,
-    sphere_point,
 )
 from .pointsets import (
     QuadratureRule,
@@ -35,7 +33,6 @@ from .quadrature import (
 from .hyperinterp import (
     Hyperinterpolant,
     audited_fit,
-    evaluate,
     evaluate_block,
     evaluate_kernel,
     fit,

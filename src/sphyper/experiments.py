@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import l2_error, reference_rule_for
-from .hyperinterp import evaluate_block, fit
+from .hyperinterp import fit
 from .pointsets import source_rule
 from .quadrature import mz_constant
 from .testfuncs import by_name
@@ -156,16 +156,8 @@ def run_sweep(config):
     cells = sweep_cells(config)
     f = by_name(config.function)
     rules = {}   # deterministic sources: one rule per size
-    refs = {}
-
-    def ref_for(n):
-        if n not in refs:
-            refs[n] = reference_rule_for(n)
-        return refs[n]
-
-    # Build shared reference rules up front so threaded cells only read refs.
-    for n, _, _ in cells:
-        ref_for(n)
+    # one reference rule per degree, built before any thread starts
+    refs = {n: reference_rule_for(n) for n in dict.fromkeys(n for n, _, _ in cells)}
 
     def run_cell(cell):
         n, m, rep = cell
@@ -179,7 +171,7 @@ def run_sweep(config):
             rule = rules[m]
         eta = mz_constant(rule, n).eta
         h = fit(rule, f, n)
-        err = l2_error(f, lambda p: evaluate_block(h, p), ref_for(n))
+        err = l2_error(f, h, refs[n])
         elapsed = time.perf_counter() - start
         return CellResult(config.experiment, n, rule.m, seed, eta, err,
                           elapsed, float(np.linalg.norm(h.coeffs)))

@@ -22,42 +22,20 @@ import numpy as np
 
 SPHERE_AREA = 4.0 * math.pi
 
+# points per basis block in basis_chunks; keeps a block below ~100 MB for
+# dim up to a few hundred
+_CHUNK = 20000
+
 __all__ = [
     "SPHERE_AREA",
-    "sphere_point",
     "dim_harmonics",
     "lb_eigenvalue",
     "flat_index",
     "basis_indices",
-    "eval_basis",
     "eval_basis_block",
+    "basis_chunks",
     "kernel_dot",
 ]
-
-
-def sphere_point(v, tol=1e-12):
-    """Validate and normalize a Cartesian 3-vector to a point on S^2.
-
-    Parameters
-    ----------
-    v : array_like, shape (3,)
-        Cartesian coordinates.
-    tol : float
-        Accepted deviation of ``norm(v)`` from 1.  Vectors outside the
-        band are rejected rather than silently rescaled.
-
-    Returns
-    -------
-    ndarray, shape (3,)
-        The input normalized to unit length.
-    """
-    x = np.asarray(v, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {x.shape}")
-    r = float(np.linalg.norm(x))
-    if r == 0.0 or abs(r - 1.0) > tol:
-        raise ValueError(f"norm {r!r} deviates from 1 by more than {tol}")
-    return x / r
 
 
 def dim_harmonics(d, ell):
@@ -162,9 +140,18 @@ def eval_basis_block(n, points):
     return B
 
 
-def eval_basis(n, x):
-    """All Y_{l,k}(x) for one point, as a vector of length (n+1)**2."""
-    return eval_basis_block(n, np.asarray(x, dtype=float)[None, :])[:, 0]
+def basis_chunks(n, points):
+    """Walk `points` in chunks: yield (rows, eval_basis_block(n, points[rows])).
+
+    `rows` is the slice of `points` that the block's columns cover.  Every
+    sum over a rule's nodes (Gram, coefficients, exactness integrals) and
+    every synthesis at many points goes through this one walk.  A consumer
+    that deletes its block at the end of each step keeps one block alive
+    instead of two while the next one is built.
+    """
+    for lo in range(0, len(points), _CHUNK):
+        rows = slice(lo, min(lo + _CHUNK, len(points)))
+        yield rows, eval_basis_block(n, points[rows])
 
 
 def kernel_dot(n, u):

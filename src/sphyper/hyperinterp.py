@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import basis_indices, eval_basis_block, flat_index, kernel_dot
+from .harmonics import basis_chunks, basis_indices, flat_index, kernel_dot
 from .quadrature import exactness_degree, mz_constant, sample_values
 
-__all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate",
-           "evaluate_block", "evaluate_kernel", "project_reference",
-           "write_coeffs", "read_coeffs"]
-
-_CHUNK = 20000
+__all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
+           "evaluate_kernel", "project_reference", "write_coeffs", "read_coeffs"]
 
 
 @dataclass(frozen=True)
@@ -52,9 +49,9 @@ def fit(rule, f, n):
     y = sample_values(f, rule.points)
     wy = rule.weights * y
     coeffs = np.zeros((n + 1) ** 2)
-    for lo in range(0, rule.m, _CHUNK):
-        hi = min(lo + _CHUNK, rule.m)
-        coeffs += eval_basis_block(n, rule.points[lo:hi]) @ wy[lo:hi]
+    for rows, B in basis_chunks(n, rule.points):
+        coeffs += B @ wy[rows]
+        del B
     return Hyperinterpolant(n=n, coeffs=coeffs, rule_provenance=rule.provenance)
 
 
@@ -79,21 +76,16 @@ def evaluate_block(h, points):
     """Evaluate via the coefficient sum at many points; returns shape (m,)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, pts.shape[0])
-        out[lo:hi] = h.coeffs @ eval_basis_block(h.n, pts[lo:hi])
+    for rows, B in basis_chunks(h.n, pts):
+        out[rows] = h.coeffs @ B
+        del B
     return out
-
-
-def evaluate(h, x):
-    """Evaluate at a single point."""
-    return float(evaluate_block(h, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def evaluate_kernel(rule, f, n, points):
     """Kernel-path evaluation sum_j w_j f(x_j) G_n(x, x_j) from raw samples.
 
-    Same polynomial as evaluate(fit(rule, f, n), .) by rearranging the
+    Same polynomial as evaluate_block(fit(rule, f, n), .) by rearranging the
     double sum through the addition theorem; kept as an independent code
     path for cross-checks.
     """

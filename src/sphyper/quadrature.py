@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, eval_basis_block
+from .harmonics import SPHERE_AREA, basis_chunks
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "apply", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram"]
@@ -22,9 +22,10 @@ __all__ = ["MZReport", "ExactnessReport", "sample_values", "apply", "mz_constant
 # hyperinterpolation theory vacuous)
 RANK_TOL = 1e-10
 
-# points per chunk when accumulating Gram / coefficient reductions, keeps
-# the basis-value block below ~100 MB for dim up to a few hundred
-_CHUNK = 20000
+# Lanczos restarts per end of the spectrum before mz_constant falls back to
+# the dense eigensolver; healthy Grams converge well within it, while on a
+# rank-deficient one (lambda_min = 0) which="SA" can run for minutes
+_EIGSH_MAXITER = 50
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,9 @@ def discrete_gram(rule, n):
     """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks."""
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
-    for lo in range(0, rule.m, _CHUNK):
-        hi = min(lo + _CHUNK, rule.m)
-        B = eval_basis_block(n, rule.points[lo:hi])
-        G += (B * rule.weights[lo:hi]) @ B.T
+    for rows, B in basis_chunks(n, rule.points):
+        G += (B * rule.weights[rows]) @ B.T
+        del B
     return G
 
 
@@ -80,23 +80,25 @@ def mz_constant(rule, n):
         raise ValueError(f"degree n must be >= 0, got {n}")
     G = discrete_gram(rule, n)
     dim = G.shape[0]
-    if dim <= 2000:
+    lam_min = None
+    if dim > 2000:
+        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+        # a fixed start vector makes the Lanczos result repeat bit for bit
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        opts = dict(k=1, v0=v0, maxiter=_EIGSH_MAXITER, return_eigenvectors=False)
+        try:
+            lam_max = float(eigsh(G, which="LA", **opts)[0])
+            lam_min = float(eigsh(G, which="SA", **opts)[0])
+        except ArpackNoConvergence:
+            pass  # lam_min stays None: the dense solver below takes over
+        except ArpackError as exc:
+            raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
+    if lam_min is None:
         try:
             lam = np.linalg.eigvalsh(G)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed on the {dim}x{dim} Gram: {exc}")
         lam_min, lam_max = float(lam[0]), float(lam[-1])
-    else:
-        from scipy.sparse.linalg import ArpackError, eigsh
-        # a fixed start vector makes the Lanczos result repeat bit for bit
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        try:
-            lam_max = float(eigsh(G, k=1, which="LA", v0=v0,
-                                  return_eigenvectors=False)[0])
-            lam_min = float(eigsh(G, k=1, which="SA", v0=v0,
-                                  return_eigenvectors=False)[0])
-        except ArpackError as exc:
-            raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
     lam_min = max(lam_min, 0.0)
     eta = max(abs(lam_min - 1.0), abs(lam_max - 1.0))
@@ -116,10 +118,9 @@ def exactness_degree(rule, max_scan, tol=1e-8):
         raise ValueError(f"max_scan must be >= 0, got {max_scan}")
     # one basis evaluation up to max_scan covers every degree of the scan
     integrals = np.zeros((max_scan + 1) ** 2)
-    for lo in range(0, rule.m, _CHUNK):
-        hi = min(lo + _CHUNK, rule.m)
-        B = eval_basis_block(max_scan, rule.points[lo:hi])
-        integrals += B @ rule.weights[lo:hi]
+    for rows, B in basis_chunks(max_scan, rule.points):
+        integrals += B @ rule.weights[rows]
+        del B
     integrals[0] -= math.sqrt(SPHERE_AREA)
 
     residuals = []

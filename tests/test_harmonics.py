@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphyper as sp
-from sphyper.harmonics import SPHERE_AREA, basis_indices
+from sphyper.harmonics import _CHUNK, SPHERE_AREA, basis_chunks, basis_indices
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
 raw_vectors = st.tuples(coords, coords, coords).filter(
@@ -90,14 +90,9 @@ class TestBasisValues:
 
     def test_zonal_degree_one(self):
         # k = 1 is the m = 0 (zonal) function sqrt(3/(4*pi)) * x3
-        vec = sp.eval_basis(1, np.array([0.0, 0.0, 1.0]))
-        assert vec[sp.flat_index(1, 1)] == pytest.approx(
+        block = sp.eval_basis_block(1, np.array([[0.0, 0.0, 1.0]]))
+        assert block[sp.flat_index(1, 1), 0] == pytest.approx(
             math.sqrt(3 / SPHERE_AREA), abs=1e-14)
-
-    def test_single_point_matches_block(self):
-        x = unit([0.3, -1.2, 0.5])
-        assert np.allclose(sp.eval_basis(4, x),
-                           sp.eval_basis_block(4, x[None, :])[:, 0], atol=1e-15)
 
     def test_orthonormal_under_exact_rule(self):
         rule = sp.product_gauss_rule(9)
@@ -113,8 +108,7 @@ class TestBasisValues:
     @given(raw_vectors, st.integers(0, 9))
     def test_pointwise_bound(self, v, ell):
         # addition theorem at x = y: sum_k Y^2 = (2*ell+1)/(4*pi)
-        vec = sp.eval_basis(ell, unit(v))
-        block = vec[ell * ell:(ell + 1) ** 2]
+        block = sp.eval_basis_block(ell, unit(v)[None, :])[ell * ell:, 0]
         assert np.abs(block).max() <= math.sqrt((2 * ell + 1) / SPHERE_AREA) + 1e-9
 
 
@@ -123,7 +117,7 @@ class TestAdditionTheoremAndKernel:
         rng = np.random.default_rng(3)
         x = unit(rng.standard_normal(3))
         y = unit(rng.standard_normal(3))
-        bx, by = sp.eval_basis(9, x), sp.eval_basis(9, y)
+        bx, by = sp.eval_basis_block(9, np.stack([x, y])).T
         for ell in range(10):
             lo, hi = ell * ell, (ell + 1) ** 2
             lhs = float(bx[lo:hi] @ by[lo:hi])
@@ -135,7 +129,8 @@ class TestAdditionTheoremAndKernel:
         rng = np.random.default_rng(4)
         x = unit(rng.standard_normal(3))
         y = unit(rng.standard_normal(3))
-        direct = float(sp.eval_basis(6, x) @ sp.eval_basis(6, y))
+        bx, by = sp.eval_basis_block(6, np.stack([x, y])).T
+        direct = float(bx @ by)
         assert sp.kernel_dot(6, x @ y) == pytest.approx(direct, abs=1e-12)
 
     def test_kernel_diagonal(self):
@@ -151,15 +146,49 @@ class TestAdditionTheoremAndKernel:
         assert out[-1] == pytest.approx(36 / SPHERE_AREA, rel=1e-13)
 
 
-class TestSpherePoint:
-    def test_normalizes(self):
-        v = sp.sphere_point([0.0, 0.0, 2.0], tol=1.5)
-        assert np.allclose(v, [0, 0, 1])
+@pytest.fixture(scope="module")
+def boundary_rule():
+    """Random rule whose nodes span two full basis chunks and one more node."""
+    return sp.equal_weight_rule(sp.random_uniform(2 * _CHUNK + 1, seed=12), "random")
 
-    def test_rejects_far_from_sphere(self):
-        with pytest.raises(ValueError):
-            sp.sphere_point([0.0, 0.0, 2.0])
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            sp.sphere_point([0.0, 0.0, 0.0], tol=2.0)
+def assert_rel_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestChunkBoundary:
+    """Every reduction over nodes matches one unchunked basis evaluation."""
+
+    n = 6
+
+    def test_chunks_cover_points_in_order(self, boundary_rule):
+        chunks = list(basis_chunks(self.n, boundary_rule.points))
+        assert [rows.stop - rows.start for rows, _ in chunks] == [_CHUNK, _CHUNK, 1]
+        assert_rel_close(np.hstack([B for _, B in chunks]),
+                         sp.eval_basis_block(self.n, boundary_rule.points))
+
+    def test_discrete_gram(self, boundary_rule):
+        B = sp.eval_basis_block(self.n, boundary_rule.points)
+        assert_rel_close(sp.discrete_gram(boundary_rule, self.n),
+                         (B * boundary_rule.weights) @ B.T)
+
+    def test_fit_coefficients(self, boundary_rule):
+        y = sp.by_name("f3")(boundary_rule.points)
+        B = sp.eval_basis_block(self.n, boundary_rule.points)
+        assert_rel_close(sp.fit(boundary_rule, y, self.n).coeffs,
+                         B @ (boundary_rule.weights * y))
+
+    def test_exactness_residuals(self, boundary_rule):
+        integrals = sp.eval_basis_block(self.n, boundary_rule.points) @ boundary_rule.weights
+        integrals[0] -= math.sqrt(SPHERE_AREA)
+        want = [np.abs(integrals[ell * ell:(ell + 1) ** 2]).max()
+                for ell in range(self.n + 1)]
+        assert_rel_close(sp.exactness_degree(boundary_rule, self.n).residuals, want)
+
+    def test_evaluate_block(self, boundary_rule):
+        coeffs = np.random.default_rng(13).standard_normal((self.n + 1) ** 2)
+        h = sp.Hyperinterpolant(n=self.n, coeffs=coeffs)
+        assert_rel_close(sp.evaluate_block(h, boundary_rule.points),
+                         coeffs @ sp.eval_basis_block(self.n, boundary_rule.points))

@@ -93,8 +93,9 @@ class TestEvaluate:
 
     def test_scalar_evaluate(self):
         h = sp.Hyperinterpolant(n=0, coeffs=np.array([2.0]))
-        val = sp.evaluate(h, np.array([0.0, 0.0, 1.0]))
-        assert val == pytest.approx(2.0 / math.sqrt(SPHERE_AREA), rel=1e-14)
+        val = sp.evaluate_block(h, np.array([[0.0, 0.0, 1.0]]))
+        assert val.shape == (1,)
+        assert val[0] == pytest.approx(2.0 / math.sqrt(SPHERE_AREA), rel=1e-14)
 
     def test_kernel_path_agrees(self):
         rule = sp.equal_weight_rule(sp.random_uniform(400, seed=6), "random")

@@ -98,6 +98,19 @@ class TestMZConstant:
         assert first.eta == pytest.approx(
             max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0)), abs=1e-14)
 
+    def test_rank_deficient_lanczos_falls_back_to_dense(self):
+        # 80 azimuths alias orders k and 80 - k for k >= 36, so at n = 44 the
+        # Gram is singular; eigsh(which="SA") stalls there without a bound
+        rule = sp.product_gauss_rule(40)
+        report = sp.mz_constant(rule, 44)
+        assert report.dim == 2025
+        assert report.rank_deficient
+        lam = np.linalg.eigvalsh(discrete_gram(rule, 44))
+        assert report.eta == pytest.approx(
+            max(abs(max(lam[0], 0.0) - 1.0), abs(lam[-1] - 1.0)), abs=1e-12)
+        with pytest.raises(ValueError, match="rank deficient"):
+            sp.audited_fit(rule, sp.by_name("f3"), 44)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 4), st.integers(0, 100))
     def test_random_rule_spectrum_sane(self, n, seed):
