@@ -3,7 +3,6 @@
 from .harmonics import (
     SPHERE_AREA,
     basis_indices,
-    dim_harmonics,
     eval_basis_block,
     flat_index,
     kernel_dot,

@@ -14,6 +14,12 @@ __all__ = ["RateFit", "l2_error", "sobolev_norm",
            "uniform_norm_estimate", "uniform_norm_refined", "fit_rate",
            "banach_algebra_diagnostic", "reference_rule_for"]
 
+# grid refinement of uniform_norm_refined
+_REFINE_GRID = 4000
+_REFINE_FACTOR = 4
+_REFINE_RTOL = 1e-3
+_REFINE_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class RateFit:
@@ -72,18 +78,20 @@ def uniform_norm_estimate(f, grid_size):
     return float(np.max(np.abs(vals)))
 
 
-def uniform_norm_refined(f, grid_size=4000, factor=4, rtol=1e-3, max_rounds=3):
+def uniform_norm_refined(f):
     """Grid-refinement safeguard around uniform_norm_estimate.
 
-    Refines the grid by `factor` until the estimate changes by less than
-    `rtol` relatively; returns the largest estimate seen (still a lower
-    bound on the true sup norm).
+    Starts from a grid of _REFINE_GRID points and refines it by
+    _REFINE_FACTOR, at most _REFINE_ROUNDS times, until the estimate
+    changes by less than _REFINE_RTOL relatively; returns the largest
+    estimate seen (still a lower bound on the true sup norm).
     """
+    grid_size = _REFINE_GRID
     est = uniform_norm_estimate(f, grid_size)
-    for _ in range(max_rounds):
-        grid_size *= factor
+    for _ in range(_REFINE_ROUNDS):
+        grid_size *= _REFINE_FACTOR
         new = uniform_norm_estimate(f, grid_size)
-        done = abs(new - est) <= rtol * max(abs(est), 1e-300)
+        done = abs(new - est) <= _REFINE_RTOL * max(abs(est), 1e-300)
         est = max(est, new)
         if done:
             break

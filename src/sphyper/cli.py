@@ -5,6 +5,7 @@ kinds, malformed config or point files, invalid grids).
 """
 
 import argparse
+import dataclasses
 import filecmp
 import math
 import sys
@@ -70,7 +71,7 @@ def cmd_eta(args):
 
 
 def parse_config(path):
-    """Plain `key = value` text; '#' starts a comment; lists are comma-split."""
+    """Plain `key = value` text; '#' starts a comment; a key appears once."""
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -81,52 +82,48 @@ def parse_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
         raw[key] = value
     return raw
 
 
-def config_from_file(path, force=False, workers=1):
+# config keys that differ from the SweepConfig field they set
+_FIELD_KEYS = {"n_list": "n", "m_list": "m"}
+# output-path keys, and the default path's suffix after the experiment name
+_OUTPUT_KEYS = {"out": ".csv", "aggregate_out": "_agg.csv", "times_out": "_times.csv"}
+
+
+def config_from_file(path):
+    """SweepConfig and output paths of a config file.  Its keys are the
+    fields that are not per-run; a key it leaves out keeps the default."""
     raw = parse_config(path)
-    known = {"experiment", "function", "points", "n", "m", "schedule", "sigma",
-             "beta", "seed", "repetitions", "out", "aggregate_out", "times_out"}
-    unknown = set(raw) - known
+    fields = {_FIELD_KEYS.get(f.name, f.name): f
+              for f in dataclasses.fields(experiments.SweepConfig)
+              if not f.metadata.get("per_run")}
+    unknown = set(raw) - set(fields) - set(_OUTPUT_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    missing = {"experiment", "function", "points", "n"} - set(raw)
+    missing = {key for key, f in fields.items()
+               if f.default is dataclasses.MISSING} - set(raw)
     if missing:
         raise ValueError(f"{path}: missing config keys {sorted(missing)}")
-
-    def ints(key):
-        return tuple(int(v) for v in raw[key].split(",")) if key in raw else ()
-
     try:
-        config = experiments.SweepConfig(
-            experiment=raw["experiment"],
-            function=raw["function"],
-            points=raw["points"],
-            n_list=ints("n"),
-            m_list=ints("m"),
-            schedule=raw.get("schedule", "fixed-list"),
-            sigma=int(raw.get("sigma", -1)),
-            beta=int(raw.get("beta", 1)),
-            seed=int(raw.get("seed", 0)),
-            repetitions=int(raw.get("repetitions", 0)),
-            force=force,
-            workers=workers,
-        )
+        # a tuple field is a comma-separated list of integers
+        config = experiments.SweepConfig(**{
+            f.name: (tuple(int(v) for v in raw[key].split(","))
+                     if f.type is tuple else f.type(raw[key]))
+            for key, f in fields.items() if key in raw})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    outs = {
-        "out": raw.get("out", f"{config.experiment}.csv"),
-        "aggregate_out": raw.get("aggregate_out", f"{config.experiment}_agg.csv"),
-        "times_out": raw.get("times_out", f"{config.experiment}_times.csv"),
-    }
+    outs = {key: raw.get(key, config.experiment + suffix)
+            for key, suffix in _OUTPUT_KEYS.items()}
     return config, outs
 
 
 def cmd_sweep(args):
-    config, outs = config_from_file(args.config, force=args.force,
-                                    workers=args.workers)
+    config, outs = config_from_file(args.config)
+    config = dataclasses.replace(config, force=args.force, workers=args.workers)
     if args.out:
         outs["out"] = args.out
     rows = experiments.run_sweep(config)
@@ -188,12 +185,17 @@ def _lemma31_rules():
     )
 
 
-def lemma31_deviations(rule, n, n_samples=100, seed=99):
+# random polynomials per lemma31_deviations call
+_LEMMA31_SAMPLES = 100
+_LEMMA31_SEED = 99
+
+
+def lemma31_deviations(rule, n):
     """Worst signed slack of the three discrete-vs-continuous norm bounds.
 
-    For random degree-n polynomials chi with coefficients alpha (so the true
-    norm is |alpha|), U_n chi has coefficients G alpha.  Returns the largest
-    violation (positive = broken) of
+    For _LEMMA31_SAMPLES random degree-n polynomials chi with coefficients
+    alpha (so the true norm is |alpha|), U_n chi has coefficients G alpha.
+    Returns the largest violation (positive = broken) of
       (a) (1-eta)|chi|^2 <= <U_n chi, chi> <= (1+eta)|chi|^2,
       (b) (1-eta)|chi|  <= |U_n chi|    <= (1+eta)|chi|,
       (c) |U_n chi - chi|^2 <= (eta^2 + 4 eta)|chi|^2.
@@ -201,8 +203,8 @@ def lemma31_deviations(rule, n, n_samples=100, seed=99):
     report = mz_constant(rule, n)
     eta = report.eta
     gram = discrete_gram(rule, n)
-    rng = np.random.default_rng(seed)
-    alpha = rng.standard_normal((gram.shape[0], n_samples))
+    rng = np.random.default_rng(_LEMMA31_SEED)
+    alpha = rng.standard_normal((gram.shape[0], _LEMMA31_SAMPLES))
     g_alpha = gram @ alpha
     norm2 = (alpha * alpha).sum(axis=0)
     inner = (alpha * g_alpha).sum(axis=0)

@@ -12,7 +12,7 @@ separate file for that reason.
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,6 @@ POINT_SOURCES = ("random", "equal_area", "gauss_product")
 
 
 def _schedule_fixed(n, config):
-    if not config.m_list:
-        raise ValueError("schedule 'fixed-list' needs a nonempty m list")
     return list(config.m_list)
 
 
@@ -64,15 +62,16 @@ class SweepConfig:
     experiment: str
     function: str
     points: str
-    n_list: tuple = ()
+    n_list: tuple
     m_list: tuple = ()
     schedule: str = "fixed-list"
     sigma: int = -1
     beta: int = 1
     seed: int = 0
     repetitions: int = 0
-    force: bool = False
-    workers: int = 1
+    # per-run settings: flags of the sweep command, not config-file keys
+    force: bool = field(default=False, metadata={"per_run": True})
+    workers: int = field(default=1, metadata={"per_run": True})
 
     def __post_init__(self):
         if not self.n_list:
@@ -82,6 +81,9 @@ class SweepConfig:
                              f"registered: {sorted(SCHEDULES)}")
         if self.schedule == "fixed-list" and not self.m_list:
             raise ValueError("schedule 'fixed-list' needs a nonempty m list")
+        if self.schedule != "fixed-list" and self.m_list:
+            raise ValueError(f"schedule {self.schedule!r} sets m itself; an m list "
+                             "goes with 'fixed-list' only")
         if self.repetitions < 0:
             raise ValueError("repetitions must be >= 1 (or 0 for the default)")
         if self.points not in POINT_SOURCES and self.points_is_file() is False:

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +27,6 @@ _CHUNK = 20000
 
 __all__ = [
     "SPHERE_AREA",
-    "dim_harmonics",
     "lb_eigenvalue",
     "flat_index",
     "basis_indices",
@@ -36,25 +34,6 @@ __all__ = [
     "basis_chunks",
     "kernel_dot",
 ]
-
-
-def dim_harmonics(d, ell):
-    """Dimension Z(d, ell) of the degree-ell harmonics on S^d.
-
-    Z(d, ell) = (2*ell + d - 1) * Gamma(ell + d - 1) / (Gamma(d) * Gamma(ell + 1)),
-    with Z(d, 0) = 1.  Evaluated in exact rational arithmetic; the result
-    is always an integer.
-    """
-    if d < 2:
-        raise ValueError(f"sphere dimension d must be >= 2, got {d}")
-    if ell < 0:
-        raise ValueError(f"degree ell must be >= 0, got {ell}")
-    if ell == 0:
-        return 1
-    z = Fraction((2 * ell + d - 1) * math.factorial(ell + d - 2),
-                 math.factorial(d - 1) * math.factorial(ell))
-    assert z.denominator == 1
-    return int(z)
 
 
 def lb_eigenvalue(d, ell):

@@ -11,7 +11,7 @@ refuse rank-deficient rules up front.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class Hyperinterpolant:
 
     n: int
     coeffs: np.ndarray
-    rule_provenance: str = "loaded"
     eta_used: float | None = None
 
     def __post_init__(self):
@@ -52,7 +51,7 @@ def fit(rule, f, n):
     for rows, B in basis_chunks(n, rule.points):
         coeffs += B @ wy[rows]
         del B
-    return Hyperinterpolant(n=n, coeffs=coeffs, rule_provenance=rule.provenance)
+    return Hyperinterpolant(n=n, coeffs=coeffs)
 
 
 def audited_fit(rule, f, n):
@@ -66,10 +65,7 @@ def audited_fit(rule, f, n):
         raise ValueError(
             f"rule unusable at degree {n}: eta = {report.eta:.6g}, "
             f"lambda_min = {report.lambda_min:.3e} (rank deficient)")
-    h = fit(rule, f, n)
-    return Hyperinterpolant(n=h.n, coeffs=h.coeffs,
-                            rule_provenance=h.rule_provenance,
-                            eta_used=report.eta)
+    return replace(fit(rule, f, n), eta_used=report.eta)
 
 
 def evaluate_block(h, points):

@@ -157,15 +157,14 @@ def equal_area(m):
     return np.vstack([p if p.ndim == 2 else p[None, :] for p in pts])
 
 
-def load_pointset(path, expect_weights=False):
+def load_pointset(path):
     """Load a point set from a whitespace-separated text file.
 
     Lines starting with '#' are ignored.  3 columns give points only; 4
     columns give points plus positive weights.  Rows must be unit vectors
     within 1e-6; they are renormalized to exact unit length.
 
-    Returns ``(points, weights)`` with ``weights = None`` for 3-column
-    files.  With ``expect_weights=True`` a 3-column file is an error.
+    Returns ``(points, weights)`` with ``weights = None`` for 3-column files.
     """
     points = []
     weights = []
@@ -205,8 +204,6 @@ def load_pointset(path, expect_weights=False):
                 weights.append(vals[3])
     if not points:
         raise ValueError(f"{path}: no data rows")
-    if expect_weights and ncols == 3:
-        raise ValueError(f"{path}: expected a 4-column file with weights")
     pts = np.array(points)
     return pts, (np.array(weights) if ncols == 4 else None)
 

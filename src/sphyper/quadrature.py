@@ -68,8 +68,12 @@ def discrete_gram(rule, n):
     """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks."""
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
+    sqrt_w = np.sqrt(rule.weights)   # weights are positive
     for rows, B in basis_chunks(n, rule.points):
-        G += (B * rule.weights[rows]) @ B.T
+        # scaled in place, B @ B.T is a symmetric rank-k update: half the
+        # flops of a general product and no second block
+        B *= sqrt_w[rows]
+        G += B @ B.T
         del B
     return G
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sphyper as sp
-from sphyper.cli import main
+from sphyper.cli import config_from_file, main
 
 
 def write_config(tmp_path, text, name="sweep.cfg"):
@@ -168,6 +168,51 @@ class TestSweep:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
+
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_SWEEP + "n = 3\n")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert ":9: key 'n' is set twice" in capsys.readouterr().err
+
+    def test_m_list_needs_fixed_list_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_SWEEP + "schedule = (n+1)^2\n")
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "an m list goes with 'fixed-list' only" in capsys.readouterr().err
+
+
+class TestConfigFromFile:
+    def test_required_keys_and_m(self, tmp_path):
+        # the default schedule, fixed-list, also needs m
+        cfg = write_config(tmp_path, "experiment = e\nfunction = f3\n"
+                                     "points = random\nn = 4,6\nm = 100\n")
+        config, outs = config_from_file(cfg)
+        assert config == sp.SweepConfig("e", "f3", "random", (4, 6), (100,))
+        assert outs == {"out": "e.csv", "aggregate_out": "e_agg.csv",
+                        "times_out": "e_times.csv"}
+
+    def test_every_key(self, tmp_path):
+        cfg = write_config(tmp_path, """\
+experiment = e
+function = f4_2
+points = equal_area
+n = 4,5
+m = 100,200
+schedule = fixed-list
+sigma = 3
+beta = 2
+seed = 17
+repetitions = 4
+out = a.csv
+aggregate_out = b.csv
+times_out = c.csv
+""")
+        config, outs = config_from_file(cfg)
+        assert config == sp.SweepConfig(
+            experiment="e", function="f4_2", points="equal_area", n_list=(4, 5),
+            m_list=(100, 200), schedule="fixed-list", sigma=3, beta=2, seed=17,
+            repetitions=4)
+        assert outs == {"out": "a.csv", "aggregate_out": "b.csv",
+                        "times_out": "c.csv"}
 
 
 class TestCheck:

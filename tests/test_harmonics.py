@@ -19,17 +19,6 @@ def unit(v):
 
 
 class TestDimensions:
-    def test_per_degree_on_s2(self):
-        assert [sp.dim_harmonics(2, ell) for ell in range(6)] == [1, 3, 5, 7, 9, 11]
-
-    def test_matches_polynomial_space_on_s2(self):
-        # Z(3, n) = (n+1)^2 = dim of spherical polynomials up to degree n on S^2
-        assert [sp.dim_harmonics(3, n) for n in range(6)] == [1, 4, 9, 16, 25, 36]
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            sp.dim_harmonics(2, -1)
-
     def test_laplacian_eigenvalues(self):
         assert sp.lb_eigenvalue(2, 0) == 0
         assert sp.lb_eigenvalue(2, 3) == 12
@@ -97,6 +86,7 @@ class TestBasisValues:
     def test_orthonormal_under_exact_rule(self):
         rule = sp.product_gauss_rule(9)
         block = sp.eval_basis_block(8, rule.points)
+        assert block.shape == (81, rule.m)   # (n+1)^2 rows
         gram = (block * rule.weights) @ block.T
         assert np.abs(gram - np.eye(81)).max() < 1e-12
 
@@ -171,8 +161,10 @@ class TestChunkBoundary:
 
     def test_discrete_gram(self, boundary_rule):
         B = sp.eval_basis_block(self.n, boundary_rule.points)
-        assert_rel_close(sp.discrete_gram(boundary_rule, self.n),
-                         (B * boundary_rule.weights) @ B.T)
+        w = np.random.default_rng(14).uniform(0.5, 1.5, boundary_rule.m)
+        unequal = sp.QuadratureRule(boundary_rule.points, w * SPHERE_AREA / w.sum())
+        for rule in (boundary_rule, unequal):
+            assert_rel_close(sp.discrete_gram(rule, self.n), (B * rule.weights) @ B.T)
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)

@@ -66,10 +66,6 @@ class TestFit:
         with pytest.raises(ValueError):
             sp.fit(sp.product_gauss_rule(2), np.ones(8), -1)
 
-    def test_provenance_carried(self):
-        h = sp.fit(sp.product_gauss_rule(3), np.ones(18), 1)
-        assert h.rule_provenance == "gauss_product"
-
 
 class TestHyperinterpolantObject:
     def test_coefficient_count_enforced(self):

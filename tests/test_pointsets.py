@@ -167,13 +167,8 @@ class TestLoadPointset:
 
     def test_four_columns(self, tmp_path):
         path = self.write(tmp_path, "0 0 1 6.0\n1 0 0 6.3\n")
-        pts, w = sp.load_pointset(path, expect_weights=True)
+        pts, w = sp.load_pointset(path)
         assert np.allclose(w, [6.0, 6.3])
-
-    def test_missing_weights_rejected(self, tmp_path):
-        path = self.write(tmp_path, "0 0 1\n")
-        with pytest.raises(ValueError):
-            sp.load_pointset(path, expect_weights=True)
 
     def test_bad_column_count(self, tmp_path):
         path = self.write(tmp_path, "0 0 1\n1 0\n")
@@ -206,7 +201,7 @@ class TestLoadPointset:
     def test_nonpositive_weight(self, tmp_path):
         path = self.write(tmp_path, "0 0 1 0.0\n")
         with pytest.raises(ValueError, match="line 1"):
-            sp.load_pointset(path, expect_weights=True)
+            sp.load_pointset(path)
 
 
 class TestBundledDesigns:
