@@ -23,10 +23,10 @@ from .pointsets import (
 from .quadrature import (
     ExactnessReport,
     MZReport,
-    apply,
     discrete_gram,
     exactness_degree,
     mz_constant,
+    mz_report,
     sample_values,
 )
 from .hyperinterp import (
@@ -36,18 +36,14 @@ from .hyperinterp import (
     evaluate_kernel,
     fit,
     project_reference,
-    read_coeffs,
-    write_coeffs,
 )
 from .testfuncs import FUNCTION_IDS, by_name, f1, f2, f3, f4, wendland_delta, wendland_phi
 from .analysis import (
     RateFit,
-    banach_algebra_diagnostic,
     fit_rate,
     l2_error,
     reference_rule_for,
     sobolev_norm,
-    uniform_norm_estimate,
     uniform_norm_refined,
 )
 from .experiments import SCHEDULES, CellResult, SweepConfig, cell_seed, run_sweep

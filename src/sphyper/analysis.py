@@ -7,12 +7,10 @@ import numpy as np
 
 from .harmonics import lb_eigenvalue
 from .pointsets import equal_area, product_gauss_rule
-from .hyperinterp import Hyperinterpolant, fit
-from .quadrature import exactness_degree, sample_values
+from .quadrature import sample_values
 
-__all__ = ["RateFit", "l2_error", "sobolev_norm",
-           "uniform_norm_estimate", "uniform_norm_refined", "fit_rate",
-           "banach_algebra_diagnostic", "reference_rule_for"]
+__all__ = ["RateFit", "l2_error", "sobolev_norm", "uniform_norm_refined",
+           "fit_rate", "reference_rule_for"]
 
 # grid refinement of uniform_norm_refined
 _REFINE_GRID = 4000
@@ -70,27 +68,24 @@ def sobolev_norm(coeffs, s):
     return math.sqrt(total)
 
 
-def uniform_norm_estimate(f, grid_size):
+def _grid_max(f, grid_size):
     """max |f| over an equal-area grid; a lower bound on the sup norm."""
-    if grid_size < 1000:
-        raise ValueError(f"grid_size must be >= 1000, got {grid_size}")
-    vals = sample_values(f, equal_area(grid_size))
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(sample_values(f, equal_area(grid_size)))))
 
 
 def uniform_norm_refined(f):
-    """Grid-refinement safeguard around uniform_norm_estimate.
+    """Sup-norm estimate of f: max |f| over refined equal-area grids.
 
     Starts from a grid of _REFINE_GRID points and refines it by
     _REFINE_FACTOR, at most _REFINE_ROUNDS times, until the estimate
     changes by less than _REFINE_RTOL relatively; returns the largest
-    estimate seen (still a lower bound on the true sup norm).
+    estimate seen (a lower bound on the true sup norm).
     """
     grid_size = _REFINE_GRID
-    est = uniform_norm_estimate(f, grid_size)
+    est = _grid_max(f, grid_size)
     for _ in range(_REFINE_ROUNDS):
         grid_size *= _REFINE_FACTOR
-        new = uniform_norm_estimate(f, grid_size)
+        new = _grid_max(f, grid_size)
         done = abs(new - est) <= _REFINE_RTOL * max(abs(est), 1e-300)
         est = max(est, new)
         if done:
@@ -117,30 +112,3 @@ def fit_rate(samples):
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return RateFit(slope=float(slope), intercept=float(intercept),
                    r_squared=min(max(r2, 0.0), 1.0), n_points=len(pts))
-
-
-def banach_algebra_diagnostic(f_coeffs, g_coeffs, s, ref):
-    """Ratio ||fg||_{H^s} / (||f||_{H^s} ||g||_{H^s}) for degree-n inputs.
-
-    The product of two degree-n polynomials lies in P_{2n}; its
-    coefficients are recovered exactly by projection with a reference rule
-    of exactness >= 4n.  Empirically bounds the algebra constant for
-    s > 1 (= d/2 on S^2).
-    """
-    if s <= 1.0:
-        raise ValueError(f"the algebra property needs s > 1, got {s}")
-    fc = np.asarray(f_coeffs, dtype=float)
-    gc = np.asarray(g_coeffs, dtype=float)
-    n = int(round(math.sqrt(max(fc.size, gc.size)))) - 1
-    full = exactness_degree(ref, max_scan=4 * n)
-    if full.degree < 4 * n:
-        raise ValueError(
-            f"reference exactness {full.degree} < 4n = {4 * n}; product "
-            "projection would be inexact")
-    hf = Hyperinterpolant(n=math.isqrt(fc.size) - 1, coeffs=fc)
-    hg = Hyperinterpolant(n=math.isqrt(gc.size) - 1, coeffs=gc)
-    h_prod = fit(ref, lambda pts: hf(pts) * hg(pts), 2 * n)
-    denom = sobolev_norm(fc, s) * sobolev_norm(gc, s)
-    if denom == 0:
-        raise ValueError("zero input polynomial")
-    return sobolev_norm(h_prod.coeffs, s) / denom

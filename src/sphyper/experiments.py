@@ -76,6 +76,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.n_list:
             raise ValueError("n grid is empty")
+        if min(self.n_list) < 0:
+            raise ValueError(f"degrees must be >= 0, got {min(self.n_list)}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown m-schedule {self.schedule!r}; "
                              f"registered: {sorted(SCHEDULES)}")
@@ -132,18 +134,23 @@ def cell_seed(config_seed, n, m, rep):
 
 def _cell_rule(config, m, seed):
     """The cell's rule; gauss_product gets the largest order N with 2N^2 <= m."""
-    if config.points_is_file():
-        return source_rule("loaded", path=config.points)
     order = max(1, int(math.floor(math.sqrt(m / 2.0))))
     return source_rule(config.points, m=m, seed=seed, order=order)
 
 
-def sweep_cells(config):
-    """The (n, m, rep) grid in deterministic row order."""
+def sweep_cells(config, nodes=None):
+    """The (n, m, rep) grid in deterministic row order.
+
+    `nodes` is the node count of a file source, which every m must equal.
+    """
     reps = config.effective_repetitions()
     cells = []
     for n in config.n_list:
         for m in SCHEDULES[config.schedule](n, config):
+            if nodes is not None and m != nodes:
+                raise ValueError(
+                    f"cell n={n}, m={m}: the point file {config.points} has "
+                    f"{nodes} nodes, and m must equal its node count")
             if (n + 1) ** 2 > m and not config.force:
                 raise ValueError(
                     f"cell n={n}, m={m}: basis dimension {(n + 1) ** 2} exceeds "
@@ -155,9 +162,14 @@ def sweep_cells(config):
 
 def run_sweep(config):
     """Execute every cell; returns rows in deterministic (n, m, rep) order."""
-    cells = sweep_cells(config)
-    f = by_name(config.function)
     rules = {}   # deterministic sources: one rule per size
+    nodes = None
+    if config.points_is_file():
+        rule = source_rule("loaded", path=config.points)
+        nodes = rule.m
+        rules[nodes] = rule
+    cells = sweep_cells(config, nodes)
+    f = by_name(config.function)
     # one reference rule per degree, built before any thread starts
     refs = {n: reference_rule_for(n) for n in dict.fromkeys(n for n, _, _ in cells)}
 

@@ -10,16 +10,15 @@ serves all three.  Fitting never gates on eta; use `audited_fit` to
 refuse rank-deficient rules up front.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import basis_chunks, basis_indices, flat_index, kernel_dot
+from .harmonics import basis_chunks, kernel_dot
 from .quadrature import exactness_degree, mz_constant, sample_values
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
-           "evaluate_kernel", "project_reference", "write_coeffs", "read_coeffs"]
+           "evaluate_kernel", "project_reference"]
 
 
 @dataclass(frozen=True)
@@ -108,38 +107,3 @@ def project_reference(f, n, ref):
             f"reference rule exactness {report.degree} < n + 1 = {n + 1}; "
             "refusing the degenerate projection")
     return fit(ref, f, n)
-
-
-def write_coeffs(h, path):
-    """Dump coefficients as CSV `ell,k,coeff` with 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ell,k,coeff\n")
-        for (ell, k), c in zip(basis_indices(h.n), h.coeffs):
-            fh.write(f"{ell},{k},{c:.17g}\n")
-
-
-def read_coeffs(path):
-    """Read a coefficient CSV written by write_coeffs.
-
-    Every (ell, k) up to the largest degree listed must appear exactly once.
-    """
-    coeffs = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "ell,k,coeff":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            ell_s, k_s, c_s = line.strip().split(",")
-            index = flat_index(int(ell_s), int(k_s))
-            if index in coeffs:
-                raise ValueError(f"{path}:{lineno}: duplicate row for (ell, k) = "
-                                 f"({ell_s}, {k_s})")
-            coeffs[index] = float(c_s)
-    if not coeffs:
-        raise ValueError(f"{path}: no coefficient rows")
-    n = math.isqrt(max(coeffs))
-    missing = (n + 1) ** 2 - len(coeffs)
-    if missing:
-        raise ValueError(f"{path}: {missing} of the {(n + 1) ** 2} coefficients "
-                         f"up to degree {n} are missing")
-    return Hyperinterpolant(n=n, coeffs=[coeffs[i] for i in range(len(coeffs))])

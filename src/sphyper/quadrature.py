@@ -1,4 +1,4 @@
-"""Rule application, measured exactness degree, and the MZ constant eta.
+"""Measured exactness degree, and the MZ constant eta.
 
 The Marcinkiewicz-Zygmund constant of a rule at degree n is the spectral
 norm of G - I where G is the discrete Gram matrix of the orthonormal
@@ -15,8 +15,8 @@ import numpy as np
 
 from .harmonics import SPHERE_AREA, basis_chunks
 
-__all__ = ["MZReport", "ExactnessReport", "sample_values", "apply", "mz_constant",
-           "exactness_degree", "RANK_TOL", "discrete_gram"]
+__all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
+           "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
 
 # lambda_min at or below this marks the Gram as rank deficient (eta >= 1,
 # hyperinterpolation theory vacuous)
@@ -59,11 +59,6 @@ def sample_values(f, points):
     return y
 
 
-def apply(rule, f):
-    """sum_j w_j f(x_j); `f` is a callable on (m, 3) arrays or a value array."""
-    return float(np.dot(rule.weights, sample_values(f, rule.points)))
-
-
 def discrete_gram(rule, n):
     """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks."""
     dim = (n + 1) ** 2
@@ -82,8 +77,15 @@ def mz_constant(rule, n):
     """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport."""
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
-    G = discrete_gram(rule, n)
+    return mz_report(discrete_gram(rule, n))
+
+
+def mz_report(G):
+    """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2."""
     dim = G.shape[0]
+    if not np.all(np.isfinite(G)):
+        raise ValueError(f"the {dim}x{dim} Gram is not finite: the rule's "
+                         "weights overflow it")
     lam_min = None
     if dim > 2000:
         from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
@@ -106,14 +108,14 @@ def mz_constant(rule, n):
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
     lam_min = max(lam_min, 0.0)
     eta = max(abs(lam_min - 1.0), abs(lam_max - 1.0))
-    return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
-                    dim=dim, rank_deficient=lam_min <= RANK_TOL)
+    return MZReport(n=math.isqrt(dim) - 1, eta=eta, lambda_min=lam_min,
+                    lambda_max=lam_max, dim=dim, rank_deficient=lam_min <= RANK_TOL)
 
 
 def exactness_degree(rule, max_scan, tol=1e-8):
     """Largest consecutive degree the rule integrates exactly.
 
-    Degree l passes iff max_k |apply(rule, Y_{l,k}) - sqrt(4*pi)*delta_{l0}|
+    Degree l passes iff max_k |sum_j w_j Y_{l,k}(x_j) - sqrt(4*pi)*delta_{l0}|
     <= tol (the l=0 target is integral(Y_{0,1}) = sqrt(4*pi)).  Scans l =
     0..max_scan and stops at the first failure; a rule that cannot even
     integrate constants gets degree -1.

@@ -14,7 +14,7 @@ import pytest
 
 import sphyper as sp
 from sphyper.harmonics import SPHERE_AREA
-from sphyper.quadrature import discrete_gram
+from sphyper.checks import lemma31_rules, lemma31_slack
 
 # ||f1||_{L2}: f1 = (x1+x2+x3)^2 has exact squared norm 36*pi/5
 F1_L2_NORM = math.sqrt(36.0 * math.pi / 5.0)
@@ -47,38 +47,17 @@ def mean_errors(rows):
 
 @pytest.fixture(scope="module")
 def lemma_suite():
-    """Three rules x 100 random chi each: Gram, eta, fit norms, grid sups."""
+    """Lemma 3.1 slacks of three rules x 100 random chi, and grid sups."""
     start = time.perf_counter()
     n = 10
-    dim = (n + 1) ** 2
-    rules = {
-        "random-20000": sp.equal_weight_rule(sp.random_uniform(20000, seed=123),
-                                             "random"),
-        "equal-area-5000": sp.equal_weight_rule(sp.equal_area(5000),
-                                                "equal_area"),
-        "design-t20": sp.bundled_tdesign_rule(20),
-    }
-    rng = np.random.default_rng(99)
-    alphas = rng.standard_normal((dim, 100))
-    # refined-grid sups of the 100 polynomials (shared basis evaluations)
+    out = {}
+    for name, rule in lemma31_rules():
+        out[name] = (rule, lemma31_slack(rule, n))
+    # refined-grid sups of the 100 polynomials; every rule draws the same alpha
+    alphas = out["design-t20"][1].alpha
     grids = [sp.eval_basis_block(n, sp.equal_area(g)) for g in (4000, 16000)]
     sups = np.maximum(*[np.abs(g.T @ alphas).max(axis=0) for g in grids])
-
-    out = {}
-    for name, rule in rules.items():
-        gram = discrete_gram(rule, n)
-        eta = sp.mz_constant(rule, n).eta
-        g_alpha = gram @ alphas
-        out[name] = {
-            "eta": eta,
-            "weight_sum": rule.weight_sum,
-            "norm2": (alphas ** 2).sum(axis=0),
-            "inner": (alphas * g_alpha).sum(axis=0),
-            "fit_norm": np.linalg.norm(g_alpha, axis=0),
-            "diff_norm2": ((g_alpha - alphas) ** 2).sum(axis=0),
-            "sup": sups,
-        }
-    return out, time.perf_counter() - start
+    return out, sups, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -177,19 +156,9 @@ def test_criterion_01_exactness_implies_zero_eta():
 
 
 def test_criterion_02_norm_equivalence_suite(lemma_suite):
-    data, elapsed = lemma_suite
+    data, _, elapsed = lemma_suite
     slack = 1e-8
-    worst = -np.inf
-    for name, d in data.items():
-        eta, n2 = d["eta"], d["norm2"]
-        margins = [
-            (1 - eta) * n2 - d["inner"],                     # (a) lower
-            d["inner"] - (1 + eta) * n2,                     # (a) upper
-            (1 - eta) * np.sqrt(n2) - d["fit_norm"],         # (b) lower
-            d["fit_norm"] - (1 + eta) * np.sqrt(n2),         # (b) upper
-            d["diff_norm2"] - (eta * eta + 4 * eta) * n2,    # (c)
-        ]
-        worst = max(worst, float(np.max(margins)))
+    worst = max(result.worst for _, result in data.values())
     ok = worst <= slack and elapsed < 60
     report(2, ok, f"worst inequality margin {worst:+.3e} (slack {slack:g}), "
                   f"{elapsed:.1f}s")
@@ -365,10 +334,10 @@ def test_criterion_10_stability_bound(lemma_suite, poly_reproduction,
         worst = max(worst, ratio)
         checked += 1
 
-    data, _ = lemma_suite
-    for d in data.values():
-        for cn, sup in zip(d["fit_norm"], d["sup"]):
-            check(float(cn), d["eta"], d["weight_sum"], float(sup))
+    data, lemma_sups, _ = lemma_suite
+    for rule, result in data.values():
+        for cn, sup in zip(result.fit_norm, lemma_sups):
+            check(float(cn), result.eta, rule.weight_sum, float(sup))
     for c in poly_reproduction:
         check(c["coeff_norm"], c["eta"], c["weight_sum"], sups["f1"])
     for rows, fid in ((sweep_f1_random[0], "f1"),

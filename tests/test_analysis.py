@@ -117,7 +117,7 @@ class TestFitRate:
 class TestUniformNorm:
     def test_constant_function(self):
         f = lambda pts: np.full(len(pts), -2.5)
-        assert sp.uniform_norm_estimate(f, 2000) == pytest.approx(2.5, abs=0)
+        assert sp.uniform_norm_refined(f) == pytest.approx(2.5, abs=0)
 
     def test_harmonic_bounded_by_theory(self):
         for k in (1, 2, 3):
@@ -140,10 +140,6 @@ class TestUniformNorm:
         # sup f1 = 3 at (1,1,1)/sqrt(3); the grid gets close from below
         est = sp.uniform_norm_refined(sp.f1)
         assert 2.99 <= est <= 3.0
-
-    def test_grid_size_validated(self):
-        with pytest.raises(ValueError):
-            sp.uniform_norm_estimate(sp.f1, 500)
 
 
 class TestL2Error:
@@ -196,44 +192,6 @@ class TestReferenceRule:
         small = sp.reference_rule_for(5, margin=10)
         big = sp.reference_rule_for(5, margin=40)
         assert big.m > small.m
-
-
-class TestBanachAlgebra:
-    def test_positive_and_finite(self):
-        ref = sp.reference_rule_for(10)
-        rng = np.random.default_rng(2)
-        fc = rng.standard_normal(9)
-        gc = rng.standard_normal(9)
-        ratio = sp.banach_algebra_diagnostic(fc, gc, 2.0, ref)
-        assert 0 < ratio < 100
-
-    def test_harmonic_squared_golden(self):
-        # f = g = Y_{1,1}: the product is a specific degree-2 polynomial,
-        # ratio pinned for s = 2
-        ref = sp.reference_rule_for(4)
-        coeffs = np.zeros(4)
-        coeffs[sp.flat_index(1, 1)] = 1.0
-        ratio = sp.banach_algebra_diagnostic(coeffs, coeffs, 2.0, ref)
-        assert ratio == pytest.approx(0.19873098499448394, rel=1e-10)
-
-    def test_constants_are_neutral(self):
-        # f = g = the constant 1: product has the same norm scale, ratio
-        # = 1/||1||_{H^s} = 1/sqrt(4*pi) times sqrt(4*pi)... worked out:
-        # Y_0 * Y_0 = 1/(4*pi) = Y_0 / sqrt(4*pi)
-        ref = sp.reference_rule_for(2)
-        coeffs = np.array([1.0])
-        ratio = sp.banach_algebra_diagnostic(coeffs, coeffs, 1.5, ref)
-        assert ratio == pytest.approx(1 / math.sqrt(SPHERE_AREA), rel=1e-12)
-
-    def test_refuses_small_s(self):
-        ref = sp.reference_rule_for(2)
-        with pytest.raises(ValueError):
-            sp.banach_algebra_diagnostic(np.ones(4), np.ones(4), 1.0, ref)
-
-    def test_refuses_weak_reference(self):
-        weak = sp.product_gauss_rule(2)  # exact to 3 < 4n = 8
-        with pytest.raises(ValueError, match="exactness"):
-            sp.banach_algebra_diagnostic(np.ones(9), np.ones(9), 2.0, weak)
 
 
 class TestDegreeNormEstimates:

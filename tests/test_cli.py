@@ -1,8 +1,13 @@
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.cli import config_from_file, main
@@ -227,9 +232,92 @@ class TestCheck:
         assert main(["check", "--filter", "nosuchcheck"]) == 2
         assert "no checks match" in capsys.readouterr().err
 
-    def test_fast_subset_passes(self, capsys):
-        for name in ("addition-theorem", "gauss-exactness", "kernel"):
-            assert main(["check", "--filter", name]) == 0
+    def test_full_suite_passes(self, capsys):
+        assert main(["check"]) == 0
+        assert "9/9 checks passed" in capsys.readouterr().out
+
+
+# config keys and values, valid and invalid, with small degrees and sizes
+_REQUIRED_VALUES = {
+    "experiment": ["fz"],
+    "function": ["f1", "f3", "f4_2", "f9"],
+    "points": ["random", "equal_area", "gauss_product", "pts.txt",
+               "missing.txt"],
+    "n": ["2", "0", "1,3", "-1", "3,"],
+}
+# an m list, or a schedule that sets m itself
+_SIZE_LINES = ["m = 40", "m = 30,90", "m = 1", "m = 0", "m = -5",
+               *(f"schedule = {name}" for name in sp.SCHEDULES),
+               "schedule = linear"]
+_OPTIONAL_VALUES = {
+    "sigma": ["-1", "0", "2"],
+    "beta": ["2", "0", "-1"],
+    "seed": ["7", "-3"],
+    "repetitions": ["2", "0", "-1"],
+    "out": ["a.csv", "nodir/a.csv"],
+}
+_MALFORMED_VALUES = ["x", "1.5", "nan", "inf", "1e400", "2 3", "="]
+_JUNK_LINES = ["colour = blue", "force = true", "workers = 2", "n_list = 2",
+               "# note", "n 3", "= 2", "m =", ""]
+
+
+@st.composite
+def config_texts(draw):
+    """Config text: every required key, m or a schedule, some optional
+    keys, and up to two lines of junk (unknown keys, malformed lines or
+    malformed values)."""
+    config = {key: draw(st.sampled_from(values))
+              for key, values in _REQUIRED_VALUES.items()}
+    optional = draw(st.sets(st.sampled_from(list(_OPTIONAL_VALUES)), max_size=3))
+    for key in optional:
+        config[key] = draw(st.sampled_from(_OPTIONAL_VALUES[key]))
+    lines = [f"{key} = {value}" for key, value in config.items()]
+    lines.append(draw(st.sampled_from(_SIZE_LINES)))
+    keys = [*_REQUIRED_VALUES, *_OPTIONAL_VALUES, "m", "schedule"]
+    lines += draw(st.lists(st.one_of(
+        st.sampled_from(_JUNK_LINES),
+        st.tuples(st.sampled_from(keys), st.sampled_from(_MALFORMED_VALUES))
+        .map(" = ".join)), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+# point-file rows: unit vectors with and without weights, and rows of 0-5
+# fields mixing numbers with non-finite, overflowing and non-numeric tokens
+_POINT_FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.6", "0.8", "1e308", "1e-320"]),
+    st.floats(-2, 2).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "x", "1,0", "#"]))
+_POINT_ROWS = st.one_of(
+    st.sampled_from(["0 0 1", "1 0 0", "0.6 0.8 0", "0 0 -1 1.7e308",
+                     "0 -1 0 2"]),
+    st.lists(_POINT_FIELDS, max_size=5).map(" ".join))
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(text=config_texts(), force=st.booleans())
+    def test_sweep_config_exits_zero_or_two(self, text, force):
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)   # the sweep writes its CSVs to relative paths
+            try:
+                np.savetxt("pts.txt", sp.equal_area(40))
+                Path("sweep.cfg").write_text(text)
+                rc = main(["sweep", "--config", "sweep.cfg"]
+                          + (["--force"] if force else []))
+            finally:
+                os.chdir(cwd)
+        assert rc in (0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_POINT_ROWS, max_size=8), n=st.integers(0, 3))
+    def test_point_file_exits_zero_or_two(self, rows, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.txt"
+            path.write_text("\n".join(rows) + "\n")
+            rc = main(["eta", "--kind", "load", "--path", str(path),
+                       "--n", str(n)])
+        assert rc in (0, 2)
 
 
 class TestEntryPoint:

@@ -68,6 +68,8 @@ class TestSweepConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="n grid"):
             config(n_list=())
+        with pytest.raises(ValueError, match="degrees must be >= 0"):
+            config(n_list=(2, -1), m_list=(), schedule="(n+1)^2")
         with pytest.raises(ValueError, match="schedule"):
             config(schedule="linear")
         with pytest.raises(ValueError, match="fixed-list"):
@@ -162,6 +164,24 @@ class TestRunSweep:
         rows = sp.run_sweep(cfg)
         assert rows[0].m == 120
         assert rows[0].eta < 1.0
+
+    def test_loaded_pointset_m_must_be_node_count(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        np.savetxt(path, sp.random_uniform(10, seed=0))
+        cfg = config(points=str(path), n_list=(6,), m_list=(1000, 2000))
+        with pytest.raises(ValueError, match="has 10 nodes, and m must equal"):
+            sp.run_sweep(cfg)
+
+    def test_loaded_pointset_rank_deficient_needs_force(self, tmp_path):
+        path = tmp_path / "pts.txt"
+        np.savetxt(path, sp.random_uniform(10, seed=0))
+        cfg = config(points=str(path), n_list=(6,), m_list=(10,))
+        with pytest.raises(ValueError, match="rank-deficient"):
+            sp.run_sweep(cfg)
+        rows = sp.run_sweep(config(points=str(path), n_list=(6,), m_list=(10,),
+                                   force=True))
+        assert [(r.n, r.m) for r in rows] == [(6, 10)]
+        assert rows[0].eta >= 1.0
 
     def test_workers_match_serial(self):
         cfg = config(n_list=(2, 3), m_list=(80,), repetitions=2)

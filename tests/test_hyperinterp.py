@@ -145,7 +145,7 @@ class TestProjectReference:
         f1 = sp.by_name("f1")
         h = sp.project_reference(f1, 0, ref)
         # mean of f1 over the sphere times sqrt(4*pi)
-        mean = sp.apply(ref, f1) / SPHERE_AREA
+        mean = np.dot(ref.weights, f1(ref.points)) / SPHERE_AREA
         assert h.coeffs[0] == pytest.approx(mean * math.sqrt(SPHERE_AREA),
                                             rel=1e-12)
 
@@ -158,42 +158,3 @@ class TestProjectReference:
         for lo, hi in zip(env, env[1:]):
             assert hi <= lo * (1 + 1e-12)
         assert env[10] < env[0] / 50
-
-
-class TestCoeffsIO:
-    def test_roundtrip_exact(self, tmp_path):
-        rule = sp.equal_weight_rule(sp.random_uniform(200, seed=11), "random")
-        h = sp.fit(rule, np.sin(rule.points[:, 1]), 5)
-        path = tmp_path / "c.csv"
-        sp.write_coeffs(h, path)
-        back = sp.read_coeffs(path)
-        assert back.n == 5
-        assert np.array_equal(back.coeffs, h.coeffs)
-
-    def test_header_format(self, tmp_path):
-        h = sp.Hyperinterpolant(n=1, coeffs=np.arange(4.0))
-        path = tmp_path / "c.csv"
-        sp.write_coeffs(h, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "ell,k,coeff"
-        assert lines[1] == "0,1,0"
-        assert lines[-1] == "1,3,3"
-
-    @pytest.mark.parametrize("rows, message", [
-        ("", "no coefficient rows"),
-        ("0,1,1\n1,1,2\n1,3,3\n", "1 of the 4 coefficients"),
-        ("0,1,1\n0,1,2\n", "duplicate"),
-        ("0,1,1\n1,4,2\n", "invalid basis index"),
-        ("-1,1,1\n", "invalid basis index"),
-    ])
-    def test_malformed_rows_rejected(self, tmp_path, rows, message):
-        path = tmp_path / "c.csv"
-        path.write_text("ell,k,coeff\n" + rows)
-        with pytest.raises(ValueError, match=message):
-            sp.read_coeffs(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "c.csv"
-        path.write_text("wrong\n0,1,0\n")
-        with pytest.raises(ValueError, match="header"):
-            sp.read_coeffs(path)

@@ -4,45 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphyper as sp
-from sphyper.harmonics import SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
 from sphyper.quadrature import discrete_gram
-
-
-class TestApply:
-    def test_constant(self):
-        rule = sp.equal_weight_rule(sp.random_uniform(200, seed=1), "random")
-        assert sp.apply(rule, lambda x: np.ones(len(x))) == pytest.approx(
-            SPHERE_AREA, rel=1e-14)
-
-    def test_harmonic_integrates_to_zero(self):
-        rule = sp.product_gauss_rule(6)
-        val = sp.apply(
-            rule, lambda x: sp.eval_basis_block(2, x)[sp.flat_index(2, 1)])
-        assert abs(val) < 1e-11
-
-    def test_squared_harmonic_integrates_to_one(self):
-        rule = sp.product_gauss_rule(6)
-        val = sp.apply(
-            rule, lambda x: sp.eval_basis_block(1, x)[sp.flat_index(1, 2)] ** 2)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_accepts_precomputed_values(self):
-        rule = sp.product_gauss_rule(3)
-        assert sp.apply(rule, np.ones(rule.m)) == pytest.approx(
-            SPHERE_AREA, rel=1e-14)
-
-    def test_wrong_length_rejected(self):
-        rule = sp.product_gauss_rule(3)
-        with pytest.raises(ValueError):
-            sp.apply(rule, np.ones(rule.m + 1))
-
-    def test_nan_samples_rejected(self):
-        rule = sp.product_gauss_rule(3)
-        y = np.ones(rule.m)
-        y[-1] = np.nan
-        with pytest.raises(ValueError, match="not finite"):
-            sp.apply(rule, y)
 
 
 class TestMZConstant:
@@ -82,6 +45,18 @@ class TestMZConstant:
         etas = [sp.mz_constant(rule, n).eta for n in range(1, 7)]
         for lo, hi in zip(etas, etas[1:]):
             assert hi >= lo - 1e-12
+
+    def test_report_of_gram_matches(self):
+        rule = sp.equal_weight_rule(sp.random_uniform(300, seed=6), "random")
+        assert sp.mz_report(discrete_gram(rule, 5)) == sp.mz_constant(rule, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_overflowing_gram_rejected(self):
+        # finite weights, but the Gram's zonal entries overflow at the pole
+        rule = QuadratureRule(np.array([[0.0, 0.0, 1.0]] * 2),
+                              np.full(2, 1.7e308), "loaded")
+        with pytest.raises(ValueError, match="Gram is not finite"):
+            sp.mz_constant(rule, 3)
 
     def test_negative_degree_rejected(self):
         rule = sp.product_gauss_rule(2)
