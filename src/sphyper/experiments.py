@@ -132,43 +132,40 @@ def cell_seed(config_seed, n, m, rep):
     return int(np.random.SeedSequence((config_seed, n, m, rep)).generate_state(1)[0])
 
 
-def _cell_rule(config, m, seed):
-    """The cell's rule; gauss_product gets the largest order N with 2N^2 <= m."""
+def _cell_rule(config, m, seed=0):
+    """The cell's rule: a .txt source is its file's rule, and gauss_product
+    gets the largest order N with 2N^2 <= m.  Only random uses the seed."""
+    if config.points_is_file():
+        return source_rule("loaded", path=config.points)
     order = max(1, int(math.floor(math.sqrt(m / 2.0))))
     return source_rule(config.points, m=m, seed=seed, order=order)
 
 
-def sweep_cells(config, nodes=None):
-    """The (n, m, rep) grid in deterministic row order.
-
-    `nodes` is the node count of a file source, which every m must equal.
-    """
+def sweep_cells(config):
+    """The (n, m, rep) grid in deterministic row order."""
     reps = config.effective_repetitions()
-    cells = []
-    for n in config.n_list:
-        for m in SCHEDULES[config.schedule](n, config):
-            if nodes is not None and m != nodes:
-                raise ValueError(
-                    f"cell n={n}, m={m}: the point file {config.points} has "
-                    f"{nodes} nodes, and m must equal its node count")
-            if (n + 1) ** 2 > m and not config.force:
-                raise ValueError(
-                    f"cell n={n}, m={m}: basis dimension {(n + 1) ** 2} exceeds "
-                    f"the point count (rank-deficient); pass force to run anyway")
-            for rep in range(reps):
-                cells.append((n, m, rep))
-    return cells
+    return [(n, m, rep) for n in config.n_list
+            for m in SCHEDULES[config.schedule](n, config) for rep in range(reps)]
 
 
 def run_sweep(config):
     """Execute every cell; returns rows in deterministic (n, m, rep) order."""
-    rules = {}   # deterministic sources: one rule per size
-    nodes = None
-    if config.points_is_file():
-        rule = source_rule("loaded", path=config.points)
-        nodes = rule.m
-        rules[nodes] = rule
-    cells = sweep_cells(config, nodes)
+    cells = sweep_cells(config)
+    # deterministic sources: one rule per size, built before any cell runs;
+    # the checks run on its node count (a random rule has exactly m nodes)
+    rules = ({m: _cell_rule(config, m) for m in dict.fromkeys(m for _, m, _ in cells)}
+             if config.deterministic() else {})
+    for n, m in dict.fromkeys((n, m) for n, m, _ in cells):
+        nodes = rules[m].m if config.deterministic() else m
+        if config.points_is_file() and m != nodes:
+            raise ValueError(
+                f"cell n={n}, m={m}: the point file {config.points} has "
+                f"{nodes} nodes, and m must equal its node count")
+        if (n + 1) ** 2 > nodes and not config.force:
+            raise ValueError(
+                f"cell n={n}, m={m}: basis dimension {(n + 1) ** 2} exceeds "
+                f"the rule's {nodes} nodes (rank-deficient); pass force to "
+                "run anyway")
     f = by_name(config.function)
     # one reference rule per degree, built before any thread starts
     refs = {n: reference_rule_for(n) for n in dict.fromkeys(n for n, _, _ in cells)}
@@ -177,12 +174,7 @@ def run_sweep(config):
         n, m, rep = cell
         seed = cell_seed(config.seed, n, m, rep)
         start = time.perf_counter()
-        if not config.deterministic():
-            rule = _cell_rule(config, m, seed)
-        else:
-            if m not in rules:
-                rules[m] = _cell_rule(config, m, seed)
-            rule = rules[m]
+        rule = rules[m] if config.deterministic() else _cell_rule(config, m, seed)
         eta = mz_constant(rule, n).eta
         h = fit(rule, f, n)
         err = l2_error(f, h, refs[n])

@@ -53,6 +53,9 @@ class QuadratureRule:
             raise ValueError(f"points must be (m, 3), got {self.points.shape}")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise ValueError("all quadrature weights must be positive and finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(self.weights)):
+                raise ValueError("the sum of the quadrature weights overflows")
         # |x_j| - 1 per node, in one (m,) buffer; NaN fails the comparison
         dev = np.einsum("ij,ij->i", self.points, self.points)
         np.sqrt(dev, out=dev)
@@ -189,13 +192,15 @@ def load_pointset(path):
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-numeric field in {line!r}") from None
-            v = np.array(vals[:3])
-            r = float(np.linalg.norm(v))
+            r = math.hypot(*vals[:3])   # cannot overflow on a finite row
             if not abs(r - 1.0) <= 1e-6:
                 raise ValueError(
-                    f"{path}: line {lineno}: point norm {r:.9f} deviates from 1 "
+                    f"{path}: line {lineno}: point norm {r:.9g} deviates from 1 "
                     "by more than 1e-6")
-            points.append(v / r)
+            # renormalize by numpy's norm, not r: the two can differ in the last
+            # bit, and the bundled designs' nodes are the numpy-normalized ones
+            v = np.array(vals[:3])
+            points.append(v / np.linalg.norm(v))
             if ncols == 4:
                 if not 0 < vals[3] < math.inf:
                     raise ValueError(

@@ -6,8 +6,10 @@ Sweeps live in module-scoped fixtures so the stability audit (criterion 10)
 can consume every fitted cell regardless of execution order.
 """
 
+import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,20 +17,26 @@ import pytest
 import sphyper as sp
 from sphyper.harmonics import SPHERE_AREA
 from sphyper.checks import lemma31_rules, lemma31_slack
+from sphyper.cli import config_from_file
 
 # ||f1||_{L2}: f1 = (x1+x2+x3)^2 has exact squared norm 36*pi/5
 F1_L2_NORM = math.sqrt(36.0 * math.pi / 5.0)
 
 STABILITY_SLACK = 1 + 1e-6
 
+# the sweep fixtures run the figure configs that ship with the repository
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
 
 def report(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
 
 
-def timed_sweep(**kwargs):
+def timed_sweep(name, **changes):
+    """Run the shipped config scripts/configs/<name>.cfg, with `changes`."""
+    config, _ = config_from_file(CONFIG_DIR / f"{name}.cfg")
     start = time.perf_counter()
-    rows = sp.run_sweep(sp.SweepConfig(**kwargs))
+    rows = sp.run_sweep(dataclasses.replace(config, **changes))
     return rows, time.perf_counter() - start
 
 
@@ -80,61 +88,38 @@ def poly_reproduction():
 
 @pytest.fixture(scope="module")
 def sweep_f1_random():
-    return timed_sweep(experiment="acc-f1-random", function="f1",
-                       points="random", n_list=(6, 12),
-                       m_list=(1000, 3162, 10000, 31623, 100000),
-                       repetitions=10, seed=101)
+    return timed_sweep("fig1")
 
 
 @pytest.fixture(scope="module")
 def sweep_f1_equal_area():
-    return timed_sweep(experiment="acc-f1-eqarea", function="f1",
-                       points="equal_area", n_list=(6,),
-                       m_list=(1000, 3162, 10000, 31623, 100000), seed=104)
+    return timed_sweep("fig3")
 
 
 @pytest.fixture(scope="module")
 def sweep_f3_crossover():
-    return timed_sweep(experiment="acc-f3-crossover", function="f3",
-                       points="random", n_list=(6, 15),
-                       m_list=(10000, 100000, 1000000),
-                       repetitions=10, seed=103)
+    # 3 of fig2b's 5 sizes: m = 31623 and 316228 would add ~30 s to Tier-1
+    return timed_sweep("fig2b", m_list=(10_000, 100_000, 1_000_000))
 
 
 @pytest.fixture(scope="module")
 def sweep_boundary():
-    return timed_sweep(experiment="acc-f4-boundary", function="f4_2",
-                       points="equal_area",
-                       n_list=tuple(range(4, 17)),
-                       schedule="ceil((n+1)^2 * n^(2/(sigma+3/2)))", seed=106)
+    return timed_sweep("fig5a")
 
 
 @pytest.fixture(scope="module")
 def sweep_square():
-    return timed_sweep(experiment="acc-f4-square", function="f4_2",
-                       points="equal_area",
-                       n_list=tuple(range(4, 17)),
-                       schedule="(n+1)^2", seed=107)
+    return timed_sweep("fig5b")
 
 
 @pytest.fixture(scope="module")
 def sweep_rate():
-    return timed_sweep(experiment="acc-f4-rate", function="f4_2",
-                       points="equal_area",
-                       n_list=tuple(range(4, 13)),
-                       schedule="beta * ceil((n+1)^2 * n^(2 + 2/(sigma+3/2)))",
-                       beta=1, seed=108)
+    return timed_sweep("fig6")
 
 
 @pytest.fixture(scope="module")
 def sweep_smoothness():
-    rows = {}
-    for sigma in range(5):
-        out, _ = timed_sweep(experiment=f"acc-f4-sigma{sigma}",
-                             function=f"f4_{sigma}", points="equal_area",
-                             n_list=(5,), m_list=(4000,), seed=105)
-        rows[sigma] = out[0]
-    return rows
+    return {sigma: timed_sweep(f"fig4_s{sigma}")[0][0] for sigma in range(5)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.cli import config_from_file, main
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def write_config(tmp_path, text, name="sweep.cfg"):
@@ -119,6 +123,17 @@ class TestEta:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_load_overflowing_weight_sum_exits_two(self, tmp_path, capsys):
+        pts_file = tmp_path / "p.txt"
+        pts_file.write_text("0 0 1 1.7e308\n" * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["eta", "--kind", "load", "--path", str(pts_file),
+                       "--n", "1"])
+        assert rc == 2
+        assert "sum of the quadrature weights overflows" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_writes_three_files(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -171,6 +186,18 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == 2
         assert main(["sweep", "--config", cfg, "--force"]) == 0
 
+    def test_gauss_product_rank_checked_on_node_count(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        text = (SMALL_SWEEP.replace("n = 2", "n = 9").replace("m = 60", "m = 100")
+                .replace("points = random", "points = gauss_product"))
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "exceeds the rule's 98 nodes" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--force"]) == 0
+        assert (tmp_path / "demo.csv").read_text().splitlines()[1].startswith(
+            "demo,9,98,")
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -218,6 +245,14 @@ times_out = c.csv
             repetitions=4)
         assert outs == {"out": "a.csv", "aggregate_out": "b.csv",
                         "times_out": "c.csv"}
+
+    def test_shipped_configs_parse(self):
+        paths = sorted(CONFIG_DIR.glob("*.cfg"))
+        assert len(paths) == 12
+        for path in paths:
+            config, outs = config_from_file(path)
+            assert config.experiment == path.stem
+            assert outs["out"] == f"{path.stem}.csv"
 
 
 class TestCheck:

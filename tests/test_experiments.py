@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sphyper as sp
+from sphyper import experiments
 from sphyper.experiments import (
     AGGREGATE_HEADER,
     CELL_HEADER,
@@ -114,15 +115,6 @@ class TestSweepCells:
         assert cells[:4] == [(2, 50, 0), (2, 50, 1), (2, 80, 0), (2, 80, 1)]
         assert len(cells) == 8
 
-    def test_refuses_rank_deficient_grid(self):
-        with pytest.raises(ValueError, match="rank-deficient"):
-            sweep_cells(config(n_list=(7,), m_list=(10,)))
-
-    def test_force_allows(self):
-        cells = sweep_cells(config(n_list=(7,), m_list=(10,), force=True,
-                                   repetitions=1))
-        assert cells == [(7, 10, 0)]
-
 
 class TestRunSweep:
     def test_random_sweep_rows(self):
@@ -149,6 +141,26 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0].m == 98
         assert rows[0].eta < 1e-10  # exact to 13 >= 2n
+
+    def test_refuses_rank_deficient_grid(self):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            sp.run_sweep(config(n_list=(7,), m_list=(10,)))
+
+    def test_force_allows(self):
+        rows = sp.run_sweep(config(n_list=(7,), m_list=(10,), force=True,
+                                   repetitions=1))
+        assert [(r.n, r.m) for r in rows] == [(7, 10)]
+        assert rows[0].eta >= 1.0
+
+    def test_gauss_product_rank_checked_on_node_count(self):
+        # m = 100 gives order 7, a 98-node rule: too few for dim (9+1)^2
+        cfg = config(points="gauss_product", n_list=(9,), m_list=(100,))
+        with pytest.raises(ValueError, match="exceeds the rule's 98 nodes"):
+            sp.run_sweep(cfg)
+        rows = sp.run_sweep(config(points="gauss_product", n_list=(9,),
+                                   m_list=(100,), force=True))
+        assert [(r.n, r.m) for r in rows] == [(9, 98)]
+        assert rows[0].eta >= 1.0
 
     def test_polynomial_reproduced_exactly(self):
         cfg = config(points="gauss_product", function="f1",
@@ -190,6 +202,21 @@ class TestRunSweep:
                                        repetitions=2, workers=3))
         assert [(r.seed, r.eta, r.l2) for r in serial] == [
             (r.seed, r.eta, r.l2) for r in threaded]
+
+    def test_workers_build_one_rule_per_size(self, monkeypatch):
+        built = []
+
+        def counting_source_rule(source, m=None, **kw):
+            built.append(m)
+            return sp.source_rule(source, m=m, **kw)
+
+        monkeypatch.setattr(experiments, "source_rule", counting_source_rule)
+        kw = dict(points="equal_area", n_list=(2, 3, 4), m_list=(60, 90))
+        threaded = sp.run_sweep(config(workers=3, **kw))
+        assert built == [60, 90]
+        serial = sp.run_sweep(config(**kw))
+        assert [(r.n, r.m, r.seed, r.eta, r.l2) for r in threaded] == [
+            (r.n, r.m, r.seed, r.eta, r.l2) for r in serial]
 
 
 class TestAggregate:

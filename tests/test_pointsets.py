@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,14 @@ class TestRules:
         with pytest.raises(ValueError, match="finite"):
             QuadratureRule(pts, np.array([1.0, bad, 1.0, 1.0]), "loaded")
 
+    def test_overflowing_weight_sum_rejected(self):
+        # finite weights whose sum is not: fit would return inf coefficients
+        pts = np.array([[0.0, 0.0, 1.0]] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum of the quadrature weights"):
+                QuadratureRule(pts, np.full(4, 1.7e308), "loaded")
+
 
 class TestSourceRule:
     def test_sources_and_provenance(self):
@@ -192,6 +202,13 @@ class TestLoadPointset:
         path = self.write(tmp_path, "0 0 1.01\n")
         with pytest.raises(ValueError, match="line 1"):
             sp.load_pointset(path)
+
+    def test_huge_finite_row_rejected_without_overflow(self, tmp_path):
+        path = self.write(tmp_path, "1e308 1e308 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="line 1: point norm 1.41421356e"):
+                sp.load_pointset(path)
 
     def test_near_sphere_renormalized(self, tmp_path):
         path = self.write(tmp_path, "0 0 0.9999999\n")

@@ -52,11 +52,11 @@ class TestMZConstant:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_overflowing_gram_rejected(self):
-        # finite weights, but the Gram's zonal entries overflow at the pole
+        # a finite weight sum, but the Gram's zonal entries overflow at the pole
         rule = QuadratureRule(np.array([[0.0, 0.0, 1.0]] * 2),
-                              np.full(2, 1.7e308), "loaded")
+                              np.full(2, 8.5e307), "loaded")
         with pytest.raises(ValueError, match="Gram is not finite"):
-            sp.mz_constant(rule, 3)
+            sp.mz_constant(rule, 7)
 
     def test_negative_degree_rejected(self):
         rule = sp.product_gauss_rule(2)
