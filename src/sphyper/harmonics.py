@@ -77,45 +77,34 @@ def eval_basis_block(n, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected points of shape (m, 3), got {pts.shape}")
-    npts = pts.shape[0]
-    t = np.clip(pts[:, 2], -1.0, 1.0)          # cos(theta)
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))  # sin(theta)
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-
-    B = np.empty(((n + 1) ** 2, npts))
-    # q_{l,m}(t): associated Legendre normalized so that the resulting
-    # basis is orthonormal over S^2 (integral of q^2 over [-1,1] equals
-    # 1/(2*pi)).  Stable order-by-order recurrence:
-    #   q_{0,0} = 1/sqrt(4*pi)
-    #   q_{m,m} = sqrt((2m+1)/(2m)) * sin(theta) * q_{m-1,m-1}
-    #   q_{m+1,m} = sqrt(2m+3) * cos(theta) * q_{m,m}
-    #   q_{l,m} = a_{l,m} (cos(theta) q_{l-1,m} - b_{l,m} q_{l-2,m}),
+    x, y, z = pts.T.copy()                     # contiguous coordinate rows
+    B = np.empty(((n + 1) ** 2, z.size))
+    # q_{l,m}: associated Legendre normalized so that the basis is orthonormal
+    # over S^2.  p_{l,m} = q_{l,m} / sin^m(theta) is a polynomial in z, and
+    # sin^m(theta) (cos, sin)(m*phi) = (Re, Im)(x + iy)^m, so Y_{l,1} = p_{l,0}
+    # and Y_{l,2m}, Y_{l,2m+1} = sqrt(2) p_{l,m} (Re, Im)(x + iy)^m.  From
+    # p_{m-1,m} = 0 (p_{l,m}(1) grows like 10^(0.21 n), finite to n ~ 1400):
+    #   p_{m,m} = prod_{j<=m} sqrt((2j+1)/(2j)) / sqrt(4*pi)
+    #   p_{l,m} = a_{l,m} (z p_{l-1,m} - b_{l,m} p_{l-2,m}),
     #     a_{l,m} = sqrt((4l^2-1)/(l^2-m^2)),
     #     b_{l,m} = sqrt(((l-1)^2 - m^2)/(4(l-1)^2 - 1)).
-    qmm = np.full(npts, 1.0 / math.sqrt(SPHERE_AREA))
+    pmm = 1.0 / math.sqrt(SPHERE_AREA)
+    re, im = np.full_like(z, math.sqrt(2.0)), np.zeros_like(z)  # sqrt(2) (x + iy)^m
     for m in range(n + 1):
         if m > 0:
-            qmm = qmm * s * math.sqrt((2 * m + 1) / (2.0 * m))
-        if m > 0:
-            az_cos = math.sqrt(2.0) * np.cos(m * phi)
-            az_sin = math.sqrt(2.0) * np.sin(m * phi)
-        q_prev2 = None
-        q_prev = None
+            pmm *= math.sqrt((2 * m + 1) / (2.0 * m))
+            re, im = re * x - im * y, re * y + im * x
+        p_prev, p = 0.0, pmm
         for l in range(m, n + 1):
-            if l == m:
-                q = qmm
-            elif l == m + 1:
-                q = math.sqrt(2 * m + 3.0) * t * qmm
-            else:
+            if l > m:
                 a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
                 b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                q = a * (t * q_prev - b * q_prev2)
+                p, p_prev = a * (z * p - b * p_prev), p
             if m == 0:
-                B[l * l] = q
+                B[l * l] = p
             else:
-                B[l * l + 2 * m - 1] = q * az_cos
-                B[l * l + 2 * m] = q * az_sin
-            q_prev2, q_prev = q_prev, q
+                np.multiply(p, re, out=B[l * l + 2 * m - 1])
+                np.multiply(p, im, out=B[l * l + 2 * m])
     return B
 
 

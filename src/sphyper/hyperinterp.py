@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .harmonics import basis_chunks, kernel_dot
+from .pointsets import unit_points
 from .quadrature import exactness_degree, mz_constant, sample_values
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
@@ -45,11 +46,14 @@ def fit(rule, f, n):
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
     y = sample_values(f, rule.points)
-    wy = rule.weights * y
     coeffs = np.zeros((n + 1) ** 2)
-    for rows, B in basis_chunks(n, rule.points):
-        coeffs += B @ wy[rows]
-        del B
+    with np.errstate(over="ignore", invalid="ignore"):
+        wy = rule.weights * y
+        for rows, B in basis_chunks(n, rule.points):
+            coeffs += B @ wy[rows]
+            del B
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients are not finite: the weighted samples overflow")
     return Hyperinterpolant(n=n, coeffs=coeffs)
 
 
@@ -68,8 +72,8 @@ def audited_fit(rule, f, n):
 
 
 def evaluate_block(h, points):
-    """Evaluate via the coefficient sum at many points; returns shape (m,)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """Evaluate via the coefficient sum at many unit vectors; returns shape (m,)."""
+    pts = unit_points(points)
     out = np.empty(pts.shape[0])
     for rows, B in basis_chunks(h.n, pts):
         out[rows] = h.coeffs @ B
@@ -85,7 +89,7 @@ def evaluate_kernel(rule, f, n, points):
     path for cross-checks.
     """
     y = sample_values(f, rule.points)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = unit_points(points)
     wy = rule.weights * y
     out = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], 1000):

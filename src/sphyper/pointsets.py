@@ -19,6 +19,7 @@ from .harmonics import SPHERE_AREA
 
 __all__ = [
     "QuadratureRule",
+    "unit_points",
     "random_uniform",
     "equal_area",
     "load_pointset",
@@ -33,6 +34,19 @@ __all__ = [
 _PROVENANCES = ("random", "equal_area", "gauss_product", "loaded")
 
 
+def unit_points(points):
+    """`points` as an (m, 3) float array of finite unit vectors (norm within
+    1e-6 of 1); the one check on rule nodes and on evaluation points."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be (m, 3), got {pts.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):   # NaN fails the comparison
+        raise ValueError("points must be finite unit vectors (norm within 1e-6 of 1)")
+    return pts
+
+
 @dataclass
 class QuadratureRule:
     """Positive-weight quadrature rule: nodes x_j on S^2 and weights w_j."""
@@ -42,27 +56,18 @@ class QuadratureRule:
     provenance: str = "loaded"
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = unit_points(self.points)
         self.weights = np.asarray(self.weights, dtype=float).ravel()
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError(
                 f"{self.points.shape[0]} points vs {self.weights.shape[0]} weights")
         if self.points.shape[0] < 1:
             raise ValueError("a rule needs at least one node")
-        if self.points.shape[1] != 3:
-            raise ValueError(f"points must be (m, 3), got {self.points.shape}")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise ValueError("all quadrature weights must be positive and finite")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(self.weights)):
                 raise ValueError("the sum of the quadrature weights overflows")
-        # |x_j| - 1 per node, in one (m,) buffer; NaN fails the comparison
-        dev = np.einsum("ij,ij->i", self.points, self.points)
-        np.sqrt(dev, out=dev)
-        dev -= 1.0
-        np.abs(dev, out=dev)
-        if not np.all(dev <= 1e-6):
-            raise ValueError("points must be finite unit vectors (norm within 1e-6 of 1)")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sph_harm_y
 
 import sphyper as sp
 from sphyper.harmonics import _CHUNK, SPHERE_AREA, basis_chunks, basis_indices
@@ -134,6 +135,46 @@ class TestAdditionTheoremAndKernel:
         out = sp.kernel_dot(5, u)
         assert out.shape == u.shape
         assert out[-1] == pytest.approx(36 / SPHERE_AREA, rel=1e-13)
+
+
+def oracle_basis(n, points):
+    """Real orthonormal basis from scipy's complex Y_l^m, row order as sphyper's.
+
+    The colatitude comes from atan2(hypot(x, y), z), which keeps its
+    accuracy at the poles where arccos(z) loses it.
+    """
+    theta = np.arctan2(np.hypot(points[:, 0], points[:, 1]), points[:, 2])
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    rows = []
+    for ell in range(n + 1):
+        for k in range(ell + 1):
+            y = sph_harm_y(ell, k, theta, phi)
+            rows += [y.real] if k == 0 else [math.sqrt(2) * y.real, math.sqrt(2) * y.imag]
+    return np.array(rows)
+
+
+ORACLE_POINTS = {
+    "random": sp.random_uniform(200, seed=21),
+    "equal_area": sp.equal_area(200),
+    # (x + iy)^m underflows at the last two for large m: the block must stay finite
+    "poles": np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1e-9, 0.0, 1.0],
+                       [1e-5, 1e-5, math.sqrt(1.0 - 2e-10)]]),
+}
+
+
+class TestAgainstOracle:
+    """eval_basis_block equals scipy's basis up to one sign per row."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_POINTS))
+    @pytest.mark.parametrize("n", [10, 46, 100])
+    def test_matches_scipy(self, n, kind):
+        points = ORACLE_POINTS[kind]
+        block = sp.eval_basis_block(n, points)
+        assert np.all(np.isfinite(block))
+        want = oracle_basis(n, points)
+        # sign conventions (Condon-Shortley phase) may differ row by row
+        signs = np.where(np.sum(block * want, axis=1) < 0, -1.0, 1.0)
+        assert np.abs(block - signs[:, None] * want).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ class TestFit:
         with pytest.raises(ValueError):
             sp.fit(sp.product_gauss_rule(2), np.ones(8), -1)
 
+    def test_overflowing_coefficients_rejected(self):
+        # the weights sum to 1.7e308, but the degree-7 zonal coefficient
+        # overflows; refused without a numpy RuntimeWarning
+        rule = sp.QuadratureRule(np.array([[0.0, 0.0, 1.0]] * 2),
+                                 np.full(2, 8.5e307), "loaded")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficients are not finite"):
+                sp.fit(rule, sp.by_name("f1"), 7)
+
 
 class TestHyperinterpolantObject:
     def test_coefficient_count_enforced(self):
@@ -102,6 +113,20 @@ class TestEvaluate:
         via_coeffs = sp.evaluate_block(h, targets)
         via_kernel = sp.evaluate_kernel(rule, y, 6, targets)
         assert np.abs(via_coeffs - via_kernel).max() < 1e-9
+
+    @pytest.mark.parametrize("point", [[1.0, 0.0, 1.0], [2.0, 0.0, 0.0],
+                                       [0.0, 0.0, 1.0 + 2e-6], [np.nan, 0.0, 1.0]])
+    def test_points_off_the_sphere_rejected(self, point):
+        # f1 is fitted exactly; off the sphere the polynomial's value is not
+        # f1's in that direction, so neither evaluator may return one
+        rule = sp.product_gauss_rule(6)
+        f1 = sp.by_name("f1")
+        h = sp.fit(rule, f1, 2)
+        pts = np.array([[0.0, 0.0, 1.0], point])
+        with pytest.raises(ValueError, match="unit vectors"):
+            sp.evaluate_block(h, pts)
+        with pytest.raises(ValueError, match="unit vectors"):
+            sp.evaluate_kernel(rule, f1, 2, pts)
 
 
 class TestAuditedFit:
