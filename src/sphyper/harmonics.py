@@ -21,9 +21,14 @@ import numpy as np
 
 SPHERE_AREA = 4.0 * math.pi
 
-# points per basis block in basis_chunks; keeps a block below ~100 MB for
-# dim up to a few hundred
-_CHUNK = 20000
+# values per block of every chunked walk (8 MB of doubles).  The allocator
+# reuses a block this size without fresh page faults, and it is still in
+# cache when the product that reads it runs; a 41 MB block (20000 points at
+# n = 15) is written at about half the rate.  Narrow blocks leave
+# eval_basis_block's per-(l, m) Python loop dominant, so a basis block never
+# has fewer than _MIN_CHUNK points.
+_BLOCK_VALUES = 2 ** 20
+_MIN_CHUNK = 2048
 
 __all__ = [
     "SPHERE_AREA",
@@ -111,15 +116,22 @@ def eval_basis_block(n, points):
 def basis_chunks(n, points):
     """Walk `points` in chunks: yield (rows, eval_basis_block(n, points[rows])).
 
+    Each chunk has _chunk_points(n) points, the last at most that many.
     `rows` is the slice of `points` that the block's columns cover.  Every
     sum over a rule's nodes (Gram, coefficients, exactness integrals) and
     every synthesis at many points goes through this one walk.  A consumer
     that deletes its block at the end of each step keeps one block alive
     instead of two while the next one is built.
     """
-    for lo in range(0, len(points), _CHUNK):
-        rows = slice(lo, min(lo + _CHUNK, len(points)))
+    width = _chunk_points(n)
+    for lo in range(0, len(points), width):
+        rows = slice(lo, min(lo + width, len(points)))
         yield rows, eval_basis_block(n, points[rows])
+
+
+def _chunk_points(n):
+    """Points per basis block at degree n: _BLOCK_VALUES values, or _MIN_CHUNK."""
+    return max(_MIN_CHUNK, _BLOCK_VALUES // (n + 1) ** 2)
 
 
 def kernel_dot(n, u):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import basis_chunks, kernel_dot
+from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
 from .pointsets import unit_points
 from .quadrature import exactness_degree, mz_constant, sample_values
 
@@ -92,9 +92,10 @@ def evaluate_kernel(rule, f, n, points):
     pts = unit_points(points)
     wy = rule.weights * y
     out = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], 1000):
-        hi = min(lo + 1000, pts.shape[0])
-        u = pts[lo:hi] @ rule.points.T          # inner products, (chunk, m)
+    width = max(1, _BLOCK_VALUES // rule.m)     # targets per block of inner products
+    for lo in range(0, pts.shape[0], width):
+        hi = min(lo + width, pts.shape[0])
+        u = pts[lo:hi] @ rule.points.T          # inner products, (width, m)
         out[lo:hi] = kernel_dot(n, u) @ wy
     return out
 

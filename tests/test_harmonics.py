@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import sph_harm_y
 
 import sphyper as sp
-from sphyper.harmonics import _CHUNK, SPHERE_AREA, basis_chunks, basis_indices
+from sphyper.harmonics import SPHERE_AREA, _chunk_points, basis_chunks, basis_indices
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
 raw_vectors = st.tuples(coords, coords, coords).filter(
@@ -177,10 +177,19 @@ class TestAgainstOracle:
         assert np.abs(block - signs[:, None] * want).max() <= 1e-12
 
 
+def two_blocks_and_one(n):
+    """Random rule whose nodes span two full basis blocks at degree n and one more node."""
+    return sp.equal_weight_rule(sp.random_uniform(2 * _chunk_points(n) + 1, seed=12), "random")
+
+
 @pytest.fixture(scope="module")
 def boundary_rule():
-    """Random rule whose nodes span two full basis chunks and one more node."""
-    return sp.equal_weight_rule(sp.random_uniform(2 * _CHUNK + 1, seed=12), "random")
+    return two_blocks_and_one(TestChunkBoundary.n)
+
+
+@pytest.fixture(scope="module")
+def floor_rule():
+    return two_blocks_and_one(TestChunkBoundary.n_floor)
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -193,19 +202,36 @@ class TestChunkBoundary:
     """Every reduction over nodes matches one unchunked basis evaluation."""
 
     n = 6
+    n_floor = 46    # blocks of _MIN_CHUNK points: the value budget gives fewer
+
+    def check_chunks(self, rule, n):
+        chunks = list(basis_chunks(n, rule.points))
+        width = _chunk_points(n)
+        assert [rows.stop - rows.start for rows, _ in chunks] == [width, width, 1]
+        assert_rel_close(np.hstack([B for _, B in chunks]), sp.eval_basis_block(n, rule.points))
+
+    def check_gram(self, rule, n):
+        B = sp.eval_basis_block(n, rule.points)
+        w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
+        unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
+        for r in (rule, unequal):
+            G = sp.discrete_gram(r, n)
+            assert_rel_close(G, (B * r.weights) @ B.T)
+            # only one triangle is accumulated: the other is its exact mirror
+            assert np.array_equal(G, G.T)
 
     def test_chunks_cover_points_in_order(self, boundary_rule):
-        chunks = list(basis_chunks(self.n, boundary_rule.points))
-        assert [rows.stop - rows.start for rows, _ in chunks] == [_CHUNK, _CHUNK, 1]
-        assert_rel_close(np.hstack([B for _, B in chunks]),
-                         sp.eval_basis_block(self.n, boundary_rule.points))
+        self.check_chunks(boundary_rule, self.n)
+
+    def test_chunks_at_floor_width(self, floor_rule):
+        assert _chunk_points(self.n_floor) == 2048
+        self.check_chunks(floor_rule, self.n_floor)
 
     def test_discrete_gram(self, boundary_rule):
-        B = sp.eval_basis_block(self.n, boundary_rule.points)
-        w = np.random.default_rng(14).uniform(0.5, 1.5, boundary_rule.m)
-        unequal = sp.QuadratureRule(boundary_rule.points, w * SPHERE_AREA / w.sum())
-        for rule in (boundary_rule, unequal):
-            assert_rel_close(sp.discrete_gram(rule, self.n), (B * rule.weights) @ B.T)
+        self.check_gram(boundary_rule, self.n)
+
+    def test_discrete_gram_at_floor_width(self, floor_rule):
+        self.check_gram(floor_rule, self.n_floor)
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,23 @@ class TestEvaluate:
         targets = sp.random_uniform(30, seed=7)
         via_coeffs = sp.evaluate_block(h, targets)
         via_kernel = sp.evaluate_kernel(rule, y, 6, targets)
+        assert np.abs(via_coeffs - via_kernel).max() < 1e-9
+
+    @pytest.mark.parametrize("m", [5000, 10000])
+    def test_kernel_path_memory_bounded(self, m):
+        # a block of inner products holds a fixed number of values whatever
+        # the rule size; 1000 targets per block peaked at 280 MB at m = 5000
+        rule = sp.equal_weight_rule(sp.random_uniform(m, seed=8), "random")
+        y = sp.by_name("f3")(rule.points)
+        targets = sp.random_uniform(1000, seed=9)
+        tracemalloc.start()
+        try:
+            via_kernel = sp.evaluate_kernel(rule, y, 6, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+        via_coeffs = sp.evaluate_block(sp.fit(rule, y, 6), targets)
         assert np.abs(via_coeffs - via_kernel).max() < 1e-9
 
     @pytest.mark.parametrize("point", [[1.0, 0.0, 1.0], [2.0, 0.0, 0.0],
