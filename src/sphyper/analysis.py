@@ -17,6 +17,8 @@ _REFINE_GRID = 4000
 _REFINE_FACTOR = 4
 _REFINE_RTOL = 1e-3
 _REFINE_ROUNDS = 3
+# exactness of reference_rule_for(n) beyond 2n
+_REFERENCE_MARGIN = 20
 
 
 @dataclass(frozen=True)
@@ -27,14 +29,13 @@ class RateFit:
     n_points: int
 
 
-def reference_rule_for(n, margin=20):
-    """Product-Gauss reference rule of exactness >= 2n + margin.
+def reference_rule_for(n):
+    """Product-Gauss reference rule of exactness >= 2n + _REFERENCE_MARGIN.
 
     The margin absorbs the non-polynomial tail when the integrand is a
-    smooth test function rather than a polynomial; halve/double to probe
-    whether the tail is resolved.
+    smooth test function rather than a polynomial.
     """
-    target = 2 * n + margin
+    target = 2 * n + _REFERENCE_MARGIN
     N = (target + 2) // 2        # 2N - 1 >= target
     return product_gauss_rule(N)
 

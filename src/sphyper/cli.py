@@ -140,24 +140,22 @@ def build_parser():
         prog="sphyper",
         description="Hyperinterpolation on the sphere with inexact quadrature")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the point-source flags of `points` and `eta`, read by _source_args
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--kind", choices=POINT_KINDS, required=True)
+    source.add_argument("--m", type=int)
+    source.add_argument("--seed", type=int, default=0)
+    source.add_argument("--gauss-order", type=int,
+                        help="rule order for gauss-product (2*order^2 points)")
+    source.add_argument("--path", help="input file for kind 'load'")
 
-    p = sub.add_parser("points", help="generate or echo a point set")
-    p.add_argument("--kind", choices=POINT_KINDS, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gauss-order", type=int,
-                   help="rule order for gauss-product (2*order^2 points)")
-    p.add_argument("--path", help="input file for kind 'load'")
+    p = sub.add_parser("points", parents=[source], help="generate or echo a point set")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=cmd_points)
 
-    p = sub.add_parser("eta", help="spectral deviation of a rule's Gram matrix")
-    p.add_argument("--kind", choices=POINT_KINDS, required=True)
+    p = sub.add_parser("eta", parents=[source],
+                       help="spectral deviation of a rule's Gram matrix")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gauss-order", type=int)
-    p.add_argument("--path")
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("sweep", help="run an experiment grid from a config file")

@@ -65,7 +65,6 @@ class SweepConfig:
     n_list: tuple
     m_list: tuple = ()
     schedule: str = "fixed-list"
-    sigma: int = -1
     beta: int = 1
     seed: int = 0
     repetitions: int = 0
@@ -74,6 +73,12 @@ class SweepConfig:
     workers: int = field(default=1, metadata={"per_run": True})
 
     def __post_init__(self):
+        if set(",\r\n") & set(self.experiment):
+            raise ValueError(f"experiment {self.experiment!r} has a comma or line break")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.n_list:
             raise ValueError("n grid is empty")
         if min(self.n_list) < 0:
@@ -105,12 +110,10 @@ class SweepConfig:
         return 1 if self.deterministic() else 10
 
     def schedule_sigma(self):
-        if self.sigma >= 0:
-            return self.sigma
         if self.function.startswith("f4_"):
             return int(self.function.split("_")[1])
-        raise ValueError("this m-schedule needs sigma (set it explicitly or "
-                         "use an f4_<sigma> function)")
+        raise ValueError("this m-schedule needs sigma, which only an f4_<sigma> "
+                         f"function gives, not {self.function!r}")
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,16 @@ def basis_chunks(n, points):
         yield rows, eval_basis_block(n, points[rows])
 
 
+def node_sum(n, points, v):
+    """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order: the one
+    sum over a rule's nodes behind coefficients and exactness integrals."""
+    out = np.zeros((n + 1) ** 2)
+    for rows, B in basis_chunks(n, points):
+        out += B @ v[rows]
+        del B
+    return out
+
+
 def _chunk_points(n):
     """Points per basis block at degree n: _BLOCK_VALUES values, or _MIN_CHUNK."""
     return max(_MIN_CHUNK, _BLOCK_VALUES // (n + 1) ** 2)
@@ -137,20 +147,11 @@ def _chunk_points(n):
 def kernel_dot(n, u):
     """Reproducing kernel of P_n(S^2) as a function of the inner product.
 
-    G_n(x, y) = sum_{l<=n} (2l+1)/(4*pi) * P_l(x . y); `u` is x . y and may
-    be an array.  O(n) via the Legendre recurrence (addition theorem),
-    never the double sum over the basis.
+    G_n(x, y) = sum_{l<=n} (2l+1)/(4*pi) * P_l(x . y) (addition theorem);
+    `u` is x . y, clipped to [-1, 1], and may be an array.  Evaluated as
+    numpy's Legendre series, never as the double sum over the basis.
     """
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
-    u_arr = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
-    p_prev = np.ones_like(u_arr)
-    acc = p_prev / SPHERE_AREA
-    if n == 0:
-        return acc if u_arr.ndim else float(acc)
-    p = u_arr.copy()
-    acc = acc + 3.0 * p / SPHERE_AREA
-    for l in range(1, n):
-        p, p_prev = ((2 * l + 1) * u_arr * p - l * p_prev) / (l + 1), p
-        acc = acc + (2 * (l + 1) + 1) * p / SPHERE_AREA
-    return acc if u_arr.ndim else float(acc)
+    u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
+    return np.polynomial.legendre.legval(u, (2 * np.arange(n + 1) + 1) / SPHERE_AREA)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
+from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot, node_sum
 from .pointsets import unit_points
 from .quadrature import exactness_degree, mz_constant, sample_values
 
@@ -46,12 +46,8 @@ def fit(rule, f, n):
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
     y = sample_values(f, rule.points)
-    coeffs = np.zeros((n + 1) ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        wy = rule.weights * y
-        for rows, B in basis_chunks(n, rule.points):
-            coeffs += B @ wy[rows]
-            del B
+        coeffs = node_sum(n, rule.points, rule.weights * y)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients are not finite: the weighted samples overflow")
     return Hyperinterpolant(n=n, coeffs=coeffs)

@@ -300,6 +300,4 @@ def bundled_tdesign_rule(t):
         raise ValueError(
             f"no bundled design of strength {t}; available: {sorted(designs)}")
     with resources.as_file(designs[t]) as p:
-        pts, w = load_pointset(p)
-    assert w is None
-    return equal_weight_rule(pts, provenance="loaded")
+        return source_rule("loaded", path=p)

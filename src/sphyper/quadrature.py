@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, basis_chunks
+from .harmonics import SPHERE_AREA, basis_chunks, node_sum
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -26,6 +26,9 @@ RANK_TOL = 1e-10
 # the dense eigensolver; healthy Grams converge well within it, while on a
 # rank-deficient one (lambda_min = 0) which="SA" can run for minutes
 _EIGSH_MAXITER = 50
+
+# largest integration residual that exactness_degree counts as exact
+_EXACTNESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ class MZReport:
 class ExactnessReport:
     degree: int
     residuals: list
-    tol: float
 
 
 def sample_values(f, points):
@@ -121,21 +123,18 @@ def mz_report(G):
                     lambda_max=lam_max, dim=dim, rank_deficient=lam_min <= RANK_TOL)
 
 
-def exactness_degree(rule, max_scan, tol=1e-8):
+def exactness_degree(rule, max_scan):
     """Largest consecutive degree the rule integrates exactly.
 
     Degree l passes iff max_k |sum_j w_j Y_{l,k}(x_j) - sqrt(4*pi)*delta_{l0}|
-    <= tol (the l=0 target is integral(Y_{0,1}) = sqrt(4*pi)).  Scans l =
-    0..max_scan and stops at the first failure; a rule that cannot even
-    integrate constants gets degree -1.
+    <= _EXACTNESS_TOL (the l=0 target is integral(Y_{0,1}) = sqrt(4*pi)).
+    Scans l = 0..max_scan and stops at the first failure; a rule that cannot
+    even integrate constants gets degree -1.
     """
     if max_scan < 0:
         raise ValueError(f"max_scan must be >= 0, got {max_scan}")
     # one basis evaluation up to max_scan covers every degree of the scan
-    integrals = np.zeros((max_scan + 1) ** 2)
-    for rows, B in basis_chunks(max_scan, rule.points):
-        integrals += B @ rule.weights[rows]
-        del B
+    integrals = node_sum(max_scan, rule.points, rule.weights)
     integrals[0] -= math.sqrt(SPHERE_AREA)
 
     residuals = []
@@ -144,6 +143,6 @@ def exactness_degree(rule, max_scan, tol=1e-8):
         block = integrals[ell * ell:(ell + 1) * (ell + 1)]
         r = float(np.max(np.abs(block)))
         residuals.append(r)
-        if r <= tol and degree == ell - 1:
+        if r <= _EXACTNESS_TOL and degree == ell - 1:
             degree = ell
-    return ExactnessReport(degree=degree, residuals=residuals, tol=tol)
+    return ExactnessReport(degree=degree, residuals=residuals)

@@ -188,11 +188,6 @@ class TestReferenceRule:
             rule = sp.reference_rule_for(n)
             assert sp.exactness_degree(rule, 2 * n + 21).degree >= 2 * n + 20
 
-    def test_margin_scales(self):
-        small = sp.reference_rule_for(5, margin=10)
-        big = sp.reference_rule_for(5, margin=40)
-        assert big.m > small.m
-
 
 class TestDegreeNormEstimates:
     @settings(max_examples=25, deadline=None)

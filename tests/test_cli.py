@@ -198,6 +198,13 @@ class TestSweep:
         assert (tmp_path / "demo.csv").read_text().splitlines()[1].startswith(
             "demo,9,98,")
 
+    def test_comma_in_experiment_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, SMALL_SWEEP.replace("= demo", "= a,b"))
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "experiment 'a,b'" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -230,7 +237,6 @@ points = equal_area
 n = 4,5
 m = 100,200
 schedule = fixed-list
-sigma = 3
 beta = 2
 seed = 17
 repetitions = 4
@@ -241,7 +247,7 @@ times_out = c.csv
         config, outs = config_from_file(cfg)
         assert config == sp.SweepConfig(
             experiment="e", function="f4_2", points="equal_area", n_list=(4, 5),
-            m_list=(100, 200), schedule="fixed-list", sigma=3, beta=2, seed=17,
+            m_list=(100, 200), schedule="fixed-list", beta=2, seed=17,
             repetitions=4)
         assert outs == {"out": "a.csv", "aggregate_out": "b.csv",
                         "times_out": "c.csv"}
@@ -285,7 +291,6 @@ _SIZE_LINES = ["m = 40", "m = 30,90", "m = 1", "m = 0", "m = -5",
                *(f"schedule = {name}" for name in sp.SCHEDULES),
                "schedule = linear"]
 _OPTIONAL_VALUES = {
-    "sigma": ["-1", "0", "2"],
     "beta": ["2", "0", "-1"],
     "seed": ["7", "-3"],
     "repetitions": ["2", "0", "-1"],
@@ -293,7 +298,7 @@ _OPTIONAL_VALUES = {
 }
 _MALFORMED_VALUES = ["x", "1.5", "nan", "inf", "1e400", "2 3", "="]
 _JUNK_LINES = ["colour = blue", "force = true", "workers = 2", "n_list = 2",
-               "# note", "n 3", "= 2", "m =", ""]
+               "sigma = 2", "# note", "n 3", "= 2", "m =", ""]
 
 
 @st.composite

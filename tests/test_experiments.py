@@ -39,25 +39,23 @@ class TestSchedules:
 
     def test_boundary_schedule_values(self):
         cfg = config(schedule="ceil((n+1)^2 * n^(2/(sigma+3/2)))",
-                     m_list=(), sigma=2, n_list=(4,))
+                     m_list=(), function="f4_2", n_list=(4,))
         sched = sp.SCHEDULES[cfg.schedule]
         assert sched(4, cfg) == [56]
         assert sched(16, cfg) == [1410]
 
     def test_rate_schedule_values(self):
         cfg = config(schedule="beta * ceil((n+1)^2 * n^(2 + 2/(sigma+3/2)))",
-                     m_list=(), sigma=2, beta=2, n_list=(4,))
+                     m_list=(), function="f4_2", beta=2, n_list=(4,))
         sched = sp.SCHEDULES[cfg.schedule]
         assert sched(4, cfg) == [1768]
-        cfg1 = config(schedule=cfg.schedule, m_list=(), sigma=2, beta=1,
+        cfg1 = config(schedule=cfg.schedule, m_list=(), function="f4_2", beta=1,
                       n_list=(12,))
         assert sched(12, cfg1) == [100676]
 
     def test_sigma_from_function_name(self):
         cfg = config(function="f4_3", schedule="(n+1)^2", m_list=())
         assert cfg.schedule_sigma() == 3
-        cfg2 = config(function="f4_3", sigma=1, schedule="(n+1)^2", m_list=())
-        assert cfg2.schedule_sigma() == 1
 
     def test_sigma_required_for_boundary(self):
         cfg = config(schedule="ceil((n+1)^2 * n^(2/(sigma+3/2)))", m_list=())
@@ -81,6 +79,14 @@ class TestSweepConfig:
             config(points="hexagonal")
         with pytest.raises(ValueError, match="unknown test function"):
             config(function="f9")
+        for name in ("a,b", "a\nb", "a\rb"):
+            with pytest.raises(ValueError, match="experiment .* comma or line break"):
+                config(experiment=name)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                config(workers=workers)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            config(seed=-3)
 
     def test_txt_path_accepted(self):
         cfg = config(points="designs/my_points.txt")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import sph_harm_y
+from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
 from sphyper.harmonics import SPHERE_AREA, _chunk_points, basis_chunks, basis_indices
@@ -46,7 +46,7 @@ class TestIndexing:
 
 
 def legendre(ell, t):
-    """P_ell(t) read off kernel_dot's recurrence: G_ell - G_{ell-1} = (2 ell + 1)/(4 pi) P_ell."""
+    """P_ell(t) read off kernel_dot: G_ell - G_{ell-1} = (2 ell + 1)/(4 pi) P_ell."""
     term = sp.kernel_dot(ell, t) - (sp.kernel_dot(ell - 1, t) if ell else 0.0)
     return term * SPHERE_AREA / (2 * ell + 1)
 
@@ -135,6 +135,15 @@ class TestAdditionTheoremAndKernel:
         out = sp.kernel_dot(5, u)
         assert out.shape == u.shape
         assert out[-1] == pytest.approx(36 / SPHERE_AREA, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 1, 30, 100])
+    def test_kernel_high_degree(self, n):
+        # independent oracle: scipy's P_l, summed term by term
+        u = np.linspace(-1.0, 1.0, 2001)
+        want = sum((2 * ell + 1) / SPHERE_AREA * eval_legendre(ell, u)
+                   for ell in range(n + 1))
+        got = sp.kernel_dot(n, u)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def oracle_basis(n, points):

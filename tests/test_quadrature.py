@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import discrete_gram
+from sphyper.quadrature import _EXACTNESS_TOL, discrete_gram
 
 
 class TestMZConstant:
@@ -136,4 +136,4 @@ class TestExactnessDegree:
     def test_residuals_cover_scan(self):
         report = sp.exactness_degree(sp.product_gauss_rule(2), 6)
         assert len(report.residuals) == 7
-        assert report.residuals[4] > report.tol
+        assert report.residuals[4] > _EXACTNESS_TOL
