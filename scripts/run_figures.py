@@ -4,8 +4,8 @@
 
 Each config in scripts/configs/ becomes three CSVs ({experiment}.csv,
 {experiment}_agg.csv, {experiment}_times.csv).  fig2b reaches m = 1e6 and
-dominates the runtime: all twelve configs took 68-75 s on one BLAS thread
-of a 2-vCPU VM, 56-64 s of it fig2b and under 7 s each for the others.
+dominates the runtime: all twelve configs took 56-60 s on one BLAS thread
+of a 2-vCPU VM, 47-51 s of it fig2b and under 5 s each for the others.
 """
 
 import argparse

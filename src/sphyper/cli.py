@@ -106,7 +106,7 @@ def config_from_file(path):
 
 def cmd_sweep(args):
     config, outs = config_from_file(args.config)
-    config = dataclasses.replace(config, force=args.force, workers=args.workers)
+    config = dataclasses.replace(config, force=args.force)
     if args.out:
         outs["out"] = args.out
     rows = experiments.run_sweep(config)
@@ -163,7 +163,6 @@ def build_parser():
     p.add_argument("--out", help="override the per-cell CSV path")
     p.add_argument("--force", action="store_true",
                    help="allow rank-deficient cells ((n+1)^2 > m)")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check", help="run the invariant suite")

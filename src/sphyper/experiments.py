@@ -11,15 +11,14 @@ separate file for that reason.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import l2_error, reference_rule_for
-from .hyperinterp import fit
+from .hyperinterp import Hyperinterpolant, _gram_fit
 from .pointsets import source_rule
-from .quadrature import mz_constant
+from .quadrature import mz_report
 from .testfuncs import by_name
 
 CELL_HEADER = "experiment,n,m,seed,eta,l2_error"
@@ -70,15 +69,17 @@ class SweepConfig:
     repetitions: int = 0
     # per-run settings: flags of the sweep command, not config-file keys
     force: bool = field(default=False, metadata={"per_run": True})
-    workers: int = field(default=1, metadata={"per_run": True})
 
     def __post_init__(self):
         if set(",\r\n") & set(self.experiment):
             raise ValueError(f"experiment {self.experiment!r} has a comma or line break")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.beta < 1:
+            raise ValueError(f"beta must be >= 1, got {self.beta}")
+        if self.beta != 1 and SCHEDULES.get(self.schedule) is not _schedule_rate:
+            raise ValueError(f"beta = {self.beta} has no effect under schedule "
+                             f"{self.schedule!r}; only the rate schedule takes beta")
         if not self.n_list:
             raise ValueError("n grid is empty")
         if min(self.n_list) < 0:
@@ -152,7 +153,10 @@ def sweep_cells(config):
 
 
 def run_sweep(config):
-    """Execute every cell; returns rows in deterministic (n, m, rep) order."""
+    """Execute every cell; returns rows in deterministic (n, m, rep) order.
+
+    Each rule takes one basis pass, at the largest degree of its cells.
+    """
     cells = sweep_cells(config)
     # deterministic sources: one rule per size, built before any cell runs;
     # the checks run on its node count (a random rule has exactly m nodes)
@@ -170,26 +174,40 @@ def run_sweep(config):
                 f"the rule's {nodes} nodes (rank-deficient); pass force to "
                 "run anyway")
     f = by_name(config.function)
-    # one reference rule per degree, built before any thread starts
+    # one reference rule per degree
     refs = {n: reference_rule_for(n) for n in dict.fromkeys(n for n, _, _ in cells)}
-
-    def run_cell(cell):
-        n, m, rep = cell
-        seed = cell_seed(config.seed, n, m, rep)
+    seeds = [cell_seed(config.seed, n, m, rep) for n, m, rep in cells]
+    # one basis pass per rule: a deterministic rule's cells share the walk at
+    # their largest degree, whose leading blocks and slices are each cell's
+    # Gram and coefficients; a random cell is a group of one, because its
+    # seed includes n
+    groups = {}
+    for i, (n, m, rep) in enumerate(cells):
+        groups.setdefault(m if config.deterministic() else i, []).append(i)
+    rows = [None] * len(cells)
+    for members in groups.values():
+        m = cells[members[0]][1]
+        top = max(cells[i][0] for i in members)
         start = time.perf_counter()
-        rule = rules[m] if config.deterministic() else _cell_rule(config, m, seed)
-        eta = mz_constant(rule, n).eta
-        h = fit(rule, f, n)
-        err = l2_error(f, h, refs[n])
-        elapsed = time.perf_counter() - start
-        return CellResult(config.experiment, n, rule.m, seed, eta, err,
-                          elapsed, float(np.linalg.norm(h.coeffs)))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+        rule = (rules[m] if config.deterministic()
+                else _cell_rule(config, m, seeds[members[0]]))
+        G, h = _gram_fit(rule, f, top)
+        # the walk's time goes to the first cell at the top degree, the cell
+        # that would have done that work anyway
+        shared = time.perf_counter() - start
+        for i in members:
+            n = cells[i][0]
+            start = time.perf_counter()
+            dim = (n + 1) ** 2
+            eta = mz_report(G[:dim, :dim]).eta
+            hn = Hyperinterpolant(n=n, coeffs=h.coeffs[:dim])
+            err = l2_error(f, hn, refs[n])
+            elapsed = time.perf_counter() - start
+            if n == top:
+                elapsed, shared = elapsed + shared, 0.0
+            rows[i] = CellResult(config.experiment, n, rule.m, seeds[i], eta, err,
+                                 elapsed, float(np.linalg.norm(hn.coeffs)))
+        del G, h   # at most one Gram alive: drop it before the next group
     return rows
 
 

@@ -134,9 +134,20 @@ def node_sum(n, points, v):
     sum over a rule's nodes behind coefficients and exactness integrals."""
     out = np.zeros((n + 1) ** 2)
     for rows, B in basis_chunks(n, points):
-        out += B @ v[rows]
+        out += block_dot(B, v[rows])
         del B
     return out
+
+
+def block_dot(B, v):
+    """B @ v for a basis block, through scipy's BLAS, which the Gram's dsyrk
+    uses too.  numpy and scipy each bring their own BLAS and thread pool;
+    alternating the two in one walk made them contend for the cores, and at
+    two BLAS threads dsyrk ran about 3x slower per block (2-vCPU VM).  On
+    numpy 2.4.6 and scipy 1.17.1 the result matched numpy's B @ v bit for
+    bit."""
+    from scipy.linalg.blas import dgemv  # imported here: scipy.linalg takes ~0.3 s
+    return dgemv(1.0, B.T, v, trans=1)
 
 
 def _chunk_points(n):

@@ -7,7 +7,7 @@ the MZ property) and the QMC variant Q_n are the same formula
 
 differing only in the quadrature rule supplied, so one implementation
 serves all three.  Fitting never gates on eta; use `audited_fit` to
-refuse rank-deficient rules up front.
+refuse rank-deficient rules; it takes the Gram from the fit's own pass.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +16,7 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot, node_sum
 from .pointsets import unit_points
-from .quadrature import exactness_degree, mz_constant, sample_values
+from .quadrature import _gram_walk, exactness_degree, mz_report, sample_values
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -43,28 +43,37 @@ class Hyperinterpolant:
 
 def fit(rule, f, n):
     """Hyperinterpolant of degree n: coeffs = B diag(w) y, chunked over points."""
+    return _gram_fit(rule, f, n, gram=False)[1]
+
+
+def _gram_fit(rule, f, n, gram=True):
+    """(G, h): the rule's discrete Gram and fit(rule, f, n) from one chunk
+    walk over the nodes; G is None without `gram`."""
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
     y = sample_values(f, rule.points)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = node_sum(n, rule.points, rule.weights * y)
+        wy = rule.weights * y
+        G, coeffs = (_gram_walk(rule, n, wy) if gram
+                     else (None, node_sum(n, rule.points, wy)))
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients are not finite: the weighted samples overflow")
-    return Hyperinterpolant(n=n, coeffs=coeffs)
+    return G, Hyperinterpolant(n=n, coeffs=coeffs)
 
 
 def audited_fit(rule, f, n):
-    """fit() preceded by an MZ audit; refuses rules with eta >= 1.
+    """fit() with an MZ audit of the same chunk walk; refuses rules with eta >= 1.
 
     With a rank-deficient discrete Gram (eta >= 1) the stability and error
     theory is vacuous, so we fail loudly instead of degrading silently.
     """
-    report = mz_constant(rule, n)
+    G, h = _gram_fit(rule, f, n)
+    report = mz_report(G)
     if report.eta >= 1.0 or report.rank_deficient:
         raise ValueError(
             f"rule unusable at degree {n}: eta = {report.eta:.6g}, "
             f"lambda_min = {report.lambda_min:.3e} (rank deficient)")
-    return replace(fit(rule, f, n), eta_used=report.eta)
+    return replace(h, eta_used=report.eta)
 
 
 def evaluate_block(h, points):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, basis_chunks, node_sum
+from .harmonics import SPHERE_AREA, basis_chunks, block_dot, node_sum
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -63,11 +63,25 @@ def sample_values(f, points):
 
 def discrete_gram(rule, n):
     """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks."""
+    return _gram_walk(rule, n)[0]
+
+
+def _gram_walk(rule, n, v=None):
+    """(G, c) from one chunk walk: the discrete Gram G = B diag(w) B^T and,
+    when `v` is given, the node sum c = B v (else c is None).
+
+    In the degree-major basis, G and c at any degree n' <= n are the leading
+    (n'+1)^2 block and slice of these, so one walk at the largest degree
+    serves every smaller one.
+    """
     from scipy.linalg.blas import dsyrk  # imported here: scipy.linalg takes ~0.3 s
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
+    c = None if v is None else np.zeros(dim)
     sqrt_w = np.sqrt(rule.weights)   # weights are positive
     for rows, B in basis_chunks(n, rule.points):
+        if c is not None:
+            c += block_dot(B, v[rows])   # from the block before its scaling
         # scaled in place by sqrt(w), each block is a symmetric rank-k
         # update that dsyrk adds to G's upper triangle in place, with no
         # dim x dim product per block.  B.T and G.T are the Fortran views
@@ -81,7 +95,7 @@ def discrete_gram(rule, n):
         d = G[i:i + 128, i:i + 128]
         d += np.triu(d, 1).T
         G[i + 128:, i:i + 128] = G[i:i + 128, i + 128:].T
-    return G
+    return G, c
 
 
 def mz_constant(rule, n):

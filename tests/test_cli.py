@@ -205,6 +205,17 @@ class TestSweep:
         assert "experiment 'a,b'" in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == []
 
+    def test_bad_beta_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rate = "beta * ceil((n+1)^2 * n^(2 + 2/(sigma+3/2)))"
+        for text in (SMALL_SWEEP + "beta = -7\n",
+                     SMALL_SWEEP.replace("m = 60\n", "").replace("f1", "f4_2")
+                     + f"schedule = {rate}\nbeta = -1\n"):
+            cfg = write_config(tmp_path, text)
+            assert main(["sweep", "--config", cfg]) == 2
+            assert "beta" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -235,8 +246,7 @@ experiment = e
 function = f4_2
 points = equal_area
 n = 4,5
-m = 100,200
-schedule = fixed-list
+schedule = beta * ceil((n+1)^2 * n^(2 + 2/(sigma+3/2)))
 beta = 2
 seed = 17
 repetitions = 4
@@ -247,7 +257,7 @@ times_out = c.csv
         config, outs = config_from_file(cfg)
         assert config == sp.SweepConfig(
             experiment="e", function="f4_2", points="equal_area", n_list=(4, 5),
-            m_list=(100, 200), schedule="fixed-list", beta=2, seed=17,
+            schedule="beta * ceil((n+1)^2 * n^(2 + 2/(sigma+3/2)))", beta=2, seed=17,
             repetitions=4)
         assert outs == {"out": "a.csv", "aggregate_out": "b.csv",
                         "times_out": "c.csv"}

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -82,11 +84,16 @@ class TestSweepConfig:
         for name in ("a,b", "a\nb", "a\rb"):
             with pytest.raises(ValueError, match="experiment .* comma or line break"):
                 config(experiment=name)
-        for workers in (0, -3):
-            with pytest.raises(ValueError, match="workers must be >= 1"):
-                config(workers=workers)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             config(seed=-3)
+        rate = "beta * ceil((n+1)^2 * n^(2 + 2/(sigma+3/2)))"
+        for beta in (0, -1):
+            with pytest.raises(ValueError, match="beta must be >= 1"):
+                config(function="f4_2", schedule=rate, m_list=(), beta=beta)
+        for beta in (-7, 2):   # fixed-list: only the rate schedule takes beta
+            with pytest.raises(ValueError, match="beta"):
+                config(beta=beta)
+        assert config(function="f4_2", schedule=rate, m_list=(), beta=3).beta == 3
 
     def test_txt_path_accepted(self):
         cfg = config(points="designs/my_points.txt")
@@ -201,14 +208,6 @@ class TestRunSweep:
         assert [(r.n, r.m) for r in rows] == [(6, 10)]
         assert rows[0].eta >= 1.0
 
-    def test_workers_match_serial(self):
-        cfg = config(n_list=(2, 3), m_list=(80,), repetitions=2)
-        serial = sp.run_sweep(cfg)
-        threaded = sp.run_sweep(config(n_list=(2, 3), m_list=(80,),
-                                       repetitions=2, workers=3))
-        assert [(r.seed, r.eta, r.l2) for r in serial] == [
-            (r.seed, r.eta, r.l2) for r in threaded]
-
     def test_workers_build_one_rule_per_size(self, monkeypatch):
         built = []
 
@@ -217,12 +216,73 @@ class TestRunSweep:
             return sp.source_rule(source, m=m, **kw)
 
         monkeypatch.setattr(experiments, "source_rule", counting_source_rule)
-        kw = dict(points="equal_area", n_list=(2, 3, 4), m_list=(60, 90))
-        threaded = sp.run_sweep(config(workers=3, **kw))
+        rows = sp.run_sweep(config(points="equal_area", n_list=(2, 3, 4),
+                                   m_list=(60, 90)))
         assert built == [60, 90]
-        serial = sp.run_sweep(config(**kw))
-        assert [(r.n, r.m, r.seed, r.eta, r.l2) for r in threaded] == [
-            (r.n, r.m, r.seed, r.eta, r.l2) for r in serial]
+        assert [(r.n, r.m) for r in rows] == [
+            (n, m) for n in (2, 3, 4) for m in (60, 90)]
+
+    def test_deterministic_repetitions_identical(self):
+        rows = sp.run_sweep(config(points="equal_area", function="f3",
+                                   n_list=(3, 5), m_list=(200,), repetitions=2))
+        for a, b in zip(rows[::2], rows[1::2]):
+            assert a.seed != b.seed
+            assert (a.n, a.m, a.eta, a.l2, a.coeff_norm) == (
+                b.n, b.m, b.eta, b.l2, b.coeff_norm)
+
+
+class TestSharedBasisPass:
+    """A deterministic rule's cells share one chunk walk at their largest
+    degree; the per-n path (mz_constant, fit, l2_error) is the oracle."""
+
+    def check_against_per_n(self, cfg):
+        rows = sp.run_sweep(cfg)
+        f = sp.by_name(cfg.function)
+        assert [(r.n, r.m) for r in rows] == [
+            (n, experiments._cell_rule(cfg, m).m) for n, m, _ in sweep_cells(cfg)]
+        for row, (n, m, _) in zip(rows, sweep_cells(cfg)):
+            rule = experiments._cell_rule(cfg, m)
+            h = sp.fit(rule, f, n)
+            assert abs(row.eta - sp.mz_constant(rule, n).eta) <= 1e-14
+            assert abs(row.l2 - sp.l2_error(f, h, sp.reference_rule_for(n))) <= 1e-14
+            assert abs(row.coeff_norm - np.linalg.norm(h.coeffs)) <= 1e-14
+        return rows
+
+    def test_equal_area_grid(self):
+        self.check_against_per_n(config(points="equal_area", function="f4_2",
+                                        n_list=(3, 6, 10), m_list=(500, 1500)))
+
+    def test_gauss_product_grid(self):
+        rows = self.check_against_per_n(config(
+            points="gauss_product", function="f3", n_list=(3, 5, 9),
+            m_list=(300, 800)))
+        assert max(r.eta for r in rows) < 1e-12   # exact to degree >= 2n
+
+    def test_leading_block_on_the_lanczos_branch(self):
+        # dim 2025 > 2000: the n = 44 leading block of the n = 46 Gram
+        self.check_against_per_n(config(
+            points="equal_area", function="f3", n_list=(44, 46), m_list=(9000,)))
+
+    def test_antipodal_map_keeps_eta(self, tmp_path):
+        pts = sp.equal_area(700)
+        etas = []
+        for sign in (1, -1):
+            path = tmp_path / f"pts{sign}.txt"
+            np.savetxt(path, sign * pts)
+            rows = sp.run_sweep(config(points=str(path), function="f3",
+                                       n_list=(2, 5, 9, 14), m_list=(700,)))
+            etas.append(np.array([r.eta for r in rows]))
+        assert np.max(np.abs(etas[0] - etas[1])) <= 1e-14
+
+    def test_shared_walk_charged_to_the_top_degree(self, monkeypatch):
+        clock = iter(range(1000))
+        monkeypatch.setattr(experiments, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
+        rows = sp.run_sweep(config(points="equal_area", n_list=(2, 4, 3),
+                                   m_list=(60,), repetitions=2))
+        # one tick per cell, plus one for the walk, on (4, 60, rep 0) only
+        assert [(r.n, r.wall_time) for r in rows] == [
+            (2, 1), (2, 1), (4, 2), (4, 1), (3, 1), (3, 1)]
 
 
 class TestAggregate:

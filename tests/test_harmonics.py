@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
-from sphyper.harmonics import SPHERE_AREA, _chunk_points, basis_chunks, basis_indices
+from sphyper.harmonics import SPHERE_AREA, _chunk_points, basis_chunks, basis_indices, node_sum
+from sphyper.quadrature import _gram_walk
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
 raw_vectors = st.tuples(coords, coords, coords).filter(
@@ -229,6 +230,16 @@ class TestChunkBoundary:
             # only one triangle is accumulated: the other is its exact mirror
             assert np.array_equal(G, G.T)
 
+    def check_fused_walk(self, rule, n):
+        # one walk gives the Gram and the node sum bit for bit as the two
+        # separate walks do
+        w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
+        unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
+        v = unequal.weights * sp.by_name("f3")(rule.points)
+        G, c = _gram_walk(unequal, n, v)
+        assert np.array_equal(G, sp.discrete_gram(unequal, n))
+        assert np.array_equal(c, node_sum(n, rule.points, v))
+
     def test_chunks_cover_points_in_order(self, boundary_rule):
         self.check_chunks(boundary_rule, self.n)
 
@@ -241,6 +252,12 @@ class TestChunkBoundary:
 
     def test_discrete_gram_at_floor_width(self, floor_rule):
         self.check_gram(floor_rule, self.n_floor)
+
+    def test_fused_walk(self, boundary_rule):
+        self.check_fused_walk(boundary_rule, self.n)
+
+    def test_fused_walk_at_floor_width(self, floor_rule):
+        self.check_fused_walk(floor_rule, self.n_floor)
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)

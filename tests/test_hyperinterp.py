@@ -154,9 +154,16 @@ class TestAuditedFit:
         assert h.eta_used is not None
         assert 0 <= h.eta_used < 1
 
+    def test_eta_used_is_the_mz_constant(self):
+        rule = sp.equal_weight_rule(sp.equal_area(700), "equal_area")
+        h = sp.audited_fit(rule, sp.by_name("f3"), 9)
+        assert h.eta_used == sp.mz_constant(rule, 9).eta
+        assert np.array_equal(h.coeffs, sp.fit(rule, sp.by_name("f3"), 9).coeffs)
+
     def test_refuses_rank_deficient_rule(self):
         rule = sp.equal_weight_rule(sp.random_uniform(8, seed=9), "random")
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(ValueError, match=r"rule unusable at degree 5: eta = .*"
+                                             r"\(rank deficient\)"):
             sp.audited_fit(rule, lambda pts: np.ones(len(pts)), 5)
 
     def test_plain_fit_never_gates(self):
