@@ -131,8 +131,9 @@ def basis_chunks(n, points):
 
 def node_sum(n, points, v):
     """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order: the one
-    sum over a rule's nodes behind coefficients and exactness integrals."""
-    out = np.zeros((n + 1) ** 2)
+    sum over a rule's nodes behind coefficients and exactness integrals.
+    A `v` of shape (m, k) gives the k sums as the columns of the result."""
+    out = np.zeros(((n + 1) ** 2,) + v.shape[1:])
     for rows, B in basis_chunks(n, points):
         out += block_dot(B, v[rows])
         del B
@@ -140,14 +141,16 @@ def node_sum(n, points, v):
 
 
 def block_dot(B, v):
-    """B @ v for a basis block, through scipy's BLAS, which the Gram's dsyrk
-    uses too.  numpy and scipy each bring their own BLAS and thread pool;
-    alternating the two in one walk made them contend for the cores, and at
-    two BLAS threads dsyrk ran about 3x slower per block (2-vCPU VM).  On
-    numpy 2.4.6 and scipy 1.17.1 the result matched numpy's B @ v bit for
-    bit."""
-    from scipy.linalg.blas import dgemv  # imported here: scipy.linalg takes ~0.3 s
-    return dgemv(1.0, B.T, v, trans=1)
+    """B @ v for a basis block and a vector (dgemv) or a few columns (dgemm)
+    of node values, through scipy's BLAS, which the Gram's dsyrk uses too.
+    numpy and scipy each bring their own BLAS and thread pool; alternating
+    the two in one walk made them contend for the cores, and at two BLAS
+    threads dsyrk ran about 3x slower per block (2-vCPU VM).  On numpy 2.4.6
+    and scipy 1.17.1 the vector result matched numpy's B @ v bit for bit."""
+    from scipy.linalg.blas import dgemm, dgemv  # imported here: scipy.linalg takes ~0.3 s
+    if v.ndim == 1:
+        return dgemv(1.0, B.T, v, trans=1)
+    return dgemm(1.0, B.T, v, trans_a=1)
 
 
 def _chunk_points(n):

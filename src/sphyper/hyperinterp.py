@@ -16,7 +16,7 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot, node_sum
 from .pointsets import unit_points
-from .quadrature import _gram_walk, exactness_degree, mz_report, sample_values
+from .quadrature import _exactness_report, _gram_walk, mz_report, sample_values
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -49,16 +49,26 @@ def fit(rule, f, n):
 def _gram_fit(rule, f, n, gram=True):
     """(G, h): the rule's discrete Gram and fit(rule, f, n) from one chunk
     walk over the nodes; G is None without `gram`."""
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
-    y = sample_values(f, rule.points)
+    y = _samples(rule, f, n)
     with np.errstate(over="ignore", invalid="ignore"):
         wy = rule.weights * y
         G, coeffs = (_gram_walk(rule, n, wy) if gram
                      else (None, node_sum(n, rule.points, wy)))
+    return G, _finite_fit(n, coeffs)
+
+
+def _samples(rule, f, n):
+    """f at the rule's nodes, checked, for a fit of degree n."""
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
+    return sample_values(f, rule.points)
+
+
+def _finite_fit(n, coeffs):
+    """The degree-n hyperinterpolant with these coefficients, if finite."""
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients are not finite: the weighted samples overflow")
-    return G, Hyperinterpolant(n=n, coeffs=coeffs)
+    return Hyperinterpolant(n=n, coeffs=coeffs)
 
 
 def audited_fit(rule, f, n):
@@ -109,11 +119,16 @@ def project_reference(f, n, ref):
     """Reference L2 projection P_n f computed with a high-exactness rule.
 
     Stands in for the exact Fourier coefficients; refuses a reference rule
-    whose measured exactness degree is below n + 1.
+    whose measured exactness degree is below n + 1.  One walk at n + 1 sums
+    the weights (the exactness integrals) and the weighted samples, whose
+    leading (n+1)^2 sums are fit(ref, f, n)'s coefficients.
     """
-    report = exactness_degree(ref, max_scan=n + 1)
+    y = _samples(ref, f, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = node_sum(n + 1, ref.points, np.column_stack([ref.weights, ref.weights * y]))
+    report = _exactness_report(sums[:, 0])
     if report.degree < n + 1:
         raise ValueError(
             f"reference rule exactness {report.degree} < n + 1 = {n + 1}; "
             "refusing the degenerate projection")
-    return fit(ref, f, n)
+    return _finite_fit(n, np.ascontiguousarray(sums[:(n + 1) ** 2, 1]))

@@ -22,10 +22,17 @@ __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
 # hyperinterpolation theory vacuous)
 RANK_TOL = 1e-10
 
-# Lanczos restarts per end of the spectrum before mz_constant falls back to
-# the dense eigensolver; healthy Grams converge well within it, while on a
-# rank-deficient one (lambda_min = 0) which="SA" can run for minutes
-_EIGSH_MAXITER = 50
+# Grams above this dim take their extreme eigenvalues from Lanczos; the
+# sweep configs' Grams (dim <= 625) stay on the dense solver
+_LANCZOS_DIM = 625
+
+# Gram-vector products Lanczos may spend on both ends of the spectrum before
+# mz_report falls back to the dense eigensolver.  Equal-area Grams (m = 4 dim)
+# of dim 676-2209 converge in 70-190, random ones with m = 8 dim in 150-220.
+# Near lambda_min = 0 (aliased Gauss rules, random rules with m <= 2 dim)
+# Lanczos stalls, and the spent budget costs 0.3-0.8x the dense solve that
+# follows it at dims 961-2209, about 1x at dim 676 (one BLAS thread).
+_LANCZOS_PRODUCTS = 250
 
 # largest integration residual that exactness_degree counts as exact
 _EXACTNESS_TOL = 1e-8
@@ -106,35 +113,69 @@ def mz_constant(rule, n):
 
 
 def mz_report(G):
-    """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2."""
+    """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2.
+
+    Above dim _LANCZOS_DIM, lambda_max and lambda_min come from Lanczos on
+    G's stored triangle (`_lanczos_extremes`); if it spends its product
+    budget first, or at smaller dims, from the dense `eigvalsh`.  The two
+    agree to about 1e-14.
+    """
     dim = G.shape[0]
     if not np.all(np.isfinite(G)):
         raise ValueError(f"the {dim}x{dim} Gram is not finite: the rule's "
                          "weights overflow it")
-    lam_min = None
-    if dim > 2000:
-        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
-        # a fixed start vector makes the Lanczos result repeat bit for bit
-        v0 = np.random.default_rng(0).standard_normal(dim)
-        opts = dict(k=1, v0=v0, maxiter=_EIGSH_MAXITER, return_eigenvectors=False)
+    lam = None
+    if dim > _LANCZOS_DIM:
         try:
-            lam_max = float(eigsh(G, which="LA", **opts)[0])
-            lam_min = float(eigsh(G, which="SA", **opts)[0])
-        except ArpackNoConvergence:
-            pass  # lam_min stays None: the dense solver below takes over
-        except ArpackError as exc:
-            raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
-    if lam_min is None:
+            lam = _lanczos_extremes(G)
+        except _OverBudget:
+            pass  # lam stays None: the dense solver below takes over
+    if lam is None:
         try:
-            lam = np.linalg.eigvalsh(G)
+            lam = np.linalg.eigvalsh(G)[[0, -1]]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed on the {dim}x{dim} Gram: {exc}")
-        lam_min, lam_max = float(lam[0]), float(lam[-1])
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
-    lam_min = max(lam_min, 0.0)
+    lam_min, lam_max = max(float(lam[0]), 0.0), float(lam[1])
     eta = max(abs(lam_min - 1.0), abs(lam_max - 1.0))
     return MZReport(n=math.isqrt(dim) - 1, eta=eta, lambda_min=lam_min,
                     lambda_max=lam_max, dim=dim, rank_deficient=lam_min <= RANK_TOL)
+
+
+class _OverBudget(Exception):
+    """Lanczos asked for more than _LANCZOS_PRODUCTS Gram-vector products."""
+
+
+def _lanczos_extremes(G):
+    """(lambda_min, lambda_max) of the symmetric G by Lanczos (ARPACK's
+    `eigsh`, largest then smallest end), from products with one triangle of
+    G; raises _OverBudget past _LANCZOS_PRODUCTS products."""
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+    dim = G.shape[0]
+    # the Fortran view BLAS takes; only a leading block of a larger Gram,
+    # which is not contiguous, is copied, once
+    Gt = np.ascontiguousarray(G).T
+    products = 0
+
+    def product(x):
+        nonlocal products
+        products += 1
+        if products > _LANCZOS_PRODUCTS:
+            raise _OverBudget
+        # Gt's lower triangle is G's upper one, the triangle dsyrk writes
+        return dsymv(1.0, Gt, x, lower=1)
+
+    op = LinearOperator((dim, dim), matvec=product, dtype=float)
+    # a fixed start vector makes the result repeat bit for bit
+    opts = dict(k=1, v0=np.random.default_rng(0).standard_normal(dim),
+                return_eigenvectors=False)
+    try:
+        lam_max = eigsh(op, which="LA", **opts)[0]
+        lam_min = eigsh(op, which="SA", **opts)[0]
+    except ArpackError as exc:
+        raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
+    return lam_min, lam_max
 
 
 def exactness_degree(rule, max_scan):
@@ -148,14 +189,19 @@ def exactness_degree(rule, max_scan):
     if max_scan < 0:
         raise ValueError(f"max_scan must be >= 0, got {max_scan}")
     # one basis evaluation up to max_scan covers every degree of the scan
-    integrals = node_sum(max_scan, rule.points, rule.weights)
-    integrals[0] -= math.sqrt(SPHERE_AREA)
+    return _exactness_report(node_sum(max_scan, rule.points, rule.weights))
 
+
+def _exactness_report(integrals):
+    """ExactnessReport of a rule's weight sums sum_j w_j Y_{l,k}(x_j) in
+    canonical order, every degree up to the scan's: the residual scan of
+    `exactness_degree`."""
+    errors = np.abs(integrals)
+    errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
     residuals = []
     degree = -1
-    for ell in range(max_scan + 1):
-        block = integrals[ell * ell:(ell + 1) * (ell + 1)]
-        r = float(np.max(np.abs(block)))
+    for ell in range(math.isqrt(integrals.size)):
+        r = float(np.max(errors[ell * ell:(ell + 1) * (ell + 1)]))
         residuals.append(r)
         if r <= _EXACTNESS_TOL and degree == ell - 1:
             degree = ell

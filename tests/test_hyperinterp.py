@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sphyper as sp
+from sphyper import harmonics
 from sphyper.harmonics import SPHERE_AREA
 
 
@@ -187,8 +188,26 @@ class TestClassicalLimit:
 class TestProjectReference:
     def test_refuses_weak_reference(self):
         rule = sp.equal_weight_rule(sp.random_uniform(5000, seed=10), "random")
-        with pytest.raises(ValueError, match="exactness"):
+        with pytest.raises(ValueError) as refused:
             sp.project_reference(sp.by_name("f1"), 4, rule)
+        assert str(refused.value) == ("reference rule exactness 0 < n + 1 = 5; "
+                                      "refusing the degenerate projection")
+
+    def test_one_walk_at_n_plus_1_matches_fit(self, monkeypatch):
+        f3 = sp.by_name("f3")
+        refs = {n: sp.reference_rule_for(n) for n in (10, 30)}
+        walks, walk = [], harmonics.basis_chunks
+
+        def counted(n, points):
+            walks.append(n)
+            return walk(n, points)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(harmonics, "basis_chunks", counted)
+            got = {n: sp.project_reference(f3, n, ref) for n, ref in refs.items()}
+        assert walks == [11, 31]
+        for n, ref in refs.items():
+            assert np.abs(got[n].coeffs - sp.fit(ref, f3, n).coeffs).max() <= 1e-15
 
     def test_degree_zero_projection(self):
         ref = sp.product_gauss_rule(20)

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg.blas
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import _EXACTNESS_TOL, discrete_gram
+from sphyper.quadrature import _EXACTNESS_TOL, _LANCZOS_PRODUCTS, discrete_gram
 
 
 class TestMZConstant:
@@ -64,7 +68,7 @@ class TestMZConstant:
             sp.mz_constant(rule, -1)
 
     def test_lanczos_branch_repeats_and_matches_dense(self):
-        # dim 2025 > 2000 takes the eigsh branch
+        # dim 2025 > 625 takes the Lanczos branch
         rule = sp.equal_weight_rule(sp.equal_area(2600), "equal_area")
         first, second = sp.mz_constant(rule, 44), sp.mz_constant(rule, 44)
         assert first.dim == 2025
@@ -75,7 +79,8 @@ class TestMZConstant:
 
     def test_rank_deficient_lanczos_falls_back_to_dense(self):
         # 80 azimuths alias orders k and 80 - k for k >= 36, so at n = 44 the
-        # Gram is singular; eigsh(which="SA") stalls there without a bound
+        # Gram is singular; Lanczos stalls near lambda_min = 0 and spends its
+        # product budget before the dense solver takes over
         rule = sp.product_gauss_rule(40)
         report = sp.mz_constant(rule, 44)
         assert report.dim == 2025
@@ -94,6 +99,74 @@ class TestMZConstant:
         report = sp.mz_constant(rule, n)
         assert report.eta >= 0
         assert 0 <= report.lambda_min <= report.lambda_max
+
+
+def report_and_calls(monkeypatch, G):
+    """mz_report(G), and the counts of its eigsh calls, Gram-vector products
+    (dsymv) and dense eigvalsh calls; mz_report looks each up when it runs."""
+    calls = Counter()
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as mp:
+        for module, name in ((scipy.sparse.linalg, "eigsh"),
+                             (scipy.linalg.blas, "dsymv"), (np.linalg, "eigvalsh")):
+            mp.setattr(module, name, counted(getattr(module, name), name))
+        report = sp.mz_report(G)
+    return report, calls
+
+
+def random_gram(per_dim, n, seed):
+    m = round(per_dim * (n + 1) ** 2)
+    return discrete_gram(sp.equal_weight_rule(sp.random_uniform(m, seed), "random"), n)
+
+
+class TestEigensolverBranch:
+    """Which solver mz_report takes, pinned by counting calls, not by timing."""
+
+    def test_equal_area_gram_above_625_takes_lanczos(self, monkeypatch):
+        G = discrete_gram(sp.equal_weight_rule(sp.equal_area(4 * 676), "equal_area"), 25)
+        report, calls = report_and_calls(monkeypatch, G)
+        assert calls["eigsh"] == 2 and calls["eigvalsh"] == 0
+        assert 0 < calls["dsymv"] <= _LANCZOS_PRODUCTS
+        assert sp.mz_report(G) == report   # bit for bit
+        lam = np.linalg.eigvalsh(G)
+        assert report.dim == 676
+        assert abs(report.lambda_min - lam[0]) <= 1e-14
+        assert abs(report.lambda_max - lam[-1]) <= 1e-14
+        assert abs(report.eta - max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0))) <= 1e-14
+
+    @pytest.mark.parametrize("gram", [
+        pytest.param(lambda: discrete_gram(sp.product_gauss_rule(25), 30), id="aliased-gauss"),
+        pytest.param(lambda: random_gram(1.2, 30, seed=1), id="random-1.2dim"),
+    ])
+    def test_near_singular_gram_spends_the_budget_then_goes_dense(self, monkeypatch, gram):
+        G = gram()
+        report, calls = report_and_calls(monkeypatch, G)
+        assert calls["dsymv"] == _LANCZOS_PRODUCTS
+        assert calls["eigvalsh"] == 1
+        lam = np.linalg.eigvalsh(G)
+        assert report.lambda_min == max(lam[0], 0.0)
+        assert report.lambda_max == lam[-1]
+
+    def test_dim_625_stays_dense(self, monkeypatch):
+        G = discrete_gram(sp.equal_weight_rule(sp.equal_area(2500), "equal_area"), 24)
+        report, calls = report_and_calls(monkeypatch, G)
+        assert report.dim == 625
+        assert calls == {"eigvalsh": 1}
+
+    def test_random_gram_with_eta_above_one_converges(self, monkeypatch):
+        G = random_gram(8, 30, seed=5)
+        report, calls = report_and_calls(monkeypatch, G)
+        assert calls["eigsh"] == 2 and calls["eigvalsh"] == 0
+        assert report.eta == pytest.approx(1.28, abs=0.01)
+        lam = np.linalg.eigvalsh(G)
+        assert abs(report.lambda_min - lam[0]) <= 1e-14
+        assert abs(report.lambda_max - lam[-1]) <= 1e-14
 
 
 class TestGramStructure:
