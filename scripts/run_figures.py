@@ -4,8 +4,10 @@
 
 Each config in scripts/configs/ becomes three CSVs ({experiment}.csv,
 {experiment}_agg.csv, {experiment}_times.csv).  fig2b reaches m = 1e6 and
-dominates the runtime: all twelve configs took 56-60 s on one BLAS thread
-of a 2-vCPU VM, 47-51 s of it fig2b and under 5 s each for the others.
+dominates the runtime: all twelve configs took 54-67 s on one BLAS thread
+of a 2-vCPU VM, 44-57 s of it fig2b and under 8 s each for the others.
+At one BLAS thread the Gram's walk runs dsyrk on a second core; with that
+walk inline, the same host took 75-81 s.
 """
 
 import argparse

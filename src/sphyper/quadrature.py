@@ -8,12 +8,19 @@ integral(chi^2) = a^T a, so the MZ ratio extremizes exactly at the
 extreme eigenvalues of G.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, basis_chunks, block_dot, node_sum
+from .harmonics import (SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, block_dot,
+                        node_sum)
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -80,22 +87,37 @@ def _gram_walk(rule, n, v=None):
     In the degree-major basis, G and c at any degree n' <= n are the leading
     (n'+1)^2 block and slice of these, so one walk at the largest degree
     serves every smaller one.
+
+    When the BLAS leaves a core idle (`_blas_leaves_a_core`) and the walk has
+    two blocks or more, one worker thread adds block k to G while this thread
+    evaluates block k+1, so the walk costs about the larger of the two
+    instead of their sum.  Block k+1 is handed over only once block k is
+    added, so at most two blocks are alive, each at least _MIN_CHUNK // 2
+    points wide.  Where neither mode's blocks reach their floor (n <= 21),
+    both make the same dsyrk calls in the same order, so G and c are the
+    same bit for bit; at n >= 22 they differ in rounding only.
     """
-    from scipy.linalg.blas import dsyrk  # imported here: scipy.linalg takes ~0.3 s
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
     c = None if v is None else np.zeros(dim)
     sqrt_w = np.sqrt(rule.weights)   # weights are positive
-    for rows, B in basis_chunks(n, rule.points):
-        if c is not None:
-            c += block_dot(B, v[rows])   # from the block before its scaling
-        # scaled in place by sqrt(w), each block is a symmetric rank-k
-        # update that dsyrk adds to G's upper triangle in place, with no
-        # dim x dim product per block.  B.T and G.T are the Fortran views
-        # BLAS takes, so nothing is copied.
-        B *= sqrt_w[rows]
-        dsyrk(1.0, B.T, beta=1.0, c=G.T, trans=1, lower=1, overwrite_c=1)
-        del B
+    pipelined = rule.m > _chunk_points(n) and _blas_leaves_a_core()
+    min_points = _MIN_CHUNK // 2 if pipelined else _MIN_CHUNK
+    added = None   # the worker's future for the block before
+    with ThreadPoolExecutor(1) if pipelined else contextlib.nullcontext() as worker:
+        for rows, B in basis_chunks(n, rule.points, min_points):
+            if c is not None:
+                c += block_dot(B, v[rows])   # from the block before its scaling
+            B *= sqrt_w[rows]
+            if worker is None:
+                _syrk(B, G)
+            else:
+                if added is not None:
+                    added.result()
+                added = worker.submit(_syrk, B, G)
+            del B
+        if added is not None:
+            added.result()
     # mirror the upper triangle once, 128 columns at a time: one transposed
     # add over all of G reads it out of cache (40 ms against 7 at dim 2209)
     for i in range(0, dim, 128):
@@ -103,6 +125,72 @@ def _gram_walk(rule, n, v=None):
         d += np.triu(d, 1).T
         G[i + 128:, i:i + 128] = G[i:i + 128, i + 128:].T
     return G, c
+
+
+def _syrk(B, G):
+    """G += B B^T on G's upper triangle, for a C-ordered basis block B scaled
+    by sqrt(w) and a C-ordered Gram G: one BLAS dsyrk, a symmetric rank-k
+    update in place, with no dim x dim product per block.  B and G are the
+    Fortran arrays B^T and G^T to BLAS, so nothing is copied; G^T's lower
+    triangle is G's upper one.  The call releases the GIL (`_dsyrk`)."""
+    dim, k = B.shape
+    if not (B.dtype == G.dtype == np.float64 and G.shape == (dim, dim)
+            and B.flags.c_contiguous and G.flags.c_contiguous):
+        raise ValueError(f"dsyrk takes C-ordered float64 blocks, got {B.dtype} "
+                         f"{B.shape} and {G.dtype} {G.shape}")
+    one = ctypes.byref(ctypes.c_double(1.0))
+    _dsyrk()(b"L", b"T", ctypes.byref(ctypes.c_int(dim)), ctypes.byref(ctypes.c_int(k)),
+             one, B.ctypes.data, ctypes.byref(ctypes.c_int(max(k, 1))),
+             one, G.ctypes.data, ctypes.byref(ctypes.c_int(dim)))
+
+
+@functools.cache
+def _dsyrk():
+    """BLAS dsyrk as a ctypes function, bound once to the routine that
+    scipy.linalg.cython_blas exports.  ctypes releases the GIL for the call,
+    where scipy.linalg.blas's f2py wrapper holds it, so a worker thread's
+    dsyrk overlaps Python work on the calling thread.  It is the routine the
+    f2py wrapper calls, with the same arguments, so the bits are the same."""
+    from scipy.linalg import cython_blas  # imported here: scipy.linalg takes ~0.3 s
+    capsule = cython_blas.__pyx_capi__["dsyrk"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    # dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc), every argument by reference
+    i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    signature = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, i, d,
+                                 ctypes.c_void_p, i, d, ctypes.c_void_p, i)
+    return signature(get_pointer(capsule, get_name(capsule)))
+
+
+def _blas_leaves_a_core():
+    """Whether the BLAS runs on fewer threads than this process may use, so
+    that a worker thread's dsyrk and basis evaluation on the calling thread
+    can run at once.  The count is the one the BLAS read when it loaded
+    (`_blas_threads`); a change to it at run time (threadpoolctl) is not
+    seen.  That can only cost speed, never correctness: both modes of the
+    Gram's walk give the same G."""
+    return _blas_threads() < _usable_cores()
+
+
+def _blas_threads():
+    """BLAS threads as OpenBLAS reads them at load time: the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS whose value
+    C's atoi reads as a positive count, else the usable cores.  atoi reads
+    the leading digits, so "1.5" is 1 thread and "2x" is 2."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*\+?(\d+)", os.environ.get(name, ""))
+        if digits and int(digits[1]) > 0:
+            return int(digits[1])
+        # unset, 0, negative or no leading digit: OpenBLAS reads the next one
+    return _usable_cores()
+
+
+def _usable_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def mz_constant(rule, n):

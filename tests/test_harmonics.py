@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
-from sphyper.harmonics import SPHERE_AREA, _chunk_points, basis_chunks, basis_indices, node_sum
+from sphyper import quadrature
+from sphyper.harmonics import (SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, basis_indices,
+                               node_sum)
 from sphyper.quadrature import _gram_walk
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
@@ -202,6 +205,27 @@ def floor_rule():
     return two_blocks_and_one(TestChunkBoundary.n_floor)
 
 
+def in_each_walk_mode(monkeypatch, check):
+    """[check() with the Gram walk forced inline, check() forced pipelined],
+    each asserted to have run its dsyrk calls on this thread or on the
+    worker thread."""
+    syrk = quadrature._syrk
+    results = []
+    for pipelined in (False, True):
+        threads = []
+
+        def recorded(B, G):
+            threads.append(threading.current_thread())
+            syrk(B, G)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_blas_leaves_a_core", lambda: pipelined)
+            mp.setattr(quadrature, "_syrk", recorded)
+            results.append(check())
+        assert {t is not threading.main_thread() for t in threads} == {pipelined}
+    return results
+
+
 def assert_rel_close(got, want, rtol=1e-12):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -220,25 +244,42 @@ class TestChunkBoundary:
         assert [rows.stop - rows.start for rows, _ in chunks] == [width, width, 1]
         assert_rel_close(np.hstack([B for _, B in chunks]), sp.eval_basis_block(n, rule.points))
 
-    def check_gram(self, rule, n):
+    def check_gram(self, rule, n, monkeypatch):
         B = sp.eval_basis_block(n, rule.points)
         w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
         unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
-        for r in (rule, unequal):
-            G = sp.discrete_gram(r, n)
-            assert_rel_close(G, (B * r.weights) @ B.T)
-            # only one triangle is accumulated: the other is its exact mirror
-            assert np.array_equal(G, G.T)
 
-    def check_fused_walk(self, rule, n):
-        # one walk gives the Gram and the node sum bit for bit as the two
-        # separate walks do
+        def check():
+            for r in (rule, unequal):
+                G = sp.discrete_gram(r, n)
+                assert_rel_close(G, (B * r.weights) @ B.T)
+                # only one triangle is accumulated: the other is its exact mirror
+                assert np.array_equal(G, G.T)
+
+        in_each_walk_mode(monkeypatch, check)
+
+    def check_fused_walk(self, rule, n, monkeypatch):
         w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
         unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
         v = unequal.weights * sp.by_name("f3")(rule.points)
-        G, c = _gram_walk(unequal, n, v)
-        assert np.array_equal(G, sp.discrete_gram(unequal, n))
-        assert np.array_equal(c, node_sum(n, rule.points, v))
+
+        def check():
+            G, c = _gram_walk(unequal, n, v)
+            assert np.array_equal(G, sp.discrete_gram(unequal, n))
+            return G, c
+
+        (G_inline, c_inline), (G_pipelined, c_pipelined) = in_each_walk_mode(monkeypatch, check)
+        # one walk gives the Gram and the node sum bit for bit as the two
+        # separate walks do
+        assert np.array_equal(c_inline, node_sum(n, rule.points, v))
+        # the pipelined walk's blocks are half as wide once they reach the
+        # floor: the same bits as inline before it, the same to rounding after
+        if _chunk_points(n, _MIN_CHUNK // 2) == _chunk_points(n):
+            assert np.array_equal(G_pipelined, G_inline)
+            assert np.array_equal(c_pipelined, c_inline)
+        else:
+            assert_rel_close(G_pipelined, G_inline)
+            assert_rel_close(c_pipelined, c_inline)
 
     def test_chunks_cover_points_in_order(self, boundary_rule):
         self.check_chunks(boundary_rule, self.n)
@@ -247,17 +288,24 @@ class TestChunkBoundary:
         assert _chunk_points(self.n_floor) == 2048
         self.check_chunks(floor_rule, self.n_floor)
 
-    def test_discrete_gram(self, boundary_rule):
-        self.check_gram(boundary_rule, self.n)
+    def test_pipelined_walk_halves_the_floor(self, floor_rule, monkeypatch):
+        widths = []
+        monkeypatch.setattr(quadrature, "_blas_leaves_a_core", lambda: True)
+        monkeypatch.setattr(quadrature, "_syrk", lambda B, G: widths.append(B.shape[1]))
+        _gram_walk(floor_rule, self.n_floor)
+        assert widths == [1024] * 4 + [1]
 
-    def test_discrete_gram_at_floor_width(self, floor_rule):
-        self.check_gram(floor_rule, self.n_floor)
+    def test_discrete_gram(self, boundary_rule, monkeypatch):
+        self.check_gram(boundary_rule, self.n, monkeypatch)
 
-    def test_fused_walk(self, boundary_rule):
-        self.check_fused_walk(boundary_rule, self.n)
+    def test_discrete_gram_at_floor_width(self, floor_rule, monkeypatch):
+        self.check_gram(floor_rule, self.n_floor, monkeypatch)
 
-    def test_fused_walk_at_floor_width(self, floor_rule):
-        self.check_fused_walk(floor_rule, self.n_floor)
+    def test_fused_walk(self, boundary_rule, monkeypatch):
+        self.check_fused_walk(boundary_rule, self.n, monkeypatch)
+
+    def test_fused_walk_at_floor_width(self, floor_rule, monkeypatch):
+        self.check_fused_walk(floor_rule, self.n_floor, monkeypatch)
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphyper as sp
+from sphyper import harmonics, quadrature
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import _EXACTNESS_TOL, _LANCZOS_PRODUCTS, discrete_gram
+from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_leaves_a_core,
+                                _blas_threads, _gram_walk, _syrk, discrete_gram)
 
 
 class TestMZConstant:
@@ -185,6 +191,164 @@ class TestGramStructure:
     def test_exact_rule_gram_is_identity(self):
         gram = discrete_gram(sp.product_gauss_rule(6), 5)
         assert np.abs(gram - np.eye(36)).max() < 1e-12
+
+
+class TestSyrkBinding:
+    @pytest.mark.parametrize("n, k", [(15, 700), (46, 300)])
+    def test_matches_scipy_dsyrk_bit_for_bit(self, n, k):
+        B = sp.eval_basis_block(n, sp.random_uniform(k, seed=15))
+        G = np.random.default_rng(16).standard_normal((B.shape[0],) * 2)
+        want = G.copy()
+        _syrk(B, G)
+        scipy.linalg.blas.dsyrk(1.0, B.T, beta=1.0, c=want.T, trans=1, lower=1, overwrite_c=1)
+        assert np.array_equal(G, want)
+
+    def test_refuses_a_strided_block(self):
+        B = sp.eval_basis_block(3, sp.random_uniform(10, seed=15))
+        with pytest.raises(ValueError, match="C-ordered float64"):
+            _syrk(B[:, ::2], np.zeros((16, 16)))
+
+
+def three_block_rule(n):
+    return sp.equal_weight_rule(sp.random_uniform(2 * harmonics._chunk_points(n) + 1, seed=17),
+                                "random")
+
+
+class TestPipelinedWalk:
+    """The Gram walk with its worker thread: errors from either thread reach
+    the caller, the worker is joined on every path, and no more than two
+    basis blocks are alive."""
+
+    n = 6
+
+    @pytest.fixture(autouse=True)
+    def pipelined(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_blas_leaves_a_core", lambda: True)
+
+    def test_worker_error_propagates(self, monkeypatch):
+        threads = []
+
+        def failing(B, G):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise RuntimeError("dsyrk failed on block 2")
+            _syrk(B, G)
+
+        monkeypatch.setattr(quadrature, "_syrk", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="dsyrk failed on block 2"):
+            _gram_walk(three_block_rule(self.n), self.n)
+        assert threads[1] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_basis_error_propagates(self, monkeypatch):
+        evaluate = harmonics.eval_basis_block
+        calls = []
+
+        def failing(n, points):
+            calls.append(n)
+            if len(calls) == 2:
+                raise RuntimeError("basis failed on block 2")
+            return evaluate(n, points)
+
+        def slow(B, G):   # the worker is still busy with block 1 when block 2 fails
+            time.sleep(0.2)
+            _syrk(B, G)
+
+        monkeypatch.setattr(harmonics, "eval_basis_block", failing)
+        monkeypatch.setattr(quadrature, "_syrk", slow)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="basis failed on block 2"):
+            _gram_walk(three_block_rule(self.n), self.n)
+        assert threading.active_count() == before
+
+    def test_at_most_two_blocks_alive(self, monkeypatch):
+        evaluate = harmonics.eval_basis_block
+        blocks, alive = [], []
+
+        def tracked(n, points):
+            B = evaluate(n, points)
+            blocks.append(weakref.ref(B))
+            alive.append(sum(ref() is not None for ref in blocks))
+            return B
+
+        def slow(B, G):   # a worker slower than the evaluation
+            time.sleep(0.05)
+            _syrk(B, G)
+
+        monkeypatch.setattr(harmonics, "eval_basis_block", tracked)
+        monkeypatch.setattr(quadrature, "_syrk", slow)
+        rule = sp.equal_weight_rule(sp.random_uniform(5 * harmonics._chunk_points(self.n), seed=18),
+                                    "random")
+        _gram_walk(rule, self.n)
+        assert alive == [1, 2, 2, 2, 2]
+
+    def test_concurrent_walks_under_fast_switching(self, monkeypatch):
+        # four callers, each with its worker: eight threads on fewer cores
+        rule = three_block_rule(self.n)
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_blas_leaves_a_core", lambda: False)
+            G_inline, c_inline = _gram_walk(rule, self.n, v)
+        results = [None] * 4
+
+        def walk(i):
+            results[i] = _gram_walk(rule, self.n, v)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for G, c in results:
+            assert np.array_equal(G, G_inline) and np.array_equal(c, c_inline)
+
+
+class TestWalkModeSelection:
+    """The worker runs only when the BLAS, configured as OpenBLAS reads its
+    environment, leaves a core idle."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        for name in self.VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(quadrature, "_usable_cores", lambda: 4)
+
+    def test_defaults_to_the_usable_cores(self):
+        assert _blas_threads() == 4
+        assert not _blas_leaves_a_core()
+
+    @pytest.mark.parametrize("given", [(1, 2, 3), (None, 2, 3), (None, None, 3)])
+    def test_reads_variables_in_openblas_order(self, monkeypatch, given):
+        for name, value in zip(self.VARS, given):
+            if value is not None:
+                monkeypatch.setenv(name, str(value))
+        assert _blas_threads() == next(v for v in given if v is not None)
+
+    @pytest.mark.parametrize("value", ["two", "", "0", "-1", " -2", "x3"])
+    def test_ignores_a_value_without_a_positive_leading_count(self, monkeypatch, value):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert _blas_threads() == 3
+
+    @pytest.mark.parametrize("value, threads", [("1.5", 1), ("2x", 2), (" 2", 2), ("+1", 1)])
+    def test_reads_the_leading_digits_as_atoi_does(self, monkeypatch, value, threads):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        assert _blas_threads() == threads
+
+    @pytest.mark.parametrize("threads, pipelined", [(1, True), (3, True), (4, False), (8, False)])
+    def test_pipelines_only_below_the_usable_cores(self, monkeypatch, threads, pipelined):
+        monkeypatch.setenv("OMP_NUM_THREADS", str(threads))
+        assert _blas_leaves_a_core() is pipelined
 
 
 class TestExactnessDegree:
