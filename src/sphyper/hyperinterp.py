@@ -36,6 +36,8 @@ class Hyperinterpolant:
             raise ValueError(
                 f"degree {self.n} needs {(self.n + 1) ** 2} coefficients, "
                 f"got shape {self.coeffs.shape}")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("coefficients are not finite: NaN, inf or an overflow")
 
     def __call__(self, points):
         return evaluate_block(self, points)
@@ -43,32 +45,25 @@ class Hyperinterpolant:
 
 def fit(rule, f, n):
     """Hyperinterpolant of degree n: coeffs = B diag(w) y, chunked over points."""
-    return _gram_fit(rule, f, n, gram=False)[1]
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        coeffs = node_sum(n, rule.points, _weighted_samples(rule, f, n))
+    return Hyperinterpolant(n=n, coeffs=coeffs)
 
 
-def _gram_fit(rule, f, n, gram=True):
-    """(G, h): the rule's discrete Gram and fit(rule, f, n) from one chunk
-    walk over the nodes; G is None without `gram`."""
-    y = _samples(rule, f, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        wy = rule.weights * y
-        G, coeffs = (_gram_walk(rule, n, wy) if gram
-                     else (None, node_sum(n, rule.points, wy)))
-    return G, _finite_fit(n, coeffs)
+def _gram_fit(rule, f, n):
+    """(G, h): the upper triangle of the rule's discrete Gram (`_gram_walk`)
+    and fit(rule, f, n), from one chunk walk over the nodes."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        G, coeffs = _gram_walk(rule, n, _weighted_samples(rule, f, n))
+    return G, Hyperinterpolant(n=n, coeffs=coeffs)
 
 
-def _samples(rule, f, n):
-    """f at the rule's nodes, checked, for a fit of degree n."""
+def _weighted_samples(rule, f, n):
+    """w * f at the rule's nodes for sums up to degree n, n and f checked; a
+    product that overflows is refused as a sum that is not finite."""
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
-    return sample_values(f, rule.points)
-
-
-def _finite_fit(n, coeffs):
-    """The degree-n hyperinterpolant with these coefficients, if finite."""
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficients are not finite: the weighted samples overflow")
-    return Hyperinterpolant(n=n, coeffs=coeffs)
+    return rule.weights * sample_values(f, rule.points)
 
 
 def audited_fit(rule, f, n):
@@ -103,15 +98,17 @@ def evaluate_kernel(rule, f, n, points):
     double sum through the addition theorem; kept as an independent code
     path for cross-checks.
     """
-    y = sample_values(f, rule.points)
     pts = unit_points(points)
-    wy = rule.weights * y
     out = np.empty(pts.shape[0])
     width = max(1, _BLOCK_VALUES // rule.m)     # targets per block of inner products
-    for lo in range(0, pts.shape[0], width):
-        hi = min(lo + width, pts.shape[0])
-        u = pts[lo:hi] @ rule.points.T          # inner products, (width, m)
-        out[lo:hi] = kernel_dot(n, u) @ wy
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        wy = _weighted_samples(rule, f, n)
+        for lo in range(0, pts.shape[0], width):
+            hi = min(lo + width, pts.shape[0])
+            u = pts[lo:hi] @ rule.points.T          # inner products, (width, m)
+            out[lo:hi] = kernel_dot(n, u) @ wy
+    if not np.all(np.isfinite(out)):
+        raise ValueError("kernel sums are not finite: the weighted samples overflow")
     return out
 
 
@@ -123,12 +120,12 @@ def project_reference(f, n, ref):
     the weights (the exactness integrals) and the weighted samples, whose
     leading (n+1)^2 sums are fit(ref, f, n)'s coefficients.
     """
-    y = _samples(ref, f, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = node_sum(n + 1, ref.points, np.column_stack([ref.weights, ref.weights * y]))
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        sums = node_sum(n + 1, ref.points,
+                        np.column_stack([ref.weights, _weighted_samples(ref, f, n)]))
     report = _exactness_report(sums[:, 0])
     if report.degree < n + 1:
         raise ValueError(
             f"reference rule exactness {report.degree} < n + 1 = {n + 1}; "
             "refusing the degenerate projection")
-    return _finite_fit(n, np.ascontiguousarray(sums[:(n + 1) ** 2, 1]))
+    return Hyperinterpolant(n=n, coeffs=np.ascontiguousarray(sums[:(n + 1) ** 2, 1]))

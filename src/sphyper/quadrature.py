@@ -76,13 +76,17 @@ def sample_values(f, points):
 
 
 def discrete_gram(rule, n):
-    """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks."""
-    return _gram_walk(rule, n)[0]
+    """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks:
+    the full matrix, its lower triangle mirrored from the walk's upper one."""
+    G = _gram_walk(rule, n)[0]
+    G += np.triu(G, 1).T
+    return G
 
 
 def _gram_walk(rule, n, v=None):
-    """(G, c) from one chunk walk: the discrete Gram G = B diag(w) B^T and,
-    when `v` is given, the node sum c = B v (else c is None).
+    """(G, c) from one chunk walk: the upper triangle of the discrete Gram
+    G = B diag(w) B^T, as dsyrk leaves it (the strict lower triangle is
+    zero), and, when `v` is given, the node sum c = B v (else c is None).
 
     In the degree-major basis, G and c at any degree n' <= n are the leading
     (n'+1)^2 block and slice of these, so one walk at the largest degree
@@ -118,12 +122,6 @@ def _gram_walk(rule, n, v=None):
             del B
         if added is not None:
             added.result()
-    # mirror the upper triangle once, 128 columns at a time: one transposed
-    # add over all of G reads it out of cache (40 ms against 7 at dim 2209)
-    for i in range(0, dim, 128):
-        d = G[i:i + 128, i:i + 128]
-        d += np.triu(d, 1).T
-        G[i + 128:, i:i + 128] = G[i:i + 128, i + 128:].T
     return G, c
 
 
@@ -169,8 +167,8 @@ def _blas_leaves_a_core():
     that a worker thread's dsyrk and basis evaluation on the calling thread
     can run at once.  The count is the one the BLAS read when it loaded
     (`_blas_threads`); a change to it at run time (threadpoolctl) is not
-    seen.  That can only cost speed, never correctness: both modes of the
-    Gram's walk give the same G."""
+    seen.  That only costs speed: the walk's two modes give the same G bit
+    for bit for n <= 21, and the same to rounding above."""
     return _blas_threads() < _usable_cores()
 
 
@@ -197,16 +195,17 @@ def mz_constant(rule, n):
     """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport."""
     if n < 0:
         raise ValueError(f"degree n must be >= 0, got {n}")
-    return mz_report(discrete_gram(rule, n))
+    return mz_report(_gram_walk(rule, n)[0])
 
 
 def mz_report(G):
     """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2.
 
-    Above dim _LANCZOS_DIM, lambda_max and lambda_min come from Lanczos on
-    G's stored triangle (`_lanczos_extremes`); if it spends its product
-    budget first, or at smaller dims, from the dense `eigvalsh`.  The two
-    agree to about 1e-14.
+    Both solvers read G's upper triangle only, so G may be the full matrix
+    or the walk's triangle.  Above dim _LANCZOS_DIM, lambda_max and
+    lambda_min come from Lanczos (`_lanczos_extremes`); if it spends its
+    product budget first, or at smaller dims, from the dense `eigvalsh`.
+    The two agree to about 1e-14.
     """
     dim = G.shape[0]
     if not np.all(np.isfinite(G)):
@@ -220,7 +219,8 @@ def mz_report(G):
             pass  # lam stays None: the dense solver below takes over
     if lam is None:
         try:
-            lam = np.linalg.eigvalsh(G)[[0, -1]]
+            # G.T's lower triangle, which eigvalsh reads, is G's upper one
+            lam = np.linalg.eigvalsh(G.T)[[0, -1]]
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver failed on the {dim}x{dim} Gram: {exc}")
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
@@ -236,8 +236,8 @@ class _OverBudget(Exception):
 
 def _lanczos_extremes(G):
     """(lambda_min, lambda_max) of the symmetric G by Lanczos (ARPACK's
-    `eigsh`, largest then smallest end), from products with one triangle of
-    G; raises _OverBudget past _LANCZOS_PRODUCTS products."""
+    `eigsh`, largest then smallest end), from products with G's upper
+    triangle; raises _OverBudget past _LANCZOS_PRODUCTS products."""
     from scipy.linalg.blas import dsymv
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     dim = G.shape[0]

@@ -253,7 +253,9 @@ class TestChunkBoundary:
             for r in (rule, unequal):
                 G = sp.discrete_gram(r, n)
                 assert_rel_close(G, (B * r.weights) @ B.T)
-                # only one triangle is accumulated: the other is its exact mirror
+                # the walk keeps the upper triangle dsyrk writes, its strict
+                # lower one zero, and discrete_gram mirrors it exactly
+                assert np.array_equal(_gram_walk(r, n)[0], np.triu(G))
                 assert np.array_equal(G, G.T)
 
         in_each_walk_mode(monkeypatch, check)
@@ -265,7 +267,7 @@ class TestChunkBoundary:
 
         def check():
             G, c = _gram_walk(unequal, n, v)
-            assert np.array_equal(G, sp.discrete_gram(unequal, n))
+            assert np.array_equal(G, np.triu(sp.discrete_gram(unequal, n)))
             return G, c
 
         (G_inline, c_inline), (G_pipelined, c_pipelined) = in_each_walk_mode(monkeypatch, check)

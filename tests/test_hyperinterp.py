@@ -79,11 +79,30 @@ class TestFit:
             with pytest.raises(ValueError, match="coefficients are not finite"):
                 sp.fit(rule, sp.by_name("f1"), 7)
 
+    def test_overflowing_weighted_samples_refused_by_every_path(self):
+        # w * f overflows at every node: each path that sums it refuses the
+        # sums, without a numpy RuntimeWarning
+        rule = sp.QuadratureRule(sp.random_uniform(50, seed=14), np.full(50, 1e300), "loaded")
+        f = lambda pts: np.full(len(pts), 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                sp.fit(rule, f, 3)
+            with pytest.raises(ValueError, match="not finite"):
+                sp.audited_fit(rule, f, 3)
+            with pytest.raises(ValueError, match="not finite"):
+                sp.evaluate_kernel(rule, f, 3, sp.random_uniform(3, seed=15))
+
 
 class TestHyperinterpolantObject:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             sp.Hyperinterpolant(n=2, coeffs=np.zeros(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients are not finite"):
+            sp.Hyperinterpolant(n=1, coeffs=np.array([0.5, bad, 1.0, 0.0]))
 
     def test_callable_matches_evaluate_block(self):
         h = sp.Hyperinterpolant(n=1, coeffs=np.array([0.5, 0.0, 1.0, 0.0]))

@@ -175,6 +175,29 @@ class TestEigensolverBranch:
         assert abs(report.lambda_max - lam[-1]) <= 1e-14
 
 
+def equal_area_rule(m):
+    return sp.equal_weight_rule(sp.equal_area(m), "equal_area")
+
+
+class TestGramTriangle:
+    """mz_report reads the Gram's upper triangle only, on every solver branch."""
+
+    @pytest.mark.parametrize("rule, n, branch", [
+        pytest.param(lambda: equal_area_rule(4 * 49), 6, "dense", id="dense"),
+        pytest.param(lambda: equal_area_rule(4 * 676), 25, "lanczos", id="lanczos-25"),
+        pytest.param(lambda: equal_area_rule(4 * 961), 30, "lanczos", id="lanczos-30"),
+        pytest.param(lambda: sp.product_gauss_rule(21), 25, "fallback", id="fallback"),
+    ])
+    def test_upper_triangle_reports_as_the_full_gram(self, monkeypatch, rule, n, branch):
+        G = discrete_gram(rule(), n)
+        report, calls = report_and_calls(monkeypatch, np.triu(G))
+        assert report == sp.mz_report(G)   # field by field, bit for bit
+        assert {"dense": calls == {"eigvalsh": 1},
+                "lanczos": calls["eigsh"] == 2 and calls["eigvalsh"] == 0,
+                "fallback": calls["dsymv"] == _LANCZOS_PRODUCTS and calls["eigvalsh"] == 1,
+                }[branch]
+
+
 class TestGramStructure:
     def test_symmetric(self):
         rule = sp.equal_weight_rule(sp.random_uniform(80, seed=8), "random")
