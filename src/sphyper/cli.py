@@ -1,7 +1,8 @@
 """Command-line harness: point-set generation, eta reports, sweeps, checks.
 
 Exit codes: 0 on success, 1 when a check fails, 2 on bad input (unknown
-kinds, malformed config or point files, invalid grids).
+kinds, malformed config or point files, invalid grids, or a Gram too large
+to allocate).
 """
 
 import argparse
@@ -78,12 +79,11 @@ _OUTPUT_KEYS = {"out": ".csv", "aggregate_out": "_agg.csv", "times_out": "_times
 
 
 def config_from_file(path):
-    """SweepConfig and output paths of a config file.  Its keys are the
-    fields that are not per-run; a key it leaves out keeps the default."""
+    """SweepConfig and output paths of a config file.  Its keys are
+    SweepConfig's fields; a key it leaves out keeps the default."""
     raw = parse_config(path)
     fields = {_FIELD_KEYS.get(f.name, f.name): f
-              for f in dataclasses.fields(experiments.SweepConfig)
-              if not f.metadata.get("per_run")}
+              for f in dataclasses.fields(experiments.SweepConfig)}
     unknown = set(raw) - set(fields) - set(_OUTPUT_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -106,10 +106,9 @@ def config_from_file(path):
 
 def cmd_sweep(args):
     config, outs = config_from_file(args.config)
-    config = dataclasses.replace(config, force=args.force)
     if args.out:
         outs["out"] = args.out
-    rows = experiments.run_sweep(config)
+    rows = experiments.run_sweep(config, force=args.force)
     experiments.write_cells(outs["out"], rows)
     experiments.write_aggregates(outs["aggregate_out"], rows)
     experiments.write_times(outs["times_out"], rows)
@@ -176,7 +175,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

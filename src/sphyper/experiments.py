@@ -11,7 +11,7 @@ separate file for that reason.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,6 @@ class SweepConfig:
     beta: int = 1
     seed: int = 0
     repetitions: int = 0
-    # per-run settings: flags of the sweep command, not config-file keys
-    force: bool = field(default=False, metadata={"per_run": True})
 
     def __post_init__(self):
         if set(",\r\n") & set(self.experiment):
@@ -152,8 +150,9 @@ def sweep_cells(config):
             for m in SCHEDULES[config.schedule](n, config) for rep in range(reps)]
 
 
-def run_sweep(config):
-    """Execute every cell; returns rows in deterministic (n, m, rep) order.
+def run_sweep(config, force=False):
+    """Execute every cell, a rank-deficient one only with `force`; returns
+    rows in deterministic (n, m, rep) order.
 
     Each rule takes one basis pass, at the largest degree of its cells.
     """
@@ -168,7 +167,7 @@ def run_sweep(config):
             raise ValueError(
                 f"cell n={n}, m={m}: the point file {config.points} has "
                 f"{nodes} nodes, and m must equal its node count")
-        if (n + 1) ** 2 > nodes and not config.force:
+        if (n + 1) ** 2 > nodes and not force:
             raise ValueError(
                 f"cell n={n}, m={m}: basis dimension {(n + 1) ** 2} exceeds "
                 f"the rule's {nodes} nodes (rank-deficient); pass force to "

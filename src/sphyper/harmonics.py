@@ -26,11 +26,7 @@ SPHERE_AREA = 4.0 * math.pi
 # cache when the product that reads it runs; a 41 MB block (20000 points at
 # n = 15) is written at about half the rate.  Narrow blocks leave
 # eval_basis_block's per-(l, m) Python loop dominant, so a basis block never
-# has fewer than _MIN_CHUNK points.  The Gram's pipelined walk holds two
-# blocks at once (one in dsyrk while the next is evaluated), so it halves
-# the floor: two of its blocks at n >= 32 hold what one does elsewhere.
-# Halving it for every walk measured 4-9% slower on the inline walks at
-# two BLAS threads (2-vCPU VM).
+# has fewer than _MIN_CHUNK points.
 _BLOCK_VALUES = 2 ** 20
 _MIN_CHUNK = 2048
 
@@ -118,52 +114,26 @@ def eval_basis_block(n, points):
 
 
 def basis_chunks(n, points, min_points=_MIN_CHUNK):
-    """Walk `points` in chunks: yield (rows, eval_basis_block(n, points[rows])).
+    """Walk `points` in chunks: an iterator of (rows, eval_basis_block(n,
+    points[rows])), with n checked when it is called, before any block.
 
     Each chunk has _chunk_points(n, min_points) points, the last at most
-    that many.
-    `rows` is the slice of `points` that the block's columns cover.  Every
-    sum over a rule's nodes (Gram, coefficients, exactness integrals) and
-    every synthesis at many points goes through this one walk.  A consumer
-    that deletes its block at the end of each step keeps one block alive
-    instead of two while the next one is built.
+    that many; `rows` is the slice of `points` that the block's columns
+    cover.  Every sum over a rule's nodes (`quadrature`) and every synthesis
+    at many points goes through this one walk.  A consumer that deletes its
+    block at the end of each step keeps one block alive instead of two
+    while the next one is built.
     """
     width = _chunk_points(n, min_points)
-    for lo in range(0, len(points), width):
-        rows = slice(lo, min(lo + width, len(points)))
-        yield rows, eval_basis_block(n, points[rows])
-
-
-def node_sum(n, points, v):
-    """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order: the one
-    sum over a rule's nodes behind coefficients and exactness integrals.
-    A `v` of shape (m, k) gives the k sums as the columns of the result."""
-    out = np.zeros(((n + 1) ** 2,) + v.shape[1:])
-    for rows, B in basis_chunks(n, points):
-        out += block_dot(B, v[rows])
-        del B
-    return out
-
-
-def block_dot(B, v):
-    """B @ v for a basis block and a vector (dgemv) or a few columns (dgemm)
-    of node values, through scipy's BLAS, which the Gram's dsyrk uses too.
-    numpy and scipy each bring their own BLAS and thread pool; alternating
-    the two in one walk made them contend for the cores, and at two BLAS
-    threads dsyrk ran about 3x slower per block (2-vCPU VM).  On numpy 2.4.6
-    and scipy 1.17.1 the vector result matched numpy's B @ v bit for bit.
-    scipy.linalg.blas's f2py wrappers hold the GIL while BLAS runs, so these
-    products run on the thread that evaluates the basis; the Gram's worker
-    thread calls dsyrk through a binding that releases it
-    (`quadrature._syrk`)."""
-    from scipy.linalg.blas import dgemm, dgemv  # imported here: scipy.linalg takes ~0.3 s
-    if v.ndim == 1:
-        return dgemv(1.0, B.T, v, trans=1)
-    return dgemm(1.0, B.T, v, trans_a=1)
+    chunks = [slice(lo, min(lo + width, len(points))) for lo in range(0, len(points), width)]
+    return ((rows, eval_basis_block(n, points[rows])) for rows in chunks)
 
 
 def _chunk_points(n, min_points=_MIN_CHUNK):
-    """Points per basis block at degree n: _BLOCK_VALUES values, or min_points."""
+    """Points per basis block at degree n: _BLOCK_VALUES values, or min_points.
+    Every walk sizes its blocks here, so this is where n is checked."""
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
     return max(min_points, _BLOCK_VALUES // (n + 1) ** 2)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot, node_sum
+from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import _exactness_report, _gram_walk, mz_report, sample_values
+from .quadrature import _exactness_report, _gram_walk, mz_report, node_sum, sample_values
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -32,6 +32,8 @@ class Hyperinterpolant:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        if self.n < 0:
+            raise ValueError(f"degree n must be >= 0, got {self.n}")
         if self.coeffs.shape != ((self.n + 1) ** 2,):
             raise ValueError(
                 f"degree {self.n} needs {(self.n + 1) ** 2} coefficients, "

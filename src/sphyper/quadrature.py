@@ -1,4 +1,4 @@
-"""Measured exactness degree, and the MZ constant eta.
+"""Every sum over a rule's nodes: node sums, exactness degree, the Gram and eta.
 
 The Marcinkiewicz-Zygmund constant of a rule at degree n is the spectral
 norm of G - I where G is the discrete Gram matrix of the orthonormal
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import (SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, block_dot,
-                        node_sum)
+from .harmonics import SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -83,6 +82,18 @@ def discrete_gram(rule, n):
     return G
 
 
+def node_sum(n, points, v):
+    """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order: the one
+    sum over a rule's nodes behind coefficients and exactness integrals.
+    A `v` of shape (m, k) gives the k sums as the columns of the result."""
+    chunks = basis_chunks(n, points)   # checks n before out is allocated
+    out = np.zeros(((n + 1) ** 2,) + v.shape[1:])
+    for rows, B in chunks:
+        out += block_dot(B, v[rows])
+        del B
+    return out
+
+
 def _gram_walk(rule, n, v=None):
     """(G, c) from one chunk walk: the upper triangle of the discrete Gram
     G = B diag(w) B^T, as dsyrk leaves it (the strict lower triangle is
@@ -101,11 +112,11 @@ def _gram_walk(rule, n, v=None):
     both make the same dsyrk calls in the same order, so G and c are the
     same bit for bit; at n >= 22 they differ in rounding only.
     """
+    pipelined = rule.m > _chunk_points(n) and _blas_leaves_a_core()   # checks n first
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
     c = None if v is None else np.zeros(dim)
     sqrt_w = np.sqrt(rule.weights)   # weights are positive
-    pipelined = rule.m > _chunk_points(n) and _blas_leaves_a_core()
     min_points = _MIN_CHUNK // 2 if pipelined else _MIN_CHUNK
     added = None   # the worker's future for the block before
     with ThreadPoolExecutor(1) if pipelined else contextlib.nullcontext() as worker:
@@ -123,6 +134,20 @@ def _gram_walk(rule, n, v=None):
         if added is not None:
             added.result()
     return G, c
+
+
+def block_dot(B, v):
+    """B @ v for a basis block and a vector (dgemv) or a few columns (dgemm)
+    of node values, through scipy's BLAS, which dsyrk uses too.  numpy and
+    scipy each bring their own BLAS and thread pool; alternating the two in
+    one walk made them contend for the cores, and at two BLAS threads dsyrk
+    ran about 3x slower per block (2-vCPU VM).  On numpy 2.4.6 and scipy
+    1.17.1 the vector result matched numpy's B @ v bit for bit.  It holds
+    the GIL, so it runs on the thread that evaluates the basis (`_dsyrk`)."""
+    from scipy.linalg.blas import dgemm, dgemv  # imported here: scipy.linalg takes ~0.3 s
+    if v.ndim == 1:
+        return dgemv(1.0, B.T, v, trans=1)
+    return dgemm(1.0, B.T, v, trans_a=1)
 
 
 def _syrk(B, G):
@@ -145,10 +170,11 @@ def _syrk(B, G):
 @functools.cache
 def _dsyrk():
     """BLAS dsyrk as a ctypes function, bound once to the routine that
-    scipy.linalg.cython_blas exports.  ctypes releases the GIL for the call,
-    where scipy.linalg.blas's f2py wrapper holds it, so a worker thread's
-    dsyrk overlaps Python work on the calling thread.  It is the routine the
-    f2py wrapper calls, with the same arguments, so the bits are the same."""
+    scipy.linalg.cython_blas exports.  scipy.linalg.blas's f2py wrappers
+    (block_dot's dgemv and dgemm too) hold the GIL while BLAS runs; ctypes
+    releases it for the call, so a worker thread's dsyrk overlaps Python
+    work on the calling thread.  It is the routine the f2py wrapper calls,
+    with the same arguments, so the bits are the same."""
     from scipy.linalg import cython_blas  # imported here: scipy.linalg takes ~0.3 s
     capsule = cython_blas.__pyx_capi__["dsyrk"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -193,20 +219,22 @@ def _usable_cores():
 
 def mz_constant(rule, n):
     """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport."""
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
     return mz_report(_gram_walk(rule, n)[0])
 
 
 def mz_report(G):
     """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2.
 
-    Both solvers read G's upper triangle only, so G may be the full matrix
-    or the walk's triangle.  Above dim _LANCZOS_DIM, lambda_max and
-    lambda_min come from Lanczos (`_lanczos_extremes`); if it spends its
-    product budget first, or at smaller dims, from the dense `eigvalsh`.
-    The two agree to about 1e-14.
+    G must be square with dim (n+1)^2 for some n >= 0.  Both solvers read
+    its upper triangle only, so G may be the full matrix or the walk's
+    triangle.  Above dim _LANCZOS_DIM, lambda_max and lambda_min come from
+    Lanczos (`_lanczos_extremes`); if it spends its product budget first,
+    or at smaller dims, from the dense `eigvalsh`.  The two agree to about
+    1e-14.
     """
+    n = math.isqrt(G.shape[0]) - 1 if G.ndim == 2 and G.shape[0] == G.shape[1] else -1
+    if n < 0 or G.shape[0] != (n + 1) ** 2:
+        raise ValueError(f"a Gram is square of dim (n+1)^2, n >= 0; got shape {G.shape}")
     dim = G.shape[0]
     if not np.all(np.isfinite(G)):
         raise ValueError(f"the {dim}x{dim} Gram is not finite: the rule's "
@@ -226,7 +254,7 @@ def mz_report(G):
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
     lam_min, lam_max = max(float(lam[0]), 0.0), float(lam[1])
     eta = max(abs(lam_min - 1.0), abs(lam_max - 1.0))
-    return MZReport(n=math.isqrt(dim) - 1, eta=eta, lambda_min=lam_min,
+    return MZReport(n=n, eta=eta, lambda_min=lam_min,
                     lambda_max=lam_max, dim=dim, rank_deficient=lam_min <= RANK_TOL)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sphyper as sp
+from sphyper import quadrature
 from sphyper.cli import config_from_file, main
 
 
@@ -115,6 +116,20 @@ class TestEta:
         fields = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert float(fields[3]) < 0.5
 
+
+    def test_gram_too_large_to_allocate_exits_two(self, capsys, monkeypatch):
+        # n = 1000 asks for a 7.31 TiB Gram; the walk is replaced so that
+        # nothing that large is requested for real
+        def refused(rule, n, v=None):
+            raise MemoryError("Unable to allocate 7.31 TiB for an array with "
+                              "shape (1002001, 1002001) and data type float64")
+
+        monkeypatch.setattr(quadrature, "_gram_walk", refused)
+        rc = main(["eta", "--kind", "random", "--m", "10", "--n", "1000"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 7.31 TiB for an array with shape "
+            "(1002001, 1002001) and data type float64\n")
 
     def test_load_nan_row_exits_two(self, tmp_path, capsys):
         pts_file = tmp_path / "p.txt"

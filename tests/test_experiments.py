@@ -160,8 +160,8 @@ class TestRunSweep:
             sp.run_sweep(config(n_list=(7,), m_list=(10,)))
 
     def test_force_allows(self):
-        rows = sp.run_sweep(config(n_list=(7,), m_list=(10,), force=True,
-                                   repetitions=1))
+        rows = sp.run_sweep(config(n_list=(7,), m_list=(10,), repetitions=1),
+                            force=True)
         assert [(r.n, r.m) for r in rows] == [(7, 10)]
         assert rows[0].eta >= 1.0
 
@@ -171,7 +171,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="exceeds the rule's 98 nodes"):
             sp.run_sweep(cfg)
         rows = sp.run_sweep(config(points="gauss_product", n_list=(9,),
-                                   m_list=(100,), force=True))
+                                   m_list=(100,)), force=True)
         assert [(r.n, r.m) for r in rows] == [(9, 98)]
         assert rows[0].eta >= 1.0
 
@@ -203,8 +203,8 @@ class TestRunSweep:
         cfg = config(points=str(path), n_list=(6,), m_list=(10,))
         with pytest.raises(ValueError, match="rank-deficient"):
             sp.run_sweep(cfg)
-        rows = sp.run_sweep(config(points=str(path), n_list=(6,), m_list=(10,),
-                                   force=True))
+        rows = sp.run_sweep(config(points=str(path), n_list=(6,), m_list=(10,)),
+                            force=True)
         assert [(r.n, r.m) for r in rows] == [(6, 10)]
         assert rows[0].eta >= 1.0
 

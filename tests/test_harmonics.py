@@ -1,5 +1,7 @@
+import ast
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,8 @@ from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
 from sphyper import quadrature
-from sphyper.harmonics import (SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, basis_indices,
-                               node_sum)
-from sphyper.quadrature import _gram_walk
+from sphyper.harmonics import SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, basis_indices
+from sphyper.quadrature import _gram_walk, node_sum
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
 raw_vectors = st.tuples(coords, coords, coords).filter(
@@ -327,3 +328,16 @@ class TestChunkBoundary:
         h = sp.Hyperinterpolant(n=self.n, coeffs=coeffs)
         assert_rel_close(sp.evaluate_block(h, boundary_rule.points),
                          coeffs @ sp.eval_basis_block(self.n, boundary_rule.points))
+
+
+def test_harmonics_imports_only_math_and_numpy():
+    """The basis module holds the basis, its blocks and the kernel; every BLAS
+    product and thread of a sum over a rule's nodes lives in quadrature."""
+    tree = ast.parse(Path(sp.harmonics.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):   # imports inside functions too
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sphyper as sp
-from sphyper import harmonics
+from sphyper import quadrature
 from sphyper.harmonics import SPHERE_AREA
 
 
@@ -98,6 +98,11 @@ class TestHyperinterpolantObject:
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             sp.Hyperinterpolant(n=2, coeffs=np.zeros(8))
+
+    def test_negative_degree_rejected(self):
+        # (n + 1)^2 = 0 coefficients would match an empty array
+        with pytest.raises(ValueError, match="degree n must be >= 0, got -1"):
+            sp.Hyperinterpolant(n=-1, coeffs=[])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coefficients_rejected(self, bad):
@@ -215,14 +220,14 @@ class TestProjectReference:
     def test_one_walk_at_n_plus_1_matches_fit(self, monkeypatch):
         f3 = sp.by_name("f3")
         refs = {n: sp.reference_rule_for(n) for n in (10, 30)}
-        walks, walk = [], harmonics.basis_chunks
+        walks, walk = [], quadrature.basis_chunks
 
         def counted(n, points):
             walks.append(n)
             return walk(n, points)
 
         with monkeypatch.context() as mp:
-            mp.setattr(harmonics, "basis_chunks", counted)
+            mp.setattr(quadrature, "basis_chunks", counted)
             got = {n: sp.project_reference(f3, n, ref) for n, ref in refs.items()}
         assert walks == [11, 31]
         for n, ref in refs.items():

@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 import threading
 import time
@@ -15,7 +17,7 @@ import sphyper as sp
 from sphyper import harmonics, quadrature
 from sphyper.pointsets import QuadratureRule
 from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_leaves_a_core,
-                                _blas_threads, _gram_walk, _syrk, discrete_gram)
+                                _blas_threads, _gram_walk, _syrk, discrete_gram, node_sum)
 
 
 class TestMZConstant:
@@ -72,6 +74,29 @@ class TestMZConstant:
         rule = sp.product_gauss_rule(2)
         with pytest.raises(ValueError):
             sp.mz_constant(rule, -1)
+
+    @pytest.mark.parametrize("walk", [
+        sp.mz_constant, discrete_gram, lambda rule, n: node_sum(n, rule.points, rule.weights),
+    ], ids=["mz_constant", "discrete_gram", "node_sum"])
+    @pytest.mark.parametrize("n", [-1, -2, -10 ** 6])
+    def test_every_walk_checks_its_degree(self, walk, n):
+        # where the walk sizes its blocks, before it allocates anything
+        with pytest.raises(ValueError, match=f"degree n must be >= 0, got {n}"):
+            walk(sp.product_gauss_rule(2), n)
+
+    @pytest.mark.parametrize("G", [np.eye(5), np.ones((4, 3)), np.ones(4), np.ones((0, 0)),
+                                   np.float64(1.0)], ids=["dim-5", "4x3", "1-d", "empty", "0-d"])
+    def test_gram_shape_checked(self, G):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(G)}")):
+            sp.mz_report(G)
+
+    def test_solver_failure_stays_a_runtime_error(self, monkeypatch):
+        def failing(G):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(RuntimeError, match="eigensolver failed on the 4x4 Gram"):
+            sp.mz_report(np.eye(4))
 
     def test_lanczos_branch_repeats_and_matches_dense(self):
         # dim 2025 > 625 takes the Lanczos branch
@@ -397,3 +422,86 @@ class TestExactnessDegree:
         report = sp.exactness_degree(sp.product_gauss_rule(2), 6)
         assert len(report.residuals) == 7
         assert report.residuals[4] > _EXACTNESS_TOL
+
+
+def energies(c):
+    """||c_l|| of each degree l of a coefficient vector in canonical order."""
+    return np.array([np.linalg.norm(c[l * l:(l + 1) ** 2]) for l in range(math.isqrt(c.size))])
+
+
+@st.composite
+def rules_and_degrees(draw):
+    """(rule, n, top): a random, equal-area or bundled-design rule, a degree n
+    with (n+1)^2 <= m and n <= 15, and the largest such degree, top."""
+    kind = draw(st.sampled_from(["random", "equal_area", "design"]))
+    if kind == "design":
+        rule = sp.bundled_tdesign_rule(draw(st.sampled_from(sorted(sp.bundled_tdesigns()))))
+    elif kind == "random":
+        rule = sp.equal_weight_rule(
+            sp.random_uniform(draw(st.integers(1, 2000)), seed=draw(st.integers(0, 2 ** 16))),
+            "random")
+    else:
+        rule = equal_area_rule(draw(st.integers(1, 2000)))
+    top = min(15, math.isqrt(rule.m) - 1)
+    return rule, draw(st.integers(0, top)), top
+
+
+@st.composite
+def rotations(draw):
+    """A rotation of R^3, from a unit quaternion (w, x, y, z)."""
+    q = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+        lambda v: math.hypot(*v) > 0.1)))
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+
+
+class TestOrthogonalInvariance:
+    """Oracle-free checks: every reported quantity is basis independent.
+
+    A rotation R of the nodes acts on each degree l of the basis by an
+    orthogonal (Wigner) matrix, so the Gram's spectrum and each degree's
+    coefficient energy ||c_l|| stay the same; the antipodal map x -> -x
+    multiplies Y_l by (-1)^l.  Measured over 1800 draws of random,
+    equal-area and design rules (m up to 4000, n <= 15): eta, lambda_min and
+    lambda_max moved by at most 2.2e-14, and ||c_l|| by at most 1.3e-14 ||c||
+    (the leading blocks of a walk at the largest degree included); under the
+    antipodal map all of them matched bit for bit.  TOL = 1e-13 leaves a
+    factor of 4.5.
+    """
+
+    TOL = 1e-13
+
+    def assert_same_spectrum(self, got, want):
+        assert got.dim == want.dim
+        for field in ("eta", "lambda_min", "lambda_max"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= self.TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(rules_and_degrees(), st.integers(0, 2 ** 32 - 1), rotations())
+    def test_rotation(self, drawn, seed, R):
+        rule, n, top = drawn
+        rotated = QuadratureRule(rule.points @ R.T, rule.weights, rule.provenance)
+        y = np.random.default_rng(seed).standard_normal(rule.m)   # one value per node
+        want, c = sp.mz_constant(rule, n), sp.fit(rule, y, n).coeffs
+        scale = self.TOL * np.linalg.norm(c)
+        self.assert_same_spectrum(sp.mz_constant(rotated, n), want)
+        assert np.abs(energies(sp.fit(rotated, y, n).coeffs) - energies(c)).max() <= scale
+        # the leading blocks of one walk at the largest degree, as a sweep takes them
+        G, c_top = _gram_walk(rotated, top, rule.weights * y)
+        dim = (n + 1) ** 2
+        self.assert_same_spectrum(sp.mz_report(G[:dim, :dim]), want)
+        assert np.abs(energies(c_top[:dim]) - energies(c)).max() <= scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(rules_and_degrees(), st.integers(0, 2 ** 32 - 1))
+    def test_antipodal_map(self, drawn, seed):
+        rule, n, _ = drawn
+        mirrored = QuadratureRule(-rule.points, rule.weights, rule.provenance)
+        y = np.random.default_rng(seed).standard_normal(rule.m)
+        c = sp.fit(rule, y, n).coeffs
+        parity = np.repeat([(-1.0) ** l for l in range(n + 1)], 2 * np.arange(n + 1) + 1)
+        assert np.abs(sp.fit(mirrored, y, n).coeffs - parity * c).max() <= (
+            self.TOL * np.linalg.norm(c))
+        self.assert_same_spectrum(sp.mz_constant(mirrored, n), sp.mz_constant(rule, n))
