@@ -16,7 +16,8 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import _exactness_report, _gram_walk, mz_report, node_sum, sample_values
+from .quadrature import (_exactness_report, _gram_walk, _ring_report, mz_report, node_sum,
+                         sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -69,13 +70,20 @@ def _weighted_samples(rule, f, n):
 
 
 def audited_fit(rule, f, n):
-    """fit() with an MZ audit of the same chunk walk; refuses rules with eta >= 1.
+    """fit() with an MZ audit; refuses rules with eta >= 1.
 
     With a rank-deficient discrete Gram (eta >= 1) the stability and error
     theory is vacuous, so we fail loudly instead of degrading silently.
+    Above dim 625, a ring rule whose ring moments cost fewer basis values
+    than one walk takes eta from them (`_ring_report`) and its coefficients
+    from fit(); any other rule takes both from the same chunk walk.
     """
-    G, h = _gram_fit(rule, f, n)
-    report = mz_report(G)
+    report = _ring_report(rule, n)
+    if report is None:
+        G, h = _gram_fit(rule, f, n)
+        report = mz_report(G)
+    else:
+        h = fit(rule, f, n)
     if report.eta >= 1.0 or report.rank_deficient:
         raise ValueError(
             f"rule unusable at degree {n}: eta = {report.eta:.6g}, "

@@ -236,7 +236,7 @@ def product_gauss_rule(N):
     """
     if N < 1:
         raise ValueError(f"polar order N must be >= 1, got {N}")
-    t, wt = np.polynomial.legendre.leggauss(N)
+    t, wt = _gauss_legendre(N)
     naz = 2 * N
     phi = 2.0 * math.pi * np.arange(naz) / naz
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
@@ -245,6 +245,20 @@ def product_gauss_rule(N):
     z = np.repeat(t, naz)
     w = np.repeat(wt, naz) * (2.0 * math.pi / naz)
     return QuadratureRule(np.stack([x, y, z], axis=-1), w, "gauss_product")
+
+
+def _gauss_legendre(N):
+    """N-point Gauss-Legendre nodes and weights on [-1, 1]: the nodes from
+    numpy's `leggauss`, the weights 2 / ((1 - x^2) P_N'(x)^2) from the
+    three-term recurrence.  numpy's own weights lose digits as N grows: eta
+    of product_gauss_rule(49) at n = 48, which is exact, is 5.8e-13 with
+    them and 6.4e-14 with these."""
+    x = np.polynomial.legendre.leggauss(N)[0]
+    p_prev, p = np.ones_like(x), x   # P_0, P_1
+    for k in range(1, N):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    dp = N * (x * p - p_prev) / (x * x - 1.0)   # P_N' from P_N and P_{N-1}
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
 def source_points(source, m=None, seed=0, order=None, path=None):

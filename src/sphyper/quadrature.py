@@ -6,6 +6,18 @@ basis under the rule: G = B diag(w) B^T with B the basis-value matrix.
 For any coefficient vector a, sum_j w_j chi(x_j)^2 = a^T G a while
 integral(chi^2) = a^T a, so the MZ ratio extremizes exactly at the
 extreme eigenvalues of G.
+
+Two paths compute eta.  The walk (`_gram_walk`, then `mz_report`) builds
+G's upper triangle with dsyrk; `mz_constant`, the sweeps, random and other
+ringless rules, and every Gram of dim <= 625 take it, and it is the oracle.
+The moments path (`_ring_report`) serves `audited_fit` on ring rules
+(equal_area, product_gauss_rule) above dim 625 when their ring moments cost
+fewer basis values than one walk: Lanczos on a matrix-free operator built
+from the rule's moments to degree 2n, with no dim^2 array.  Its eta agrees
+with the walk's to 1e-13 (measured at most 4.5e-14 on the audit's rules,
+n = 30..46, and 6.4e-14 on equal_area(2600) at n = 44); where
+Lanczos spends its product budget it falls back to the walk and the dense
+eigensolver, so a rank-deficient rule gets the walk's report.
 """
 
 import contextlib
@@ -19,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks
+from .harmonics import SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, eval_basis_block
+from .pointsets import _gauss_legendre
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -225,13 +238,17 @@ def mz_constant(rule, n):
 def mz_report(G):
     """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2.
 
-    G must be square with dim (n+1)^2 for some n >= 0.  Both solvers read
-    its upper triangle only, so G may be the full matrix or the walk's
-    triangle.  Above dim _LANCZOS_DIM, lambda_max and lambda_min come from
-    Lanczos (`_lanczos_extremes`); if it spends its product budget first,
-    or at smaller dims, from the dense `eigvalsh`.  The two agree to about
-    1e-14.
+    G must be a square array (or nested list) of floats with dim (n+1)^2
+    for some n >= 0.  Both solvers read its upper triangle only, so G may
+    be the full matrix or the walk's triangle.  Above dim _LANCZOS_DIM,
+    lambda_max and lambda_min come from Lanczos (`_lanczos_extremes`); if
+    it spends its product budget first, or at smaller dims, from the dense
+    `eigvalsh`.  The two agree to about 1e-14.
     """
+    try:
+        G = np.asarray(G, dtype=float)
+    except (TypeError, ValueError) as exc:   # ragged, or not numbers
+        raise ValueError(f"a Gram is a square array of floats: {exc}") from None
     n = math.isqrt(G.shape[0]) - 1 if G.ndim == 2 and G.shape[0] == G.shape[1] else -1
     if n < 0 or G.shape[0] != (n + 1) ** 2:
         raise ValueError(f"a Gram is square of dim (n+1)^2, n >= 0; got shape {G.shape}")
@@ -239,50 +256,64 @@ def mz_report(G):
     if not np.all(np.isfinite(G)):
         raise ValueError(f"the {dim}x{dim} Gram is not finite: the rule's "
                          "weights overflow it")
-    lam = None
     if dim > _LANCZOS_DIM:
         try:
-            lam = _lanczos_extremes(G)
+            return _report(n, _lanczos_extremes(_triangle_product(G), dim))
         except _OverBudget:
-            pass  # lam stays None: the dense solver below takes over
-    if lam is None:
-        try:
-            # G.T's lower triangle, which eigvalsh reads, is G's upper one
-            lam = np.linalg.eigvalsh(G.T)[[0, -1]]
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"eigensolver failed on the {dim}x{dim} Gram: {exc}")
+            pass  # the dense solver below takes over
+    return _dense_report(G)
+
+
+def _dense_report(G):
+    """MZReport of the finite Gram (full, or its upper triangle) of dim
+    (n+1)^2 from the dense eigensolver."""
+    dim = G.shape[0]
+    try:
+        # G.T's lower triangle, which eigvalsh reads, is G's upper one
+        lam = np.linalg.eigvalsh(G.T)[[0, -1]]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigensolver failed on the {dim}x{dim} Gram: {exc}")
+    return _report(math.isqrt(dim) - 1, lam)
+
+
+def _report(n, lam):
+    """MZReport at degree n of a Gram with extreme eigenvalues lam."""
     # Gram is PSD; scrub the tiny negative round-off an eigensolver may emit
     lam_min, lam_max = max(float(lam[0]), 0.0), float(lam[1])
     eta = max(abs(lam_min - 1.0), abs(lam_max - 1.0))
-    return MZReport(n=n, eta=eta, lambda_min=lam_min,
-                    lambda_max=lam_max, dim=dim, rank_deficient=lam_min <= RANK_TOL)
+    return MZReport(n=n, eta=eta, lambda_min=lam_min, lambda_max=lam_max,
+                    dim=(n + 1) ** 2, rank_deficient=lam_min <= RANK_TOL)
 
 
 class _OverBudget(Exception):
     """Lanczos asked for more than _LANCZOS_PRODUCTS Gram-vector products."""
 
 
-def _lanczos_extremes(G):
-    """(lambda_min, lambda_max) of the symmetric G by Lanczos (ARPACK's
-    `eigsh`, largest then smallest end), from products with G's upper
-    triangle; raises _OverBudget past _LANCZOS_PRODUCTS products."""
+def _triangle_product(G):
+    """x -> G x from G's upper triangle, the triangle dsyrk writes (BLAS dsymv)."""
     from scipy.linalg.blas import dsymv
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-    dim = G.shape[0]
-    # the Fortran view BLAS takes; only a leading block of a larger Gram,
-    # which is not contiguous, is copied, once
+    # the Fortran view BLAS takes, whose lower triangle is G's upper one;
+    # only a leading block of a larger Gram, which is not contiguous, is
+    # copied, once
     Gt = np.ascontiguousarray(G).T
+    return lambda x: dsymv(1.0, Gt, x, lower=1)
+
+
+def _lanczos_extremes(product, dim):
+    """(lambda_min, lambda_max) of a symmetric dim x dim operator by Lanczos
+    (ARPACK's `eigsh`, largest then smallest end), from its products x ->
+    G x; raises _OverBudget past _LANCZOS_PRODUCTS products."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     products = 0
 
-    def product(x):
+    def counted(x):
         nonlocal products
         products += 1
         if products > _LANCZOS_PRODUCTS:
             raise _OverBudget
-        # Gt's lower triangle is G's upper one, the triangle dsyrk writes
-        return dsymv(1.0, Gt, x, lower=1)
+        return product(x)
 
-    op = LinearOperator((dim, dim), matvec=product, dtype=float)
+    op = LinearOperator((dim, dim), matvec=counted, dtype=float)
     # a fixed start vector makes the result repeat bit for bit
     opts = dict(k=1, v0=np.random.default_rng(0).standard_normal(dim),
                 return_eigenvectors=False)
@@ -292,6 +323,128 @@ def _lanczos_extremes(G):
     except ArpackError as exc:
         raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
     return lam_min, lam_max
+
+
+def _ring_report(rule, n):
+    """MZReport of the rule at degree n from its ring moments, or None where
+    the walk should compute it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which
+    the walk refuses), no rings (`_rings`), or ring moments that cost as many
+    basis values as one walk, R (2n+1)^2 >= m (n+1)^2 for R rings.
+
+    Every entry of G integrates a product of degree <= 2n, so G is fixed by
+    the moments s_{L,K} = sum_j w_j Y_{L,K}(x_j), L <= 2n (`_ring_moments`),
+    and Lanczos runs on the matrix-free operator of `_moment_gram`.  If it
+    spends its product budget (lambda_min near 0), the walk and the dense
+    eigensolver give the report, as mz_report's own Lanczos would stall too.
+    """
+    dim = (n + 1) ** 2
+    if n < 0 or dim <= _LANCZOS_DIM:
+        return None
+    if not math.isfinite(rule.weight_sum * dim):
+        # |G_ab| <= sum(w) dim / (4 pi): the walk refuses a Gram that overflows
+        return None
+    rings = _rings(rule)
+    if rings is None or rings[0].size * (2 * n + 1) ** 2 >= rule.m * dim:
+        return None
+    product = _moment_gram(_ring_moments(rule, *rings, 2 * n), n)
+    try:
+        return _report(n, _lanczos_extremes(product, dim))
+    except _OverBudget:
+        return _dense_report(_gram_walk(rule, n)[0])
+
+
+# largest |u_k - u_0 e^(2 pi i k / N)|, u = x + iy, that `_rings` reads as
+# equispaced; the rings of equal_area (m = 3..10^6) and product_gauss_rule
+# (N = 1..119) are within 3.7e-15 of it
+_RING_TOL = 1e-14
+
+
+def _rings(rule):
+    """(starts, counts) of the rule's rings, or None if it has a run that is
+    not one.  A run is a maximal run of consecutive nodes with bit-equal z
+    and weight; it is a ring when its N nodes are equispaced in azimuth,
+    u_k = u_0 e^(2 pi i k / N) with u = x + iy to within _RING_TOL.  A
+    single node is a ring of one, so a rule without repeated z (random
+    points, rotated rings) has m rings."""
+    z, w = rule.points[:, 2], rule.weights
+    starts = np.flatnonzero(np.concatenate([[True], (z[1:] != z[:-1]) | (w[1:] != w[:-1])]))
+    counts = np.diff(np.append(starts, rule.m))
+    ring = np.repeat(np.arange(starts.size), counts)
+    u = rule.points[:, 0] + 1j * rule.points[:, 1]
+    turn = np.exp(2j * math.pi * (np.arange(rule.m) - starts[ring]) / counts[ring])
+    if np.max(np.abs(u - u[starts[ring]] * turn)) > _RING_TOL:
+        return None
+    return starts, counts
+
+
+def _ring_moments(rule, starts, counts, L):
+    """Moments s_{l,k} = sum_j w_j Y_{l,k}(x_j), l <= L, of a rule made of
+    rings (`_rings`), in canonical order.  The N nodes of a ring sum
+    e^(iM phi_j) to N e^(iM phi_0) where N divides M and to 0 elsewhere, so
+    the ring adds w N Y_{l,k}(first node) to the rows of order M that N
+    divides: one basis evaluation at the rings' first nodes."""
+    degree = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
+    order = (np.arange((L + 1) ** 2) - degree ** 2 + 1) // 2   # k // 2
+    heads = rule.points[starts]
+    v = rule.weights[starts] * counts
+    out = np.zeros((L + 1) ** 2)
+    for rows, B in basis_chunks(L, heads):
+        B *= order[:, None] % counts[rows] == 0
+        out += block_dot(B, v[rows])
+        del B
+    return out
+
+
+def _moment_gram(moments, n):
+    """x -> G x for the Gram G at degree n of a rule with the given moments
+    up to degree 2n, with no dim^2 array: G x = A_n(mu S_n x), mu = sum
+    s_{L,K} Y_{L,K}, on a grid exact to degree 4n, (2n+1) Gauss-Legendre
+    nodes in z by 4n+1 equispaced azimuths.  S_n is synthesis and A_n the
+    weighted analysis on that grid, each a per-order Legendre table product
+    and a cos/sin table product (the per-order transforms of SHTns)."""
+    L = 2 * n
+    z, wz = _gauss_legendre(L + 1)
+    phi = 2.0 * math.pi * np.arange(2 * L + 1) / (2 * L + 1)
+    cos_rows, sin_rows = _order_rows(L)
+    # the per-order tables P[M, l, j]: Y_{l,k} of order M at azimuth 0,
+    # where its sin(M phi) row is 0, at node j; 0 where l < M
+    nodes = np.column_stack([np.sqrt((1.0 - z) * (1.0 + z)), np.zeros_like(z), z])
+    P = np.vstack([eval_basis_block(L, nodes), np.zeros(z.size)])[cos_rows]
+    cos, sin = np.cos(np.outer(np.arange(L + 1), phi)), np.sin(np.outer(np.arange(L + 1), phi))
+    # the density mu on the grid, times the grid's weights
+    mu_w = (_synthesis(moments, (cos_rows, sin_rows, P, cos, sin))
+            * (wz[:, None] * (2.0 * math.pi / phi.size)))
+    grid = (*_order_rows(n), np.ascontiguousarray(P[:n + 1, :n + 1]), cos[:n + 1], sin[:n + 1])
+    return lambda x: _analysis(mu_w * _synthesis(x, grid), grid)
+
+
+def _order_rows(L):
+    """(cos_rows, sin_rows): (L+1, L+1) tables, indexed [M, l], of the
+    canonical rows of the degree-l harmonics of order M at degree L: Y_{l,1}
+    (M = 0) or the cos(M phi) one, and the sin(M phi) one.  A pair (M, l)
+    without such a harmonic holds (L+1)^2, one past the last row."""
+    M, l = np.ogrid[:L + 1, :L + 1]
+    dim = (L + 1) ** 2
+    return (np.where(l >= M, l * l + np.maximum(2 * M - 1, 0), dim),
+            np.where((l >= M) & (M > 0), l * l + 2 * M, dim))
+
+
+def _synthesis(x, grid):
+    """sum_{l,k} x_{l,k} Y_{l,k} on the grid (z nodes by azimuths)."""
+    cos_rows, sin_rows, P, cos, sin = grid
+    x = np.append(x, 0.0)   # the row past the last: 0 where no harmonic is
+    a = (x[cos_rows][:, None, :] @ P)[:, 0]
+    b = (x[sin_rows][:, None, :] @ P)[:, 0]
+    return a.T @ cos + b.T @ sin
+
+
+def _analysis(g, grid):
+    """sum over the grid of g Y_{l,k}, for every (l, k), in canonical order."""
+    cos_rows, sin_rows, P, cos, sin = grid
+    out = np.empty(cos_rows.size + 1)   # every row, and one past them for the rest
+    out[cos_rows] = (P @ (cos @ g.T)[:, :, None])[:, :, 0]
+    out[sin_rows] = (P @ (sin @ g.T)[:, :, None])[:, :, 0]
+    return out[:-1]
 
 
 def exactness_degree(rule, max_scan):

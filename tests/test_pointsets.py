@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.harmonics import SPHERE_AREA
-from sphyper.pointsets import QuadratureRule, bundled_tdesigns
+from sphyper.pointsets import QuadratureRule, _gauss_legendre, bundled_tdesigns
 
 
 class TestRandomUniform:
@@ -162,6 +162,21 @@ class TestProductGauss:
     def test_order_validated(self):
         with pytest.raises(ValueError):
             sp.product_gauss_rule(0)
+
+    @pytest.mark.parametrize("N", [9, 25, 49])
+    def test_exact_rule_has_eta_zero_to_rounding(self, N):
+        # exact to degree 2N - 1, so eta = 0 at n = N - 1 up to rounding:
+        # measured 4.0e-15, 1.6e-14 and 6.4e-14 (with numpy's leggauss
+        # weights: 4.2e-15, 9.1e-14 and 5.8e-13)
+        assert sp.mz_constant(sp.product_gauss_rule(N), N - 1).eta <= 8e-14
+
+    @pytest.mark.parametrize("N", [1, 2, 9, 61])
+    def test_gauss_legendre_weights(self, N):
+        x, w = _gauss_legendre(N)
+        x_np, w_np = np.polynomial.legendre.leggauss(N)
+        assert np.array_equal(x, x_np)
+        assert np.abs(w / w_np - 1.0).max() <= 1e-11
+        assert abs(w.sum() - 2.0) <= 1e-15
 
 
 class TestLoadPointset:

@@ -90,6 +90,16 @@ class TestMZConstant:
         with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(G)}")):
             sp.mz_report(G)
 
+    def test_nested_list_reports_as_the_array(self):
+        G = discrete_gram(sp.equal_weight_rule(sp.random_uniform(60, seed=3), "random"), 2)
+        assert sp.mz_report([[1.0]]) == sp.mz_report(np.array([[1.0]]))
+        assert sp.mz_report(G.tolist()) == sp.mz_report(G)
+
+    @pytest.mark.parametrize("G", [[[1.0, 0.0], [1.0]], [["a"]]], ids=["ragged", "text"])
+    def test_list_that_is_not_a_float_array_refused(self, G):
+        with pytest.raises(ValueError, match="a Gram is a square array of floats"):
+            sp.mz_report(G)
+
     def test_solver_failure_stays_a_runtime_error(self, monkeypatch):
         def failing(G):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
