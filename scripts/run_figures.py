@@ -4,10 +4,11 @@
 
 Each config in scripts/configs/ becomes three CSVs ({experiment}.csv,
 {experiment}_agg.csv, {experiment}_times.csv).  fig2b reaches m = 1e6 and
-dominates the runtime: all twelve configs took 54-67 s on one BLAS thread
-of a 2-vCPU VM, 44-57 s of it fig2b and under 8 s each for the others.
-At one BLAS thread the Gram's walk runs dsyrk on a second core; with that
-walk inline, the same host took 75-81 s.
+dominates the runtime: all twelve configs took 54-64 s on a 2-vCPU VM,
+44-48 s of it fig2b and under 6 s each for the others, at one BLAS thread
+or at the default two alike.  The library's sums run on one BLAS thread
+either way, so the CSVs are the same bytes, and the Gram's walk runs
+dsyrk on the second core.
 """
 
 import argparse

@@ -23,7 +23,8 @@ from .pointsets import (
     product_gauss_rule,
     random_uniform,
 )
-from .quadrature import _ring_report, discrete_gram, exactness_degree, mz_constant, mz_report
+from .quadrature import (_blas_thread_calls, _ring_report, discrete_gram, exactness_degree,
+                         mz_constant, mz_report)
 from .testfuncs import by_name, wendland_delta, wendland_phi
 from . import experiments
 
@@ -164,7 +165,10 @@ def check_reproducibility():
             paths.append((cell, agg))
         same = (filecmp.cmp(paths[0][0], paths[1][0], shallow=False)
                 and filecmp.cmp(paths[0][1], paths[1][1], shallow=False))
-    return same, "two runs byte-identical (cells + aggregates)"
+    # the process's own counts: every library sum runs on one thread of each
+    threads = ", ".join(f"{library} {get()}" for library, (get, _) in _blas_thread_calls().items())
+    return same, (f"two runs byte-identical (cells + aggregates); BLAS threads "
+                  f"{threads or 'not readable'}, one in every library sum")
 
 
 def check_equal_area_geometry():

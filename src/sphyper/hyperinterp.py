@@ -16,8 +16,8 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import (_exactness_report, _gram_walk, _ring_report, mz_report, node_sum,
-                         sample_values)
+from .quadrature import (RANK_TOL, _exactness_report, _gram_walk, _ring_report, mz_report,
+                         node_sum, sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -72,8 +72,9 @@ def _weighted_samples(rule, f, n):
 def audited_fit(rule, f, n):
     """fit() with an MZ audit; refuses rules with eta >= 1.
 
-    With a rank-deficient discrete Gram (eta >= 1) the stability and error
-    theory is vacuous, so we fail loudly instead of degrading silently.
+    With a rank-deficient discrete Gram (lambda_min <= RANK_TOL), or with
+    eta >= 1 by lambda_max >= 2, the stability and error theory is vacuous,
+    so we fail loudly, naming the condition, instead of degrading silently.
     Above dim 625, a ring rule whose ring moments cost fewer basis values
     than one walk takes eta from them (`_ring_report`) and its coefficients
     from fit(); any other rule takes both from the same chunk walk.
@@ -84,10 +85,14 @@ def audited_fit(rule, f, n):
         report = mz_report(G)
     else:
         h = fit(rule, f, n)
-    if report.eta >= 1.0 or report.rank_deficient:
+    if report.rank_deficient:
         raise ValueError(
-            f"rule unusable at degree {n}: eta = {report.eta:.6g}, "
-            f"lambda_min = {report.lambda_min:.3e} (rank deficient)")
+            f"rule unusable at degree {n}: eta = {report.eta:.6g}, lambda_min = "
+            f"{report.lambda_min:.3e} <= RANK_TOL = {RANK_TOL:g} (rank deficient)")
+    if report.eta >= 1.0:   # lambda_min > 0, so lambda_max >= 2
+        raise ValueError(
+            f"rule unusable at degree {n}: eta = {report.eta:.6g} >= 1, "
+            f"lambda_max = {report.lambda_max:.3e}")
     return replace(h, eta_used=report.eta)
 
 

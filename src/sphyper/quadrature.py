@@ -18,14 +18,21 @@ with the walk's to 1e-13 (measured at most 4.5e-14 on the audit's rules,
 n = 30..46, and 6.4e-14 on equal_area(2600) at n = 44); where
 Lanczos spends its product budget it falls back to the walk and the dense
 eigensolver, so a rank-deficient rule gets the walk's report.
+
+Every sum here runs with numpy's and scipy's BLAS on one thread each
+(`_one_blas_thread`), so it gives the same bits at any BLAS thread count;
+the walk's worker thread takes the second core instead.  At the default
+threads of a 2-vCPU VM, the twelve figure configs took 54-57 s, against
+77-82 s when the BLAS threaded these sums, but a single wide walk lost
+its second BLAS thread: mz_constant on 8836 random nodes at n = 46 took
+2.8 s against 1.7 s.
 """
 
 import contextlib
 import ctypes
 import functools
 import math
-import os
-import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -87,6 +94,60 @@ def sample_values(f, points):
     return y
 
 
+# callers inside _one_blas_thread, and the BLAS thread counts the first found
+_pin_lock = threading.Lock()
+_pinned = 0
+_found_threads = {}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs its block, or as a decorator its function, with numpy's and
+    scipy's BLAS on one thread each, and puts back the counts it found.
+    OpenBLAS cuts a dsyrk, dgemv, dsymv or dsyevd differently at each thread
+    count, so a sum under the pin is the same bits at any count.  Nested and
+    concurrent callers share one pin: the last to leave puts the counts back.
+    A BLAS without the thread calls (`_blas_thread_calls`) runs as it is."""
+    global _pinned
+    with _pin_lock:
+        if _pinned == 0:
+            for library, (get, set_) in _blas_thread_calls().items():
+                _found_threads[library] = get()
+                set_(1)
+        _pinned += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pinned -= 1
+            if _pinned == 0:
+                for library, (_, set_) in _blas_thread_calls().items():
+                    set_(_found_threads[library])
+
+
+@functools.cache
+def _blas_thread_calls():
+    """{"numpy": (get, set), "scipy": (get, set)}: the thread-count calls of
+    the OpenBLAS each library bundles, under their LP64 or ILP64 (64_) name.
+    They are looked up through the extension module that links that BLAS,
+    since dlsym searches a module's dependencies too, so no wheel file name
+    is needed.  A library whose BLAS exports neither name is left out."""
+    import numpy.linalg._umath_linalg as numpy_lapack
+    from scipy.linalg import cython_blas  # imported here: scipy.linalg takes ~0.3 s
+    calls = {}
+    for library, module in (("numpy", numpy_lapack), ("scipy", cython_blas)):
+        handle = ctypes.CDLL(module.__file__)
+        for suffix in ("", "64_"):
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                calls[library] = get, set_
+                break
+    return calls
+
+
 def discrete_gram(rule, n):
     """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks:
     the full matrix, its lower triangle mirrored from the walk's upper one."""
@@ -95,6 +156,7 @@ def discrete_gram(rule, n):
     return G
 
 
+@_one_blas_thread()
 def node_sum(n, points, v):
     """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order: the one
     sum over a rule's nodes behind coefficients and exactness integrals.
@@ -107,6 +169,7 @@ def node_sum(n, points, v):
     return out
 
 
+@_one_blas_thread()
 def _gram_walk(rule, n, v=None):
     """(G, c) from one chunk walk: the upper triangle of the discrete Gram
     G = B diag(w) B^T, as dsyrk leaves it (the strict lower triangle is
@@ -116,16 +179,14 @@ def _gram_walk(rule, n, v=None):
     (n'+1)^2 block and slice of these, so one walk at the largest degree
     serves every smaller one.
 
-    When the BLAS leaves a core idle (`_blas_leaves_a_core`) and the walk has
-    two blocks or more, one worker thread adds block k to G while this thread
-    evaluates block k+1, so the walk costs about the larger of the two
-    instead of their sum.  Block k+1 is handed over only once block k is
-    added, so at most two blocks are alive, each at least _MIN_CHUNK // 2
-    points wide.  Where neither mode's blocks reach their floor (n <= 21),
-    both make the same dsyrk calls in the same order, so G and c are the
-    same bit for bit; at n >= 22 they differ in rounding only.
+    When the walk has two blocks or more, one worker thread adds block k to
+    G while this thread evaluates block k+1, so the walk costs about the
+    larger of the two instead of their sum.  Block k+1 is handed over only
+    once block k is added, so at most two blocks are alive, each at least
+    _MIN_CHUNK // 2 points wide.  The BLAS runs on one thread meanwhile
+    (`_one_blas_thread`), so G and c are the same bits at any thread count.
     """
-    pipelined = rule.m > _chunk_points(n) and _blas_leaves_a_core()   # checks n first
+    pipelined = rule.m > _chunk_points(n)   # checks n first
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
     c = None if v is None else np.zeros(dim)
@@ -201,40 +262,12 @@ def _dsyrk():
     return signature(get_pointer(capsule, get_name(capsule)))
 
 
-def _blas_leaves_a_core():
-    """Whether the BLAS runs on fewer threads than this process may use, so
-    that a worker thread's dsyrk and basis evaluation on the calling thread
-    can run at once.  The count is the one the BLAS read when it loaded
-    (`_blas_threads`); a change to it at run time (threadpoolctl) is not
-    seen.  That only costs speed: the walk's two modes give the same G bit
-    for bit for n <= 21, and the same to rounding above."""
-    return _blas_threads() < _usable_cores()
-
-
-def _blas_threads():
-    """BLAS threads as OpenBLAS reads them at load time: the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS whose value
-    C's atoi reads as a positive count, else the usable cores.  atoi reads
-    the leading digits, so "1.5" is 1 thread and "2x" is 2."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        digits = re.match(r"\s*\+?(\d+)", os.environ.get(name, ""))
-        if digits and int(digits[1]) > 0:
-            return int(digits[1])
-        # unset, 0, negative or no leading digit: OpenBLAS reads the next one
-    return _usable_cores()
-
-
-def _usable_cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def mz_constant(rule, n):
     """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport."""
     return mz_report(_gram_walk(rule, n)[0])
 
 
+@_one_blas_thread()
 def mz_report(G):
     """MZReport of a discrete Gram matrix of dim (n+1)^2: eta = ||G - I||_2.
 
@@ -325,6 +358,7 @@ def _lanczos_extremes(product, dim):
     return lam_min, lam_max
 
 
+@_one_blas_thread()
 def _ring_report(rule, n):
     """MZReport of the rule at degree n from its ring moments, or None where
     the walk should compute it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which

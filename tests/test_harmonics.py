@@ -206,25 +206,21 @@ def floor_rule():
     return two_blocks_and_one(TestChunkBoundary.n_floor)
 
 
-def in_each_walk_mode(monkeypatch, check):
-    """[check() with the Gram walk forced inline, check() forced pipelined],
-    each asserted to have run its dsyrk calls on this thread or on the
+def on_the_worker(monkeypatch, check):
+    """check(), asserted to have run every dsyrk of its walks on the walk's
     worker thread."""
     syrk = quadrature._syrk
-    results = []
-    for pipelined in (False, True):
-        threads = []
+    threads = []
 
-        def recorded(B, G):
-            threads.append(threading.current_thread())
-            syrk(B, G)
+    def recorded(B, G):
+        threads.append(threading.current_thread())
+        syrk(B, G)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "_blas_leaves_a_core", lambda: pipelined)
-            mp.setattr(quadrature, "_syrk", recorded)
-            results.append(check())
-        assert {t is not threading.main_thread() for t in threads} == {pipelined}
-    return results
+    with monkeypatch.context() as mp:
+        mp.setattr(quadrature, "_syrk", recorded)
+        result = check()
+    assert threads and threading.main_thread() not in threads
+    return result
 
 
 def assert_rel_close(got, want, rtol=1e-12):
@@ -259,7 +255,7 @@ class TestChunkBoundary:
                 assert np.array_equal(_gram_walk(r, n)[0], np.triu(G))
                 assert np.array_equal(G, G.T)
 
-        in_each_walk_mode(monkeypatch, check)
+        on_the_worker(monkeypatch, check)
 
     def check_fused_walk(self, rule, n, monkeypatch):
         w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
@@ -271,18 +267,14 @@ class TestChunkBoundary:
             assert np.array_equal(G, np.triu(sp.discrete_gram(unequal, n)))
             return G, c
 
-        (G_inline, c_inline), (G_pipelined, c_pipelined) = in_each_walk_mode(monkeypatch, check)
-        # one walk gives the Gram and the node sum bit for bit as the two
-        # separate walks do
-        assert np.array_equal(c_inline, node_sum(n, rule.points, v))
-        # the pipelined walk's blocks are half as wide once they reach the
-        # floor: the same bits as inline before it, the same to rounding after
+        _, c = on_the_worker(monkeypatch, check)
+        # one walk gives the node sum as node_sum's own walk does: the walk's
+        # blocks are half as wide once they reach the floor, so the same
+        # bits before it and the same to rounding after
         if _chunk_points(n, _MIN_CHUNK // 2) == _chunk_points(n):
-            assert np.array_equal(G_pipelined, G_inline)
-            assert np.array_equal(c_pipelined, c_inline)
+            assert np.array_equal(c, node_sum(n, rule.points, v))
         else:
-            assert_rel_close(G_pipelined, G_inline)
-            assert_rel_close(c_pipelined, c_inline)
+            assert_rel_close(c, node_sum(n, rule.points, v))
 
     def test_chunks_cover_points_in_order(self, boundary_rule):
         self.check_chunks(boundary_rule, self.n)
@@ -293,7 +285,6 @@ class TestChunkBoundary:
 
     def test_pipelined_walk_halves_the_floor(self, floor_rule, monkeypatch):
         widths = []
-        monkeypatch.setattr(quadrature, "_blas_leaves_a_core", lambda: True)
         monkeypatch.setattr(quadrature, "_syrk", lambda B, G: widths.append(B.shape[1]))
         _gram_walk(floor_rule, self.n_floor)
         assert widths == [1024] * 4 + [1]

@@ -191,6 +191,14 @@ class TestAuditedFit:
                                              r"\(rank deficient\)"):
             sp.audited_fit(rule, lambda pts: np.ones(len(pts)), 5)
 
+    def test_refusal_names_eta_above_one_by_lambda_max(self):
+        # every eigenvalue of the Gram is 1e300: eta >= 1 with lambda_min far from 0
+        gauss = sp.product_gauss_rule(26)
+        rule = sp.QuadratureRule(gauss.points, gauss.weights * 1e300, "loaded")
+        with pytest.raises(ValueError, match=r"^rule unusable at degree 25: eta = 1e\+300 >= 1, "
+                                             r"lambda_max = 1\.000e\+300$"):
+            sp.audited_fit(rule, sp.by_name("f3"), 25)
+
     def test_plain_fit_never_gates(self):
         rule = sp.equal_weight_rule(sp.random_uniform(8, seed=9), "random")
         h = sp.fit(rule, np.ones(8), 5)  # eta >= 1 but fit still works

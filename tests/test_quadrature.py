@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import sphyper as sp
 from sphyper import harmonics, quadrature
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_leaves_a_core,
-                                _blas_threads, _gram_walk, _syrk, discrete_gram, node_sum)
+from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_thread_calls,
+                                _gram_walk, _one_blas_thread, _syrk, discrete_gram, node_sum)
 
 
 class TestMZConstant:
@@ -190,7 +190,8 @@ class TestEigensolverBranch:
         report, calls = report_and_calls(monkeypatch, G)
         assert calls["dsymv"] == _LANCZOS_PRODUCTS
         assert calls["eigvalsh"] == 1
-        lam = np.linalg.eigvalsh(G)
+        with _one_blas_thread():   # the solver's bits, as mz_report runs it
+            lam = np.linalg.eigvalsh(G)
         assert report.lambda_min == max(lam[0], 0.0)
         assert report.lambda_max == lam[-1]
 
@@ -279,10 +280,6 @@ class TestPipelinedWalk:
 
     n = 6
 
-    @pytest.fixture(autouse=True)
-    def pipelined(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_blas_leaves_a_core", lambda: True)
-
     def test_worker_error_propagates(self, monkeypatch):
         threads = []
 
@@ -345,9 +342,8 @@ class TestPipelinedWalk:
         # four callers, each with its worker: eight threads on fewer cores
         rule = three_block_rule(self.n)
         v = rule.weights * sp.by_name("f3")(rule.points)
-        with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "_blas_leaves_a_core", lambda: False)
-            G_inline, c_inline = _gram_walk(rule, self.n, v)
+        G_alone, c_alone = _gram_walk(rule, self.n, v)
+        threads = blas_threads()
         results = [None] * 4
 
         def walk(i):
@@ -365,48 +361,64 @@ class TestPipelinedWalk:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         for G, c in results:
-            assert np.array_equal(G, G_inline) and np.array_equal(c, c_inline)
+            assert np.array_equal(G, G_alone) and np.array_equal(c, c_alone)
+        # the last walk to leave the shared pin put both counts back
+        assert blas_threads() == threads
 
 
-class TestWalkModeSelection:
-    """The worker runs only when the BLAS, configured as OpenBLAS reads its
-    environment, leaves a core idle."""
+def blas_threads():
+    """{library: the thread count its BLAS runs at now}."""
+    return {library: get() for library, (get, _) in _blas_thread_calls().items()}
 
-    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-    @pytest.fixture(autouse=True)
-    def four_cores(self, monkeypatch):
-        for name in self.VARS:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(quadrature, "_usable_cores", lambda: 4)
+class TestOneBlasThread:
+    """Every sum over a rule's nodes runs with numpy's and scipy's BLAS on one
+    thread, and the counts found are put back when the last caller leaves."""
 
-    def test_defaults_to_the_usable_cores(self):
-        assert _blas_threads() == 4
-        assert not _blas_leaves_a_core()
+    @pytest.fixture
+    def two_threads(self):
+        found = blas_threads()
+        for _, set_ in _blas_thread_calls().values():
+            set_(2)
+        yield
+        for library, (_, set_) in _blas_thread_calls().items():
+            set_(found[library])
 
-    @pytest.mark.parametrize("given", [(1, 2, 3), (None, 2, 3), (None, None, 3)])
-    def test_reads_variables_in_openblas_order(self, monkeypatch, given):
-        for name, value in zip(self.VARS, given):
-            if value is not None:
-                monkeypatch.setenv(name, str(value))
-        assert _blas_threads() == next(v for v in given if v is not None)
+    def test_pins_both_and_puts_the_counts_back(self, two_threads):
+        with _one_blas_thread():
+            assert blas_threads() == {"numpy": 1, "scipy": 1}
+            with _one_blas_thread():   # a nested caller keeps the pin
+                pass
+            assert blas_threads() == {"numpy": 1, "scipy": 1}
+        assert blas_threads() == {"numpy": 2, "scipy": 2}
 
-    @pytest.mark.parametrize("value", ["two", "", "0", "-1", " -2", "x3"])
-    def test_ignores_a_value_without_a_positive_leading_count(self, monkeypatch, value):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        assert _blas_threads() == 3
+    def test_the_walk_and_its_worker_run_pinned(self, monkeypatch, two_threads):
+        seen = []
 
-    @pytest.mark.parametrize("value, threads", [("1.5", 1), ("2x", 2), (" 2", 2), ("+1", 1)])
-    def test_reads_the_leading_digits_as_atoi_does(self, monkeypatch, value, threads):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        monkeypatch.setenv("OMP_NUM_THREADS", "3")
-        assert _blas_threads() == threads
+        def recorded(B, G):
+            seen.append(blas_threads())
+            _syrk(B, G)
 
-    @pytest.mark.parametrize("threads, pipelined", [(1, True), (3, True), (4, False), (8, False)])
-    def test_pipelines_only_below_the_usable_cores(self, monkeypatch, threads, pipelined):
-        monkeypatch.setenv("OMP_NUM_THREADS", str(threads))
-        assert _blas_leaves_a_core() is pipelined
+        monkeypatch.setattr(quadrature, "_syrk", recorded)
+        rule = three_block_rule(6)
+        sp.mz_constant(rule, 6)
+        assert seen and all(t == {"numpy": 1, "scipy": 1} for t in seen)
+        assert blas_threads() == {"numpy": 2, "scipy": 2}
+
+    def test_a_blas_without_thread_calls_is_left_as_it_is(self, monkeypatch):
+        class Bare:   # a shared library that exports no thread-count call
+            def __init__(self, path):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature.ctypes, "CDLL", Bare)
+            assert _blas_thread_calls.__wrapped__() == {}
+        monkeypatch.setattr(quadrature, "_blas_thread_calls", lambda: {})
+        rule = three_block_rule(6)
+        assert sp.mz_constant(rule, 6) == sp.mz_report(discrete_gram(rule, 6))
 
 
 class TestExactnessDegree:
