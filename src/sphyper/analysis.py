@@ -97,14 +97,14 @@ def uniform_norm_refined(f):
 def fit_rate(samples):
     """Least-squares slope of log(error) against log(size).
 
-    `samples` is a sequence of (size, error) pairs, all positive; the
-    slope is the empirical convergence exponent.
+    `samples` is (size, error) pairs, positive and finite, at two distinct
+    sizes or more; the slope is the empirical convergence exponent.
     """
     pts = [(float(s), float(e)) for s, e in samples]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 samples to fit a rate")
-    if any(s <= 0 or e <= 0 for s, e in pts):
-        raise ValueError("sizes and errors must all be positive")
+    if not all(0 < v < math.inf for pair in pts for v in pair):   # NaN fails too
+        raise ValueError("sizes and errors must all be positive and finite")
+    if len({s for s, _ in pts}) < 2:
+        raise ValueError("need samples at 2 distinct sizes or more to fit a rate")
     x = np.log([s for s, _ in pts])
     y = np.log([e for _, e in pts])
     slope, intercept = np.polyfit(x, y, 1)

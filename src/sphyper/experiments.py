@@ -80,8 +80,11 @@ class SweepConfig:
                              f"{self.schedule!r}; only the rate schedule takes beta")
         if not self.n_list:
             raise ValueError("n grid is empty")
-        if min(self.n_list) < 0:
-            raise ValueError(f"degrees must be >= 0, got {min(self.n_list)}")
+        for name, values, least in (("degree", self.n_list, 0), ("size", self.m_list, 1)):
+            if values and min(values) < least:
+                raise ValueError(f"{name}s must be >= {least}, got {min(values)}")
+            if len(set(values)) < len(values):
+                raise ValueError(f"a {name} repeats in {values}: its cells would run twice")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown m-schedule {self.schedule!r}; "
                              f"registered: {sorted(SCHEDULES)}")
@@ -139,8 +142,9 @@ def _cell_rule(config, m, seed=0):
     gets the largest order N with 2N^2 <= m.  Only random uses the seed."""
     if config.points_is_file():
         return source_rule("loaded", path=config.points)
-    order = max(1, int(math.floor(math.sqrt(m / 2.0))))
-    return source_rule(config.points, m=m, seed=seed, order=order)
+    if config.points == "gauss_product" and m < 2:
+        raise ValueError(f"a gauss_product cell needs m >= 2 (2N^2 <= m), got m = {m}")
+    return source_rule(config.points, m=m, seed=seed, order=math.isqrt(m // 2))
 
 
 def sweep_cells(config):

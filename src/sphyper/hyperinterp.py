@@ -16,7 +16,7 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import (RANK_TOL, _exactness_report, _gram_walk, _ring_report, mz_report,
+from .quadrature import (RANK_TOL, _gram_walk, _ring_report, exactness_degree, mz_report,
                          node_sum, sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
@@ -130,17 +130,14 @@ def evaluate_kernel(rule, f, n, points):
 def project_reference(f, n, ref):
     """Reference L2 projection P_n f computed with a high-exactness rule.
 
-    Stands in for the exact Fourier coefficients; refuses a reference rule
-    whose measured exactness degree is below n + 1.  One walk at n + 1 sums
-    the weights (the exactness integrals) and the weighted samples, whose
-    leading (n+1)^2 sums are fit(ref, f, n)'s coefficients.
+    Stands in for the exact Fourier coefficients: fit(ref, f, n), once the
+    reference rule's measured exactness degree (`exactness_degree`, from its
+    ring moments) is at least n + 1; a weaker rule is refused.
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
-        sums = node_sum(n + 1, ref.points,
-                        np.column_stack([ref.weights, _weighted_samples(ref, f, n)]))
-    report = _exactness_report(sums[:, 0])
-    if report.degree < n + 1:
-        raise ValueError(
-            f"reference rule exactness {report.degree} < n + 1 = {n + 1}; "
-            "refusing the degenerate projection")
-    return Hyperinterpolant(n=n, coeffs=np.ascontiguousarray(sums[:(n + 1) ** 2, 1]))
+    if n < 0:
+        raise ValueError(f"degree n must be >= 0, got {n}")
+    degree = exactness_degree(ref, n + 1).degree
+    if degree < n + 1:
+        raise ValueError(f"reference rule exactness {degree} < n + 1 = {n + 1}; "
+                         "refusing the degenerate projection")
+    return fit(ref, f, n)

@@ -10,6 +10,7 @@ equal-weight rules use ``w_j = 4*pi/m``.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -80,6 +81,14 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
 
+def _size(value, name):
+    """`value` as an int >= 1 (`operator.index`), else a ValueError naming it."""
+    size = operator.index(value) if hasattr(type(value), "__index__") else 0
+    if size < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return size
+
+
 def random_uniform(m, seed):
     """m i.i.d. uniform points on S^2 from a seeded PCG64 stream.
 
@@ -87,8 +96,7 @@ def random_uniform(m, seed):
     2*pi*u') in distribution: z uniform on [-1, 1], azimuth uniform on
     [0, 2*pi), drawn as two consecutive batches from one stream.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1 points, got {m}")
+    m = _size(m, "m")
     rng = np.random.default_rng(seed)
     z = 2.0 * rng.random(m) - 1.0
     phi = 2.0 * math.pi * rng.random(m)
@@ -117,8 +125,7 @@ def equal_area(m):
     centers: the poles for the caps, mid-colatitude with equispaced
     azimuths (offset collar to collar) for the zones.  Deterministic in m.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1 points, got {m}")
+    m = _size(m, "m")
     if m == 1:
         return np.array([[0.0, 0.0, 1.0]])
     if m == 2:
@@ -234,8 +241,7 @@ def product_gauss_rule(N):
     N Gauss-Legendre nodes in cos(theta) tensored with 2N equispaced
     azimuths; weights (2*pi/(2N)) * (GL weight).  Sum of weights is 4*pi.
     """
-    if N < 1:
-        raise ValueError(f"polar order N must be >= 1, got {N}")
+    N = _size(N, "polar order N")
     t, wt = _gauss_legendre(N)
     naz = 2 * N
     phi = 2.0 * math.pi * np.arange(naz) / naz

@@ -1,4 +1,5 @@
-"""Every sum over a rule's nodes: node sums, exactness degree, the Gram and eta.
+"""Every sum over a rule's nodes: node sums, ring moments, exactness degree,
+the Gram and eta.
 
 The Marcinkiewicz-Zygmund constant of a rule at degree n is the spectral
 norm of G - I where G is the discrete Gram matrix of the orthonormal
@@ -7,25 +8,25 @@ For any coefficient vector a, sum_j w_j chi(x_j)^2 = a^T G a while
 integral(chi^2) = a^T a, so the MZ ratio extremizes exactly at the
 extreme eigenvalues of G.
 
+A sum that includes samples walks every node (`node_sum`, `_gram_walk`);
+a sum of the weights alone is a ring moment (`_ring_moments`), which the
+exactness scan and the moments path read.
+
 Two paths compute eta.  The walk (`_gram_walk`, then `mz_report`) builds
-G's upper triangle with dsyrk; `mz_constant`, the sweeps, random and other
-ringless rules, and every Gram of dim <= 625 take it, and it is the oracle.
-The moments path (`_ring_report`) serves `audited_fit` on ring rules
-(equal_area, product_gauss_rule) above dim 625 when their ring moments cost
-fewer basis values than one walk: Lanczos on a matrix-free operator built
-from the rule's moments to degree 2n, with no dim^2 array.  Its eta agrees
-with the walk's to 1e-13 (measured at most 4.5e-14 on the audit's rules,
-n = 30..46, and 6.4e-14 on equal_area(2600) at n = 44); where
-Lanczos spends its product budget it falls back to the walk and the dense
-eigensolver, so a rank-deficient rule gets the walk's report.
+G's upper triangle with dsyrk; `mz_constant`, the sweeps, rules without
+rings and every Gram of dim <= 625 take it, and it is the oracle.  The
+moments path (`_ring_report`) serves `audited_fit` on ring rules above
+dim 625 when their moments cost fewer basis values than one walk: Lanczos
+on a matrix-free operator built from the moments to degree 2n.  Its eta
+agrees with the walk's to 1e-13 (at most 6.4e-14 measured); where Lanczos
+spends its budget, the walk and the dense eigensolver take over.
 
 Every sum here runs with numpy's and scipy's BLAS on one thread each
 (`_one_blas_thread`), so it gives the same bits at any BLAS thread count;
 the walk's worker thread takes the second core instead.  At the default
-threads of a 2-vCPU VM, the twelve figure configs took 54-57 s, against
-77-82 s when the BLAS threaded these sums, but a single wide walk lost
-its second BLAS thread: mz_constant on 8836 random nodes at n = 46 took
-2.8 s against 1.7 s.
+threads of a 2-vCPU VM, that took the twelve figure configs from 77-82 s
+to 54-57 s, but cost a single wide walk its second BLAS thread
+(mz_constant on 8836 random nodes at n = 46: 1.7 -> 2.8 s).
 """
 
 import contextlib
@@ -158,11 +159,11 @@ def discrete_gram(rule, n):
 
 @_one_blas_thread()
 def node_sum(n, points, v):
-    """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order: the one
-    sum over a rule's nodes behind coefficients and exactness integrals.
-    A `v` of shape (m, k) gives the k sums as the columns of the result."""
+    """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order, for one
+    value v_j per node: fit's coefficients, and the weight sums of a rule
+    whose rings are all of one (`_ring_moments`)."""
     chunks = basis_chunks(n, points)   # checks n before out is allocated
-    out = np.zeros(((n + 1) ** 2,) + v.shape[1:])
+    out = np.zeros((n + 1) ** 2)
     for rows, B in chunks:
         out += block_dot(B, v[rows])
         del B
@@ -211,17 +212,15 @@ def _gram_walk(rule, n, v=None):
 
 
 def block_dot(B, v):
-    """B @ v for a basis block and a vector (dgemv) or a few columns (dgemm)
-    of node values, through scipy's BLAS, which dsyrk uses too.  numpy and
-    scipy each bring their own BLAS and thread pool; alternating the two in
-    one walk made them contend for the cores, and at two BLAS threads dsyrk
-    ran about 3x slower per block (2-vCPU VM).  On numpy 2.4.6 and scipy
-    1.17.1 the vector result matched numpy's B @ v bit for bit.  It holds
-    the GIL, so it runs on the thread that evaluates the basis (`_dsyrk`)."""
-    from scipy.linalg.blas import dgemm, dgemv  # imported here: scipy.linalg takes ~0.3 s
-    if v.ndim == 1:
-        return dgemv(1.0, B.T, v, trans=1)
-    return dgemm(1.0, B.T, v, trans_a=1)
+    """B @ v for a basis block and a vector of node values: dgemv through
+    scipy's BLAS, which dsyrk uses too.  numpy and scipy each bring their
+    own BLAS and thread pool; alternating the two in one walk made them
+    contend for the cores, and at two BLAS threads dsyrk ran about 3x slower
+    per block (2-vCPU VM).  On numpy 2.4.6 and scipy 1.17.1 it matched
+    numpy's B @ v bit for bit.  It holds the GIL, so it runs on the thread
+    that evaluates the basis (`_dsyrk`)."""
+    from scipy.linalg.blas import dgemv  # imported here: scipy.linalg takes ~0.3 s
+    return dgemv(1.0, B.T, v, trans=1)
 
 
 def _syrk(B, G):
@@ -245,7 +244,7 @@ def _syrk(B, G):
 def _dsyrk():
     """BLAS dsyrk as a ctypes function, bound once to the routine that
     scipy.linalg.cython_blas exports.  scipy.linalg.blas's f2py wrappers
-    (block_dot's dgemv and dgemm too) hold the GIL while BLAS runs; ctypes
+    (block_dot's dgemv too) hold the GIL while BLAS runs; ctypes
     releases it for the call, so a worker thread's dsyrk overlaps Python
     work on the calling thread.  It is the routine the f2py wrapper calls,
     with the same arguments, so the bits are the same."""
@@ -362,8 +361,8 @@ def _lanczos_extremes(product, dim):
 def _ring_report(rule, n):
     """MZReport of the rule at degree n from its ring moments, or None where
     the walk should compute it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which
-    the walk refuses), no rings (`_rings`), or ring moments that cost as many
-    basis values as one walk, R (2n+1)^2 >= m (n+1)^2 for R rings.
+    the walk refuses), or ring moments (`_rings`) that cost as many basis
+    values as one walk, R (2n+1)^2 >= m (n+1)^2 for R rings (as R = m does).
 
     Every entry of G integrates a product of degree <= 2n, so G is fixed by
     the moments s_{L,K} = sum_j w_j Y_{L,K}(x_j), L <= 2n (`_ring_moments`),
@@ -378,7 +377,7 @@ def _ring_report(rule, n):
         # |G_ab| <= sum(w) dim / (4 pi): the walk refuses a Gram that overflows
         return None
     rings = _rings(rule)
-    if rings is None or rings[0].size * (2 * n + 1) ** 2 >= rule.m * dim:
+    if rings[0].size * (2 * n + 1) ** 2 >= rule.m * dim:
         return None
     product = _moment_gram(_ring_moments(rule, *rings, 2 * n), n)
     try:
@@ -394,35 +393,38 @@ _RING_TOL = 1e-14
 
 
 def _rings(rule):
-    """(starts, counts) of the rule's rings, or None if it has a run that is
-    not one.  A run is a maximal run of consecutive nodes with bit-equal z
-    and weight; it is a ring when its N nodes are equispaced in azimuth,
-    u_k = u_0 e^(2 pi i k / N) with u = x + iy to within _RING_TOL.  A
-    single node is a ring of one, so a rule without repeated z (random
-    points, rotated rings) has m rings."""
-    z, w = rule.points[:, 2], rule.weights
-    starts = np.flatnonzero(np.concatenate([[True], (z[1:] != z[:-1]) | (w[1:] != w[:-1])]))
-    counts = np.diff(np.append(starts, rule.m))
-    ring = np.repeat(np.arange(starts.size), counts)
-    u = rule.points[:, 0] + 1j * rule.points[:, 1]
-    turn = np.exp(2j * math.pi * (np.arange(rule.m) - starts[ring]) / counts[ring])
-    if np.max(np.abs(u - u[starts[ring]] * turn)) > _RING_TOL:
-        return None
-    return starts, counts
+    """(starts, counts) of the rule's rings.  A run is a maximal run of
+    consecutive nodes with bit-equal z and weight; it is a ring when its N
+    nodes are equispaced in azimuth, u_k = u_0 e^(2 pi i k / N) with
+    u = x + iy to within _RING_TOL.  If any run is not a ring, every node is
+    a ring of one: a rule without repeated z or with a broken ring has m."""
+    z, w, m = rule.points[:, 2], rule.weights, rule.m
+    new_run = (z[1:] != z[:-1]) | (w[1:] != w[:-1])
+    if not new_run.all():   # some run has two nodes or more: check its azimuths
+        starts = np.flatnonzero(np.concatenate([[True], new_run]))
+        counts = np.diff(np.append(starts, m))
+        ring = np.repeat(np.arange(starts.size), counts)
+        u = rule.points[:, 0] + 1j * rule.points[:, 1]
+        turn = np.exp(2j * math.pi * (np.arange(m) - starts[ring]) / counts[ring])
+        if np.max(np.abs(u - u[starts[ring]] * turn)) <= _RING_TOL:
+            return starts, counts
+    return np.arange(m), np.ones(m, dtype=int)
 
 
+@_one_blas_thread()
 def _ring_moments(rule, starts, counts, L):
     """Moments s_{l,k} = sum_j w_j Y_{l,k}(x_j), l <= L, of a rule made of
     rings (`_rings`), in canonical order.  The N nodes of a ring sum
     e^(iM phi_j) to N e^(iM phi_0) where N divides M and to 0 elsewhere, so
     the ring adds w N Y_{l,k}(first node) to the rows of order M that N
-    divides: one basis evaluation at the rings' first nodes."""
-    degree = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-    order = (np.arange((L + 1) ** 2) - degree ** 2 + 1) // 2   # k // 2
-    heads = rule.points[starts]
+    divides: one basis evaluation at the rings' first nodes.  m rings of
+    one take node_sum, the same bits without the divisibility mask."""
+    if starts.size == rule.m:
+        return node_sum(L, rule.points, rule.weights)
+    order = np.concatenate([np.arange(1, 2 * ell + 2) // 2 for ell in range(L + 1)])   # k // 2
     v = rule.weights[starts] * counts
     out = np.zeros((L + 1) ** 2)
-    for rows, B in basis_chunks(L, heads):
+    for rows, B in basis_chunks(L, rule.points[starts]):
         B *= order[:, None] % counts[rows] == 0
         out += block_dot(B, v[rows])
         del B
@@ -487,25 +489,14 @@ def exactness_degree(rule, max_scan):
     Degree l passes iff max_k |sum_j w_j Y_{l,k}(x_j) - sqrt(4*pi)*delta_{l0}|
     <= _EXACTNESS_TOL (the l=0 target is integral(Y_{0,1}) = sqrt(4*pi)).
     Scans l = 0..max_scan and stops at the first failure; a rule that cannot
-    even integrate constants gets degree -1.
+    even integrate constants gets degree -1.  The sums are the rule's ring
+    moments up to max_scan (`_ring_moments`).
     """
     if max_scan < 0:
         raise ValueError(f"max_scan must be >= 0, got {max_scan}")
-    # one basis evaluation up to max_scan covers every degree of the scan
-    return _exactness_report(node_sum(max_scan, rule.points, rule.weights))
-
-
-def _exactness_report(integrals):
-    """ExactnessReport of a rule's weight sums sum_j w_j Y_{l,k}(x_j) in
-    canonical order, every degree up to the scan's: the residual scan of
-    `exactness_degree`."""
+    integrals = _ring_moments(rule, *_rings(rule), max_scan)
     errors = np.abs(integrals)
     errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
-    residuals = []
-    degree = -1
-    for ell in range(math.isqrt(integrals.size)):
-        r = float(np.max(errors[ell * ell:(ell + 1) * (ell + 1)]))
-        residuals.append(r)
-        if r <= _EXACTNESS_TOL and degree == ell - 1:
-            degree = ell
-    return ExactnessReport(degree=degree, residuals=residuals)
+    residuals = [float(np.max(errors[ell * ell:(ell + 1) ** 2])) for ell in range(max_scan + 1)]
+    exact = [r <= _EXACTNESS_TOL for r in residuals] + [False]
+    return ExactnessReport(degree=exact.index(False) - 1, residuals=residuals)

@@ -105,6 +105,21 @@ class TestFitRate:
         with pytest.raises(ValueError):
             sp.fit_rate([(10, 1.0)])
 
+    @pytest.mark.parametrize("samples", [
+        [(10, 1.0), (100, float("nan"))],
+        [(10, 1.0), (100, float("inf"))],
+        [(float("nan"), 1.0), (100, 1.0)],
+        [(10, 1.0), (float("inf"), 1.0)],
+    ])
+    def test_rejects_non_finite(self, samples):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sp.fit_rate(samples)
+
+    @pytest.mark.parametrize("samples", [[(10, 1.0), (10, 2.0)], [(7, 1.0)] * 3, []])
+    def test_rejects_fewer_than_two_distinct_sizes(self, samples):
+        with pytest.raises(ValueError, match="2 distinct sizes"):
+            sp.fit_rate(samples)
+
     @settings(max_examples=25)
     @given(st.floats(0.01, 100.0), st.floats(-2.0, 0.0))
     def test_error_scale_invariance(self, scale, rate):

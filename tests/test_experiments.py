@@ -95,6 +95,24 @@ class TestSweepConfig:
                 config(beta=beta)
         assert config(function="f4_2", schedule=rate, m_list=(), beta=3).beta == 3
 
+    @pytest.mark.parametrize("kw", [dict(n_list=(2, 2)), dict(n_list=(2, 3, 2)),
+                                    dict(m_list=(50, 50))])
+    def test_repeated_degrees_or_sizes_rejected(self, kw):
+        with pytest.raises(ValueError, match="repeats .* would run twice"):
+            config(**kw)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_sizes_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match=f"sizes must be >= 1, got {m}"):
+            config(m_list=(50, m))
+
+    @pytest.mark.parametrize("kw", [dict(m_list=(1, 8)),
+                                    dict(n_list=(0, 1), m_list=(), schedule="(n+1)^2")])
+    def test_gauss_product_below_two_nodes_rejected(self, kw):
+        # the order-1 rule has 2 nodes; m = 1 would run it and write m = 2
+        with pytest.raises(ValueError, match="gauss_product cell needs m >= 2"):
+            sp.run_sweep(config(points="gauss_product", **kw))
+
     def test_txt_path_accepted(self):
         cfg = config(points="designs/my_points.txt")
         assert cfg.points_is_file()

@@ -225,21 +225,28 @@ class TestProjectReference:
         assert str(refused.value) == ("reference rule exactness 0 < n + 1 = 5; "
                                       "refusing the degenerate projection")
 
-    def test_one_walk_at_n_plus_1_matches_fit(self, monkeypatch):
+    def test_scan_at_the_ring_heads_then_fit(self, monkeypatch):
         f3 = sp.by_name("f3")
         refs = {n: sp.reference_rule_for(n) for n in (10, 30)}
         walks, walk = [], quadrature.basis_chunks
 
         def counted(n, points):
-            walks.append(n)
+            walks.append((n, len(points)))
             return walk(n, points)
 
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "basis_chunks", counted)
             got = {n: sp.project_reference(f3, n, ref) for n, ref in refs.items()}
-        assert walks == [11, 31]
+        # the exactness scan at n + 1 over the N latitudes' first nodes, then
+        # fit's walk at n over all 2 N^2 nodes, N = n + 11
+        assert walks == [(11, 21), (10, 882), (31, 41), (30, 3362)]
         for n, ref in refs.items():
-            assert np.abs(got[n].coeffs - sp.fit(ref, f3, n).coeffs).max() <= 1e-15
+            assert np.array_equal(got[n].coeffs, sp.fit(ref, f3, n).coeffs)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_refuses_a_negative_degree(self, n):
+        with pytest.raises(ValueError, match=f"degree n must be >= 0, got {n}"):
+            sp.project_reference(sp.by_name("f3"), n, sp.product_gauss_rule(20))
 
     def test_degree_zero_projection(self):
         ref = sp.product_gauss_rule(20)

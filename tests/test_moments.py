@@ -11,6 +11,7 @@ import pytest
 
 import sphyper as sp
 from sphyper import hyperinterp, quadrature
+from sphyper.harmonics import SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
 from sphyper.quadrature import _LANCZOS_PRODUCTS, _ring_moments, _ring_report, _rings, node_sum
 
@@ -81,7 +82,9 @@ class TestRings:
 
     @pytest.mark.parametrize("broken", [nudged_azimuth, unequal_weight])
     def test_a_broken_ring_is_no_ring(self, broken):
-        assert _rings(broken(equal_area_rule(2704))) is None
+        starts, counts = _rings(broken(equal_area_rule(2704)))
+        assert np.array_equal(starts, np.arange(2704))
+        assert np.array_equal(counts, np.ones(2704, dtype=int))
 
     @pytest.mark.parametrize("rule, L", [
         pytest.param(lambda: equal_area_rule(2704), 50, id="equal_area"),
@@ -92,6 +95,42 @@ class TestRings:
         rule = rule()
         assert np.abs(_ring_moments(rule, *_rings(rule), L)
                       - node_sum(L, rule.points, rule.weights)).max() <= 1e-13
+
+
+def node_sum_residuals(rule, L):
+    """exactness_degree's residuals from the sums over every node."""
+    integrals = node_sum(L, rule.points, rule.weights)
+    errors = np.abs(integrals)
+    errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
+    return [float(np.max(errors[ell * ell:(ell + 1) ** 2])) for ell in range(L + 1)]
+
+
+class TestExactnessFromMoments:
+    @pytest.mark.parametrize("rule, L, heads", [
+        pytest.param(lambda: equal_area_rule(10 ** 4), 24, 89, id="equal_area"),
+        pytest.param(lambda: sp.product_gauss_rule(26), 53, 26, id="gauss"),
+    ])
+    def test_ring_rules_walk_only_the_ring_heads(self, monkeypatch, rule, L, heads):
+        rule, walks, walk = rule(), [], quadrature.basis_chunks
+
+        def counted(n, points):
+            walks.append((n, len(points)))
+            return walk(n, points)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "basis_chunks", counted)
+            residuals = sp.exactness_degree(rule, L).residuals
+        assert walks == [(L, heads)]
+        assert np.abs(np.subtract(residuals, node_sum_residuals(rule, L))).max() <= 1e-13
+
+    @pytest.mark.parametrize("rule, L", [
+        pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(5000, 8), "random"), 12,
+                     id="random"),
+        pytest.param(lambda: sp.bundled_tdesign_rule(20), 21, id="t-design"),
+    ])
+    def test_rules_of_rings_of_one_give_the_node_sum_bit_for_bit(self, rule, L):
+        rule = rule()
+        assert sp.exactness_degree(rule, L).residuals == node_sum_residuals(rule, L)
 
 
 class TestRingReport:

@@ -31,6 +31,17 @@ class TestRandomUniform:
             sp.random_uniform(0, seed=0)
 
 
+@pytest.mark.parametrize("build, name, size", [
+    (sp.equal_area, "m", 2.5),
+    (lambda m: sp.random_uniform(m, 0), "m", 5.0),
+    (sp.product_gauss_rule, "polar order N", 3.0),
+    (sp.equal_area, "m", "12"),
+])
+def test_a_size_that_is_not_an_integer_is_refused(build, name, size):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {size!r}$"):
+        build(size)
+
+
 class TestEqualArea:
     def test_small_counts(self):
         assert sp.equal_area(1).shape == (1, 3)

@@ -12,8 +12,9 @@ SRC = Path(sp.__file__).resolve().parents[1]
 
 # Two sweeps, random and equal-area, each with a cell at n = 22 whose walk
 # has more than one block of the floor width (m > 2048 nodes), then eta of a
-# random rule above dim 625 (Lanczos on the walk's triangle) and audited_fit
-# on an equal-area rule at n = 30 (eta from its ring moments).
+# random rule above dim 625 (Lanczos on the walk's triangle), audited_fit on
+# an equal-area rule at n = 30 (eta from its ring moments), the exactness
+# scan of an equal-area rule (its ring moments) and a reference projection.
 CHILD = """
 import sphyper as sp
 from sphyper.cli import main
@@ -29,6 +30,9 @@ rule = sp.equal_weight_rule(sp.random_uniform(4 * 676, seed=3), "random")
 print(repr(sp.mz_constant(rule, 25)))
 h = sp.audited_fit(sp.equal_weight_rule(sp.equal_area(4 * 961), "equal_area"), sp.by_name("f3"), 30)
 print(repr(h.eta_used), repr(h.coeffs.tolist()))
+rule = sp.equal_weight_rule(sp.equal_area(10 ** 5), "equal_area")
+print(repr(sp.exactness_degree(rule, 40).residuals))
+print(repr(sp.project_reference(sp.by_name("f3"), 22, sp.reference_rule_for(22)).coeffs.tolist()))
 """
 
 
