@@ -7,7 +7,7 @@ import numpy as np
 
 from .harmonics import lb_eigenvalue
 from .pointsets import equal_area, product_gauss_rule
-from .quadrature import sample_values
+from .quadrature import _one_blas_thread, sample_values
 
 __all__ = ["RateFit", "l2_error", "sobolev_norm", "uniform_norm_refined",
            "fit_rate", "reference_rule_for"]
@@ -40,11 +40,12 @@ def reference_rule_for(n):
     return product_gauss_rule(N)
 
 
+@_one_blas_thread()
 def l2_error(g, h, ref):
     """sqrt(sum_q W_q (g - h)^2) over the reference rule's nodes.
 
     Exact when g - h is a polynomial within the rule's exactness budget,
-    a controlled approximation otherwise.
+    a controlled approximation otherwise.  Same bits at any BLAS thread count.
     """
     diff = sample_values(g, ref.points) - sample_values(h, ref.points)
     return math.sqrt(float(np.dot(ref.weights, diff * diff)))
@@ -60,8 +61,8 @@ def sobolev_norm(coeffs, s):
     n = int(round(math.sqrt(c.size))) - 1
     if (n + 1) ** 2 != c.size:
         raise ValueError(f"coefficient vector length {c.size} is not a square")
-    if s < 0:
-        raise ValueError(f"smoothness s must be >= 0, got {s}")
+    if not 0 <= s < math.inf:   # NaN fails too
+        raise ValueError(f"smoothness s must be >= 0 and finite, got {s}")
     total = 0.0
     for ell in range(n + 1):
         block = c[ell * ell:(ell + 1) * (ell + 1)]
@@ -100,7 +101,10 @@ def fit_rate(samples):
     `samples` is (size, error) pairs, positive and finite, at two distinct
     sizes or more; the slope is the empirical convergence exponent.
     """
-    pts = [(float(s), float(e)) for s, e in samples]
+    try:
+        pts = [(float(s), float(e)) for s, e in samples]
+    except OverflowError:   # an integer past the float range
+        raise ValueError("sizes and errors must all be positive and finite") from None
     if not all(0 < v < math.inf for pair in pts for v in pair):   # NaN fails too
         raise ValueError("sizes and errors must all be positive and finite")
     if len({s for s, _ in pts}) < 2:

@@ -71,6 +71,14 @@ class SweepConfig:
     def __post_init__(self):
         if set(",\r\n") & set(self.experiment):
             raise ValueError(f"experiment {self.experiment!r} has a comma or line break")
+        for field in ("n_list", "m_list", "beta", "seed", "repetitions"):
+            value = getattr(self, field)
+            values = value if field.endswith("_list") else (value,)
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in values):
+                raise ValueError(f"{field} takes integers only, got {value!r}")
+            ints = tuple(int(v) for v in values)
+            object.__setattr__(self, field, ints if field.endswith("_list") else ints[0])
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.beta < 1:

@@ -41,12 +41,19 @@ __all__ = [
 ]
 
 
+def _check_degree(n, name="degree n"):
+    """Refuses a degree that is not an integer >= 0 (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+
+
 def lb_eigenvalue(d, ell):
     """Laplace-Beltrami eigenvalue lambda_ell = ell*(ell + d - 1) on S^d."""
     if d < 2:
         raise ValueError(f"sphere dimension d must be >= 2, got {d}")
-    if ell < 0:
-        raise ValueError(f"degree ell must be >= 0, got {ell}")
+    _check_degree(ell, "degree ell")
     return ell * (ell + d - 1)
 
 
@@ -77,8 +84,7 @@ def eval_basis_block(n, points):
     ndarray, shape ((n+1)**2, m)
         Row ``l**2 + (k-1)`` holds Y_{l,k} at all points.
     """
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    _check_degree(n)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected points of shape (m, 3), got {pts.shape}")
@@ -132,8 +138,7 @@ def basis_chunks(n, points, min_points=_MIN_CHUNK):
 def _chunk_points(n, min_points=_MIN_CHUNK):
     """Points per basis block at degree n: _BLOCK_VALUES values, or min_points.
     Every walk sizes its blocks here, so this is where n is checked."""
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    _check_degree(n)
     return max(min_points, _BLOCK_VALUES // (n + 1) ** 2)
 
 
@@ -144,7 +149,6 @@ def kernel_dot(n, u):
     `u` is x . y, clipped to [-1, 1], and may be an array.  Evaluated as
     numpy's Legendre series, never as the double sum over the basis.
     """
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    _check_degree(n)
     u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
     return np.polynomial.legendre.legval(u, (2 * np.arange(n + 1) + 1) / SPHERE_AREA)

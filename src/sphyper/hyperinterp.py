@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .harmonics import _BLOCK_VALUES, basis_chunks, kernel_dot
+from .harmonics import _BLOCK_VALUES, _check_degree, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import (RANK_TOL, _gram_walk, _ring_report, exactness_degree, mz_report,
-                         node_sum, sample_values)
+from .quadrature import (RANK_TOL, _gram_walk, _one_blas_thread, _ring_report, exactness_degree,
+                         mz_report, node_sum, sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -33,8 +33,7 @@ class Hyperinterpolant:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.n < 0:
-            raise ValueError(f"degree n must be >= 0, got {self.n}")
+        _check_degree(self.n)
         if self.coeffs.shape != ((self.n + 1) ** 2,):
             raise ValueError(
                 f"degree {self.n} needs {(self.n + 1) ** 2} coefficients, "
@@ -64,8 +63,7 @@ def _gram_fit(rule, f, n):
 def _weighted_samples(rule, f, n):
     """w * f at the rule's nodes for sums up to degree n, n and f checked; a
     product that overflows is refused as a sum that is not finite."""
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    _check_degree(n)
     return rule.weights * sample_values(f, rule.points)
 
 
@@ -79,6 +77,7 @@ def audited_fit(rule, f, n):
     than one walk takes eta from them (`_ring_report`) and its coefficients
     from fit(); any other rule takes both from the same chunk walk.
     """
+    _check_degree(n)
     report = _ring_report(rule, n)
     if report is None:
         G, h = _gram_fit(rule, f, n)
@@ -96,6 +95,7 @@ def audited_fit(rule, f, n):
     return replace(h, eta_used=report.eta)
 
 
+@_one_blas_thread()
 def evaluate_block(h, points):
     """Evaluate via the coefficient sum at many unit vectors; returns shape (m,)."""
     pts = unit_points(points)
@@ -134,8 +134,7 @@ def project_reference(f, n, ref):
     reference rule's measured exactness degree (`exactness_degree`, from its
     ring moments) is at least n + 1; a weaker rule is refused.
     """
-    if n < 0:
-        raise ValueError(f"degree n must be >= 0, got {n}")
+    _check_degree(n)
     degree = exactness_degree(ref, n + 1).degree
     if degree < n + 1:
         raise ValueError(f"reference rule exactness {degree} < n + 1 = {n + 1}; "

@@ -21,12 +21,13 @@ on a matrix-free operator built from the moments to degree 2n.  Its eta
 agrees with the walk's to 1e-13 (at most 6.4e-14 measured); where Lanczos
 spends its budget, the walk and the dense eigensolver take over.
 
-Every sum here runs with numpy's and scipy's BLAS on one thread each
-(`_one_blas_thread`), so it gives the same bits at any BLAS thread count;
-the walk's worker thread takes the second core instead.  At the default
-threads of a 2-vCPU VM, that took the twelve figure configs from 77-82 s
-to 54-57 s, but cost a single wide walk its second BLAS thread
-(mz_constant on 8836 random nodes at n = 46: 1.7 -> 2.8 s).
+A basis block meets a vector as numpy's B @ v.  Every sum here runs with
+numpy's and scipy's BLAS on one thread each (`_one_blas_thread`), so it
+gives the same bits at any BLAS thread count; the walk's worker thread
+runs dsyrk on the second core instead.  At the default threads of a
+2-vCPU VM, that took the twelve figure configs from 77-82 s to 54-57 s,
+but cost a single wide walk its second BLAS thread (mz_constant on 8836
+random nodes at n = 46: 1.7 -> 2.8 s).
 """
 
 import contextlib
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, eval_basis_block
+from .harmonics import SPHERE_AREA, _MIN_CHUNK, _check_degree, basis_chunks, eval_basis_block
 from .pointsets import _gauss_legendre
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
@@ -165,7 +166,7 @@ def node_sum(n, points, v):
     chunks = basis_chunks(n, points)   # checks n before out is allocated
     out = np.zeros((n + 1) ** 2)
     for rows, B in chunks:
-        out += block_dot(B, v[rows])
+        out += B @ v[rows]
         del B
     return out
 
@@ -180,47 +181,30 @@ def _gram_walk(rule, n, v=None):
     (n'+1)^2 block and slice of these, so one walk at the largest degree
     serves every smaller one.
 
-    When the walk has two blocks or more, one worker thread adds block k to
-    G while this thread evaluates block k+1, so the walk costs about the
-    larger of the two instead of their sum.  Block k+1 is handed over only
-    once block k is added, so at most two blocks are alive, each at least
-    _MIN_CHUNK // 2 points wide.  The BLAS runs on one thread meanwhile
-    (`_one_blas_thread`), so G and c are the same bits at any thread count.
+    One worker thread adds block k to G while this thread evaluates block
+    k+1, so the walk costs about the larger of the two instead of their sum.
+    Block k+1 is handed over only once block k is added, so at most two
+    blocks are alive, each at least _MIN_CHUNK // 2 points wide.  The BLAS
+    runs on one thread meanwhile (`_one_blas_thread`), so G and c are the
+    same bits at any thread count.
     """
-    pipelined = rule.m > _chunk_points(n)   # checks n first
+    chunks = basis_chunks(n, rule.points, _MIN_CHUNK // 2)   # checks n first
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
     c = None if v is None else np.zeros(dim)
     sqrt_w = np.sqrt(rule.weights)   # weights are positive
-    min_points = _MIN_CHUNK // 2 if pipelined else _MIN_CHUNK
     added = None   # the worker's future for the block before
-    with ThreadPoolExecutor(1) if pipelined else contextlib.nullcontext() as worker:
-        for rows, B in basis_chunks(n, rule.points, min_points):
+    with ThreadPoolExecutor(1) as worker:
+        for rows, B in chunks:
             if c is not None:
-                c += block_dot(B, v[rows])   # from the block before its scaling
+                c += B @ v[rows]   # from the block before its scaling
             B *= sqrt_w[rows]
-            if worker is None:
-                _syrk(B, G)
-            else:
-                if added is not None:
-                    added.result()
-                added = worker.submit(_syrk, B, G)
+            if added is not None:
+                added.result()
+            added = worker.submit(_syrk, B, G)
             del B
-        if added is not None:
-            added.result()
+        added.result()
     return G, c
-
-
-def block_dot(B, v):
-    """B @ v for a basis block and a vector of node values: dgemv through
-    scipy's BLAS, which dsyrk uses too.  numpy and scipy each bring their
-    own BLAS and thread pool; alternating the two in one walk made them
-    contend for the cores, and at two BLAS threads dsyrk ran about 3x slower
-    per block (2-vCPU VM).  On numpy 2.4.6 and scipy 1.17.1 it matched
-    numpy's B @ v bit for bit.  It holds the GIL, so it runs on the thread
-    that evaluates the basis (`_dsyrk`)."""
-    from scipy.linalg.blas import dgemv  # imported here: scipy.linalg takes ~0.3 s
-    return dgemv(1.0, B.T, v, trans=1)
 
 
 def _syrk(B, G):
@@ -244,10 +228,10 @@ def _syrk(B, G):
 def _dsyrk():
     """BLAS dsyrk as a ctypes function, bound once to the routine that
     scipy.linalg.cython_blas exports.  scipy.linalg.blas's f2py wrappers
-    (block_dot's dgemv too) hold the GIL while BLAS runs; ctypes
-    releases it for the call, so a worker thread's dsyrk overlaps Python
-    work on the calling thread.  It is the routine the f2py wrapper calls,
-    with the same arguments, so the bits are the same."""
+    hold the GIL while BLAS runs; ctypes releases it for the call, so a
+    worker thread's dsyrk overlaps Python work on the calling thread.  It is
+    the routine the f2py wrapper calls, with the same arguments, so the bits
+    are the same."""
     from scipy.linalg import cython_blas  # imported here: scipy.linalg takes ~0.3 s
     capsule = cython_blas.__pyx_capi__["dsyrk"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -426,7 +410,7 @@ def _ring_moments(rule, starts, counts, L):
     out = np.zeros((L + 1) ** 2)
     for rows, B in basis_chunks(L, rule.points[starts]):
         B *= order[:, None] % counts[rows] == 0
-        out += block_dot(B, v[rows])
+        out += B @ v[rows]
         del B
     return out
 
@@ -492,8 +476,7 @@ def exactness_degree(rule, max_scan):
     even integrate constants gets degree -1.  The sums are the rule's ring
     moments up to max_scan (`_ring_moments`).
     """
-    if max_scan < 0:
-        raise ValueError(f"max_scan must be >= 0, got {max_scan}")
+    _check_degree(max_scan, "max_scan")
     integrals = _ring_moments(rule, *_rings(rule), max_scan)
     errors = np.abs(integrals)
     errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))

@@ -66,6 +66,11 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             sp.sobolev_norm(np.zeros(4), -1.0)
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_non_finite_s_rejected(self, s):
+        with pytest.raises(ValueError, match=f"smoothness s must be >= 0 and finite, got {s}"):
+            sp.sobolev_norm(np.ones(4), s)
+
     @settings(max_examples=30)
     @given(st.integers(0, 8), st.floats(0.0, 4.0))
     def test_dominates_l2(self, n, s):
@@ -110,6 +115,8 @@ class TestFitRate:
         [(10, 1.0), (100, float("inf"))],
         [(float("nan"), 1.0), (100, 1.0)],
         [(10, 1.0), (float("inf"), 1.0)],
+        [(10 ** 400, 1.0), (10, 2.0)],   # integers past the float range
+        [(10, 1.0), (100, 10 ** 400)],
     ])
     def test_rejects_non_finite(self, samples):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +101,20 @@ class TestSweepConfig:
     def test_repeated_degrees_or_sizes_rejected(self, kw):
         with pytest.raises(ValueError, match="repeats .* would run twice"):
             config(**kw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_list", (2.5,)), ("n_list", (True,)), ("n_list", (2, "3")), ("m_list", (50.5,)),
+        ("m_list", (100.0,)), ("seed", 1.5), ("seed", None), ("repetitions", 1.5),
+        ("repetitions", False), ("beta", 2.0)])
+    def test_non_integer_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} takes integers only, got {value!r}")):
+            config(**{field: value})
+
+    def test_integer_fields_stored_as_ints(self):
+        cfg = config(n_list=[np.int64(3), 5], m_list=(np.int32(60),), seed=np.uint16(4),
+                     repetitions=np.int64(2))
+        assert (cfg.n_list, cfg.m_list, cfg.seed, cfg.repetitions) == ((3, 5), (60,), 4, 2)
+        assert all(type(v) is int for v in (*cfg.n_list, *cfg.m_list, cfg.seed, cfg.repetitions))
 
     @pytest.mark.parametrize("m", [0, -5])
     def test_sizes_below_one_rejected(self, m):

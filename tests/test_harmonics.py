@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import threading
 from pathlib import Path
 
@@ -48,6 +49,46 @@ class TestIndexing:
             sp.flat_index(2, 0)
         with pytest.raises(ValueError):
             sp.flat_index(2, 6)
+
+
+DEGREE_POINTS = sp.random_uniform(50, seed=20)
+DEGREE_RULE = sp.equal_weight_rule(sp.equal_area(4000), "equal_area")
+DEGREE_CALLS = {
+    "lb_eigenvalue": lambda n: sp.lb_eigenvalue(2, n),
+    "eval_basis_block": lambda n: sp.eval_basis_block(n, DEGREE_POINTS),
+    "basis_chunks": lambda n: basis_chunks(n, DEGREE_POINTS),
+    "kernel_dot": lambda n: sp.kernel_dot(n, 0.3),
+    "Hyperinterpolant": lambda n: sp.Hyperinterpolant(n=n, coeffs=np.zeros(16)),
+    "fit": lambda n: sp.fit(DEGREE_RULE, sp.by_name("f3"), n),
+    "audited_fit": lambda n: sp.audited_fit(DEGREE_RULE, sp.by_name("f3"), n),
+    "mz_constant": lambda n: sp.mz_constant(DEGREE_RULE, n),
+    "exactness_degree": lambda n: sp.exactness_degree(DEGREE_RULE, n),
+    "project_reference": lambda n: sp.project_reference(sp.by_name("f3"), n,
+                                                        sp.product_gauss_rule(20)),
+}
+
+
+class TestDegreeCheck:
+    """Every call that takes a degree refuses one that is not an integer,
+    naming it, before any work; numpy's integers are integers."""
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, 30.5, True, False, "3", None])
+    @pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS.keys())
+    def test_refuses_a_non_integer(self, call, n):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {n!r}")):
+            call(n)
+
+    @pytest.mark.parametrize("call", DEGREE_CALLS.values(), ids=DEGREE_CALLS.keys())
+    def test_refuses_a_negative_integer(self, call):
+        with pytest.raises(ValueError, match="must be >= 0, got -1"):
+            call(-1)
+
+    def test_numpy_integers_pass(self):
+        f3 = sp.by_name("f3")
+        assert sp.lb_eigenvalue(2, np.int64(3)) == 12
+        assert np.array_equal(sp.kernel_dot(np.int32(4), [0.1, 0.7]), sp.kernel_dot(4, [0.1, 0.7]))
+        assert np.array_equal(sp.fit(DEGREE_RULE, f3, np.int64(5)).coeffs,
+                              sp.fit(DEGREE_RULE, f3, 5).coeffs)
 
 
 def legendre(ell, t):
@@ -300,6 +341,14 @@ class TestChunkBoundary:
 
     def test_fused_walk_at_floor_width(self, floor_rule, monkeypatch):
         self.check_fused_walk(floor_rule, self.n_floor, monkeypatch)
+
+    def test_one_block_walk_on_the_worker(self, monkeypatch):
+        # a walk of one block hands its dsyrk to the worker like any other
+        rule = sp.equal_weight_rule(sp.random_uniform(1000, seed=19), "random")
+        assert rule.m <= _chunk_points(self.n, _MIN_CHUNK // 2)
+        G = on_the_worker(monkeypatch, lambda: sp.discrete_gram(rule, self.n))
+        B = sp.eval_basis_block(self.n, rule.points)
+        assert_rel_close(G, (B * rule.weights) @ B.T)
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)

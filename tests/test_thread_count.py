@@ -14,7 +14,9 @@ SRC = Path(sp.__file__).resolve().parents[1]
 # has more than one block of the floor width (m > 2048 nodes), then eta of a
 # random rule above dim 625 (Lanczos on the walk's triangle), audited_fit on
 # an equal-area rule at n = 30 (eta from its ring moments), the exactness
-# scan of an equal-area rule (its ring moments) and a reference projection.
+# scan of an equal-area rule (its ring moments), a reference projection, and
+# the L2 error of two random fits at n = 60 on the 10082-node reference rule
+# (synthesis and the weighted sum of squares, both wide enough to thread).
 CHILD = """
 import sphyper as sp
 from sphyper.cli import main
@@ -33,6 +35,10 @@ print(repr(h.eta_used), repr(h.coeffs.tolist()))
 rule = sp.equal_weight_rule(sp.equal_area(10 ** 5), "equal_area")
 print(repr(sp.exactness_degree(rule, 40).residuals))
 print(repr(sp.project_reference(sp.by_name("f3"), 22, sp.reference_rule_for(22)).coeffs.tolist()))
+for seed in (2, 3):
+    rule = sp.equal_weight_rule(sp.random_uniform(4000, seed=seed), "random")
+    h = sp.fit(rule, sp.by_name("f3"), 60)
+    print(repr(sp.l2_error(sp.by_name("f3"), h, sp.reference_rule_for(60))))
 """
 
 
