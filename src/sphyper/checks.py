@@ -50,12 +50,17 @@ def check_addition_theorem():
 def check_gauss_exactness():
     eta = mz_constant(product_gauss_rule(8), 7).eta
     degree = exactness_degree(product_gauss_rule(4), max_scan=8).degree
-    # audited_fit takes eta of ring rules above dim 625 from their moments
+    # audited_fit takes eta of rules with runs above dim 625 from their
+    # moments, and fit sums over the runs: both against the sums over nodes
     rule = equal_weight_rule(equal_area(4 * 676), "equal_area")
     gap = abs(_ring_report(rule, 25).eta - mz_constant(rule, 25).eta)
-    ok = eta < 1e-10 and degree == 7 and gap <= 1e-13
+    f = by_name("f3")
+    fit_gap = float(np.abs(fit(rule, f, 25).coeffs - eval_basis_block(25, rule.points)
+                           @ (rule.weights * f(rule.points))).max())
+    ok = eta < 1e-10 and degree == 7 and gap <= 1e-13 and fit_gap <= 1e-13
     return ok, (f"eta(order 8, n=7)={eta:.3e}, exactness(order 4)={degree}, "
-                f"|eta moments - walk|(equal-area 2704, n=25)={gap:.1e}")
+                f"|eta moments - walk|(equal-area 2704, n=25)={gap:.1e}, "
+                f"|fit run sums - basis product|={fit_gap:.1e}")
 
 
 def check_design_exactness():

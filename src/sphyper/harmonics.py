@@ -42,18 +42,21 @@ __all__ = [
 
 
 def _check_degree(n, name="degree n"):
-    """Refuses a degree that is not an integer >= 0 (a bool is not one)."""
+    """n as a Python int, refusing a degree that is not an integer >= 0 (a
+    bool is not one).  A numpy integer comes back as an int, so no size
+    computed from it wraps or overflows."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
+    return int(n)
 
 
 def lb_eigenvalue(d, ell):
     """Laplace-Beltrami eigenvalue lambda_ell = ell*(ell + d - 1) on S^d."""
     if d < 2:
         raise ValueError(f"sphere dimension d must be >= 2, got {d}")
-    _check_degree(ell, "degree ell")
+    ell = _check_degree(ell, "degree ell")
     return ell * (ell + d - 1)
 
 
@@ -84,7 +87,7 @@ def eval_basis_block(n, points):
     ndarray, shape ((n+1)**2, m)
         Row ``l**2 + (k-1)`` holds Y_{l,k} at all points.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected points of shape (m, 3), got {pts.shape}")
@@ -138,7 +141,7 @@ def basis_chunks(n, points, min_points=_MIN_CHUNK):
 def _chunk_points(n, min_points=_MIN_CHUNK):
     """Points per basis block at degree n: _BLOCK_VALUES values, or min_points.
     Every walk sizes its blocks here, so this is where n is checked."""
-    _check_degree(n)
+    n = _check_degree(n)
     return max(min_points, _BLOCK_VALUES // (n + 1) ** 2)
 
 
@@ -147,8 +150,26 @@ def kernel_dot(n, u):
 
     G_n(x, y) = sum_{l<=n} (2l+1)/(4*pi) * P_l(x . y) (addition theorem);
     `u` is x . y, clipped to [-1, 1], and may be an array.  Evaluated as
-    numpy's Legendre series, never as the double sum over the basis.
+    numpy's Legendre series, never as the double sum over the basis: the
+    Clenshaw recurrence of numpy's `legval`, step for step and so to the
+    same bits, but updated in place, so it holds four arrays the size of u
+    (u clipped, the two recurrence terms and one product).
     """
-    _check_degree(n)
+    n = _check_degree(n)
     u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
-    return np.polynomial.legendre.legval(u, (2 * np.arange(n + 1) + 1) / SPHERE_AREA)
+    c = (2 * np.arange(n + 1) + 1) / SPHERE_AREA
+    if n == 0:
+        return np.full_like(u, c[0])[()]
+    c0, c1 = np.full_like(u, c[-2]), np.full_like(u, c[-1])
+    tmp = np.empty_like(u)
+    for nd in range(n, 1, -1):
+        # c0, c1 = c[nd - 2] - c1 ((nd - 1) / nd), c0 + c1 u ((2 nd - 1) / nd)
+        np.multiply(c1, u, out=tmp)
+        tmp *= (2 * nd - 1) / nd
+        tmp += c0
+        np.multiply(c1, (nd - 1) / nd, out=c0)
+        np.subtract(c[nd - 2], c0, out=c0)
+        c1, tmp = tmp, c1
+    np.multiply(c1, u, out=tmp)
+    tmp += c0
+    return tmp[()]   # a float for a float u, as legval gives

@@ -33,7 +33,7 @@ class Hyperinterpolant:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        _check_degree(self.n)
+        object.__setattr__(self, "n", _check_degree(self.n))
         if self.coeffs.shape != ((self.n + 1) ** 2,):
             raise ValueError(
                 f"degree {self.n} needs {(self.n + 1) ** 2} coefficients, "
@@ -46,24 +46,26 @@ class Hyperinterpolant:
 
 
 def fit(rule, f, n):
-    """Hyperinterpolant of degree n: coeffs = B diag(w) y, chunked over points."""
+    """Hyperinterpolant of degree n: coeffs = B diag(w) y, summed per latitude
+    run where the rule's nodes come in runs (`node_sum`)."""
+    n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
-        coeffs = node_sum(n, rule.points, _weighted_samples(rule, f, n))
+        coeffs = node_sum(n, rule.points, _weighted_samples(rule, f))
     return Hyperinterpolant(n=n, coeffs=coeffs)
 
 
 def _gram_fit(rule, f, n):
     """(G, h): the upper triangle of the rule's discrete Gram (`_gram_walk`)
     and fit(rule, f, n), from one chunk walk over the nodes."""
+    n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
-        G, coeffs = _gram_walk(rule, n, _weighted_samples(rule, f, n))
+        G, coeffs = _gram_walk(rule, n, _weighted_samples(rule, f))
     return G, Hyperinterpolant(n=n, coeffs=coeffs)
 
 
-def _weighted_samples(rule, f, n):
-    """w * f at the rule's nodes for sums up to degree n, n and f checked; a
-    product that overflows is refused as a sum that is not finite."""
-    _check_degree(n)
+def _weighted_samples(rule, f):
+    """w * f at the rule's nodes, f checked; a product that overflows is
+    refused as a sum that is not finite."""
     return rule.weights * sample_values(f, rule.points)
 
 
@@ -73,11 +75,13 @@ def audited_fit(rule, f, n):
     With a rank-deficient discrete Gram (lambda_min <= RANK_TOL), or with
     eta >= 1 by lambda_max >= 2, the stability and error theory is vacuous,
     so we fail loudly, naming the condition, instead of degrading silently.
-    Above dim 625, a ring rule whose ring moments cost fewer basis values
-    than one walk takes eta from them (`_ring_report`) and its coefficients
-    from fit(); any other rule takes both from the same chunk walk.
+    Above dim 625, a rule whose moments, summed over its latitude runs, cost
+    fewer basis values than one walk takes eta from them (`_ring_report`)
+    and its coefficients from fit(); any other rule takes both from the same
+    chunk walk.  Either way the coefficients are fit()'s run sums on a rule
+    with runs.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     report = _ring_report(rule, n)
     if report is None:
         G, h = _gram_fit(rule, f, n)
@@ -116,8 +120,9 @@ def evaluate_kernel(rule, f, n, points):
     pts = unit_points(points)
     out = np.empty(pts.shape[0])
     width = max(1, _BLOCK_VALUES // rule.m)     # targets per block of inner products
+    n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
-        wy = _weighted_samples(rule, f, n)
+        wy = _weighted_samples(rule, f)
         for lo in range(0, pts.shape[0], width):
             hi = min(lo + width, pts.shape[0])
             u = pts[lo:hi] @ rule.points.T          # inner products, (width, m)
@@ -132,9 +137,9 @@ def project_reference(f, n, ref):
 
     Stands in for the exact Fourier coefficients: fit(ref, f, n), once the
     reference rule's measured exactness degree (`exactness_degree`, from its
-    ring moments) is at least n + 1; a weaker rule is refused.
+    moments) is at least n + 1; a weaker rule is refused.
     """
-    _check_degree(n)
+    n = _check_degree(n)
     degree = exactness_degree(ref, n + 1).degree
     if degree < n + 1:
         raise ValueError(f"reference rule exactness {degree} < n + 1 = {n + 1}; "

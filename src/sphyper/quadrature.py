@@ -1,5 +1,5 @@
-"""Every sum over a rule's nodes: node sums, ring moments, exactness degree,
-the Gram and eta.
+"""Every sum over a rule's nodes: node sums, moments, exactness degree, the
+Gram and eta.
 
 The Marcinkiewicz-Zygmund constant of a rule at degree n is the spectral
 norm of G - I where G is the discrete Gram matrix of the orthonormal
@@ -8,14 +8,17 @@ For any coefficient vector a, sum_j w_j chi(x_j)^2 = a^T G a while
 integral(chi^2) = a^T a, so the MZ ratio extremizes exactly at the
 extreme eigenvalues of G.
 
-A sum that includes samples walks every node (`node_sum`, `_gram_walk`);
-a sum of the weights alone is a ring moment (`_ring_moments`), which the
-exactness scan and the moments path read.
+Every sum of one value per node (the fit's w f, or the weights alone: the
+moments, which the exactness scan and the moments path read) is
+`node_sum`.  On a rule whose nodes come in runs of equal z, as the rings
+of equal_area and product_gauss_rule do, it takes one azimuth sum per
+order and run and evaluates the basis only at the run heights
+(`_run_sums`); other rules walk the basis at every node.
 
 Two paths compute eta.  The walk (`_gram_walk`, then `mz_report`) builds
 G's upper triangle with dsyrk; `mz_constant`, the sweeps, rules without
-rings and every Gram of dim <= 625 take it, and it is the oracle.  The
-moments path (`_ring_report`) serves `audited_fit` on ring rules above
+runs and every Gram of dim <= 625 take it, and it is the oracle.  The
+moments path (`_ring_report`) serves `audited_fit` on rules with runs above
 dim 625 when their moments cost fewer basis values than one walk: Lanczos
 on a matrix-free operator built from the moments to degree 2n.  Its eta
 agrees with the walk's to 1e-13 (at most 6.4e-14 measured); where Lanczos
@@ -40,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA, _MIN_CHUNK, _check_degree, basis_chunks, eval_basis_block
+from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, basis_chunks,
+                        eval_basis_block)
 from .pointsets import _gauss_legendre
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
@@ -161,12 +165,78 @@ def discrete_gram(rule, n):
 @_one_blas_thread()
 def node_sum(n, points, v):
     """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order, for one
-    value v_j per node: fit's coefficients, and the weight sums of a rule
-    whose rings are all of one (`_ring_moments`)."""
-    chunks = basis_chunks(n, points)   # checks n before out is allocated
+    value v_j per node: fit's coefficients, and the rule's moments (v = w).
+    Nodes in runs of equal z (`_rings`) are summed per run (`_run_sums`);
+    a rule whose runs are all of one node takes the chunked basis walk."""
+    n = _check_degree(n)   # before out is allocated
+    starts = _rings(points)
+    if starts is not None:
+        return _run_sums(n, points, starts, v)
     out = np.zeros((n + 1) ** 2)
-    for rows, B in chunks:
+    for rows, B in basis_chunks(n, points):
         out += B @ v[rows]
+        del B
+    return out
+
+
+def _rings(points):
+    """Starts of the runs of the nodes, the maximal stretches of consecutive
+    nodes with bit-equal z (the latitude rings of equal_area and
+    product_gauss_rule), or None where every run is one node."""
+    z = points[:, 2]
+    new_run = z[1:] != z[:-1]
+    if new_run.all():
+        return None
+    return np.flatnonzero(np.concatenate([[True], new_run]))
+
+
+# nodes per chunk of _run_sums' azimuth sums: its two complex arrays hold
+# 1/8 of a basis block.  On equal_area(10^6) at n = 15 the sums took 37-44 ms
+# at this width and 49-60 ms at four times it (one BLAS thread, 2-vCPU VM)
+_RUN_CHUNK = _BLOCK_VALUES // 16
+
+
+def _run_sums(n, points, starts, v):
+    """node_sum through the runs that start at `starts` (`_rings`).
+
+    Y_{l,k} of order M is sqrt(2) p_{l,M}(z) (Re, Im)(x + iy)^M (p_{l,0}
+    alone at M = 0), so on a run of height z_r
+      sum_j v_j Y_{l,k}(x_j) = sqrt(2) p_{l,M}(z_r) (Re, Im) sum_j v_j (x_j + iy_j)^M,
+    whatever the run's azimuths and values.  The nodes enter through one
+    azimuth sum per order and run, taken over whole runs in chunks of
+    _RUN_CHUNK nodes, and the basis is evaluated only at the run heights
+    (1, 0, z_r), where (x + iy)^M = 1.
+    """
+    m = len(points)
+    ends = np.append(starts[1:], m)
+    sums = np.empty((n + 1, starts.size), dtype=complex)   # [M, run]
+    lo = 0
+    while lo < starts.size:
+        # the runs lo..hi-1, _RUN_CHUNK nodes at most, or one longer run
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _RUN_CHUNK, "right")))
+        nodes = slice(starts[lo], ends[hi - 1])
+        u = np.empty(nodes.stop - nodes.start, dtype=complex)
+        u.real, u.imag = points[nodes, 0], points[nodes, 1]
+        power = v[nodes].astype(complex)   # v (x + iy)^M
+        for M in range(n + 1):
+            if M:
+                power *= u
+            sums[M, lo:hi] = np.add.reduceat(power, starts[lo:hi] - starts[lo])
+        del u, power
+        lo = hi
+    heights = np.zeros((starts.size, 3))
+    heights[:, 0], heights[:, 2] = 1.0, points[starts, 2]
+    cos_rows, _ = _order_rows(n)
+    out = np.zeros((n + 1) ** 2)
+    for rows, B in basis_chunks(n, heights):
+        for M in range(n + 1):
+            # at (1, 0, z_r) the cos(M phi) rows of order M hold sqrt(2)
+            # p_{l,M}(z_r) (p_{l,0} at M = 0); the sin(M phi) ones, each one
+            # row further, are 0 there and take the same factor
+            P = B[cos_rows[M, M:]]
+            out[cos_rows[M, M:]] += P @ sums[M, rows].real
+            if M:
+                out[cos_rows[M, M:] + 1] += P @ sums[M, rows].imag
         del B
     return out
 
@@ -184,14 +254,18 @@ def _gram_walk(rule, n, v=None):
     One worker thread adds block k to G while this thread evaluates block
     k+1, so the walk costs about the larger of the two instead of their sum.
     Block k+1 is handed over only once block k is added, so at most two
-    blocks are alive, each at least _MIN_CHUNK // 2 points wide.  The BLAS
+    blocks are alive, each at least _MIN_CHUNK // 2 points wide.  On a rule
+    with runs (`_rings`), c is node_sum's run sums, taken while the worker
+    adds the last block; otherwise each block adds B v to it.  The BLAS
     runs on one thread meanwhile (`_one_blas_thread`), so G and c are the
     same bits at any thread count.
     """
-    chunks = basis_chunks(n, rule.points, _MIN_CHUNK // 2)   # checks n first
+    n = _check_degree(n)   # before anything is allocated
+    chunks = basis_chunks(n, rule.points, _MIN_CHUNK // 2)
+    starts = None if v is None else _rings(rule.points)
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
-    c = None if v is None else np.zeros(dim)
+    c = np.zeros(dim) if v is not None and starts is None else None
     sqrt_w = np.sqrt(rule.weights)   # weights are positive
     added = None   # the worker's future for the block before
     with ThreadPoolExecutor(1) as worker:
@@ -203,6 +277,8 @@ def _gram_walk(rule, n, v=None):
                 added.result()
             added = worker.submit(_syrk, B, G)
             del B
+        if starts is not None:
+            c = _run_sums(n, rule.points, starts, v)
         added.result()
     return G, c
 
@@ -343,13 +419,13 @@ def _lanczos_extremes(product, dim):
 
 @_one_blas_thread()
 def _ring_report(rule, n):
-    """MZReport of the rule at degree n from its ring moments, or None where
-    the walk should compute it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which
-    the walk refuses), or ring moments (`_rings`) that cost as many basis
-    values as one walk, R (2n+1)^2 >= m (n+1)^2 for R rings (as R = m does).
+    """MZReport of the rule at degree n from its moments, or None where the
+    walk should compute it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which the
+    walk refuses), or moments that cost as many basis values as one walk,
+    R (2n+1)^2 >= m (n+1)^2 for R runs (`_rings`; as R = m does).
 
     Every entry of G integrates a product of degree <= 2n, so G is fixed by
-    the moments s_{L,K} = sum_j w_j Y_{L,K}(x_j), L <= 2n (`_ring_moments`),
+    the moments s_{L,K} = sum_j w_j Y_{L,K}(x_j), L <= 2n (`node_sum`),
     and Lanczos runs on the matrix-free operator of `_moment_gram`.  If it
     spends its product budget (lambda_min near 0), the walk and the dense
     eigensolver give the report, as mz_report's own Lanczos would stall too.
@@ -360,59 +436,14 @@ def _ring_report(rule, n):
     if not math.isfinite(rule.weight_sum * dim):
         # |G_ab| <= sum(w) dim / (4 pi): the walk refuses a Gram that overflows
         return None
-    rings = _rings(rule)
-    if rings[0].size * (2 * n + 1) ** 2 >= rule.m * dim:
+    starts = _rings(rule.points)
+    if starts is None or starts.size * (2 * n + 1) ** 2 >= rule.m * dim:
         return None
-    product = _moment_gram(_ring_moments(rule, *rings, 2 * n), n)
+    product = _moment_gram(node_sum(2 * n, rule.points, rule.weights), n)
     try:
         return _report(n, _lanczos_extremes(product, dim))
     except _OverBudget:
         return _dense_report(_gram_walk(rule, n)[0])
-
-
-# largest |u_k - u_0 e^(2 pi i k / N)|, u = x + iy, that `_rings` reads as
-# equispaced; the rings of equal_area (m = 3..10^6) and product_gauss_rule
-# (N = 1..119) are within 3.7e-15 of it
-_RING_TOL = 1e-14
-
-
-def _rings(rule):
-    """(starts, counts) of the rule's rings.  A run is a maximal run of
-    consecutive nodes with bit-equal z and weight; it is a ring when its N
-    nodes are equispaced in azimuth, u_k = u_0 e^(2 pi i k / N) with
-    u = x + iy to within _RING_TOL.  If any run is not a ring, every node is
-    a ring of one: a rule without repeated z or with a broken ring has m."""
-    z, w, m = rule.points[:, 2], rule.weights, rule.m
-    new_run = (z[1:] != z[:-1]) | (w[1:] != w[:-1])
-    if not new_run.all():   # some run has two nodes or more: check its azimuths
-        starts = np.flatnonzero(np.concatenate([[True], new_run]))
-        counts = np.diff(np.append(starts, m))
-        ring = np.repeat(np.arange(starts.size), counts)
-        u = rule.points[:, 0] + 1j * rule.points[:, 1]
-        turn = np.exp(2j * math.pi * (np.arange(m) - starts[ring]) / counts[ring])
-        if np.max(np.abs(u - u[starts[ring]] * turn)) <= _RING_TOL:
-            return starts, counts
-    return np.arange(m), np.ones(m, dtype=int)
-
-
-@_one_blas_thread()
-def _ring_moments(rule, starts, counts, L):
-    """Moments s_{l,k} = sum_j w_j Y_{l,k}(x_j), l <= L, of a rule made of
-    rings (`_rings`), in canonical order.  The N nodes of a ring sum
-    e^(iM phi_j) to N e^(iM phi_0) where N divides M and to 0 elsewhere, so
-    the ring adds w N Y_{l,k}(first node) to the rows of order M that N
-    divides: one basis evaluation at the rings' first nodes.  m rings of
-    one take node_sum, the same bits without the divisibility mask."""
-    if starts.size == rule.m:
-        return node_sum(L, rule.points, rule.weights)
-    order = np.concatenate([np.arange(1, 2 * ell + 2) // 2 for ell in range(L + 1)])   # k // 2
-    v = rule.weights[starts] * counts
-    out = np.zeros((L + 1) ** 2)
-    for rows, B in basis_chunks(L, rule.points[starts]):
-        B *= order[:, None] % counts[rows] == 0
-        out += B @ v[rows]
-        del B
-    return out
 
 
 def _moment_gram(moments, n):
@@ -473,11 +504,11 @@ def exactness_degree(rule, max_scan):
     Degree l passes iff max_k |sum_j w_j Y_{l,k}(x_j) - sqrt(4*pi)*delta_{l0}|
     <= _EXACTNESS_TOL (the l=0 target is integral(Y_{0,1}) = sqrt(4*pi)).
     Scans l = 0..max_scan and stops at the first failure; a rule that cannot
-    even integrate constants gets degree -1.  The sums are the rule's ring
-    moments up to max_scan (`_ring_moments`).
+    even integrate constants gets degree -1.  The sums are the rule's
+    moments up to max_scan (`node_sum` of the weights).
     """
-    _check_degree(max_scan, "max_scan")
-    integrals = _ring_moments(rule, *_rings(rule), max_scan)
+    max_scan = _check_degree(max_scan, "max_scan")
+    integrals = node_sum(max_scan, rule.points, rule.weights)
     errors = np.abs(integrals)
     errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
     residuals = [float(np.max(errors[ell * ell:(ell + 1) ** 2])) for ell in range(max_scan + 1)]

@@ -2,6 +2,7 @@ import ast
 import math
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
 from sphyper import quadrature
-from sphyper.harmonics import SPHERE_AREA, _MIN_CHUNK, _chunk_points, basis_chunks, basis_indices
+from sphyper.harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _chunk_points, basis_chunks,
+                               basis_indices)
 from sphyper.quadrature import _gram_walk, node_sum
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
@@ -82,6 +84,22 @@ class TestDegreeCheck:
     def test_refuses_a_negative_integer(self, call):
         with pytest.raises(ValueError, match="must be >= 0, got -1"):
             call(-1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_numpy_integers_give_the_plain_int_results(self, dtype):
+        # a narrow integer must not wrap or overflow where sizes are computed
+        # from it: every entry works on int(n)
+        f3, rule = sp.by_name("f3"), sp.product_gauss_rule(22)
+        for n in (5, 20):
+            for call in (lambda n: sp.fit(rule, f3, n), lambda n: sp.audited_fit(rule, f3, n),
+                         lambda n: sp.project_reference(f3, n, rule),
+                         lambda n: sp.fit(DEGREE_RULE, f3, n)):
+                got, want = call(dtype(n)), call(n)
+                assert type(got.n) is int
+                assert np.array_equal(got.coeffs, want.coeffs)
+        assert sp.exactness_degree(rule, dtype(45)) == sp.exactness_degree(rule, 45)
+        assert np.array_equal(sp.eval_basis_block(dtype(20), rule.points[:50]),
+                              sp.eval_basis_block(20, rule.points[:50]))
 
     def test_numpy_integers_pass(self):
         f3 = sp.by_name("f3")
@@ -181,6 +199,30 @@ class TestAdditionTheoremAndKernel:
         out = sp.kernel_dot(5, u)
         assert out.shape == u.shape
         assert out[-1] == pytest.approx(36 / SPHERE_AREA, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 40])
+    def test_kernel_dot_is_legval(self, n):
+        u = np.random.default_rng(6).uniform(-1.2, 1.2, (30, 40))
+        want = np.polynomial.legendre.legval(np.clip(u, -1.0, 1.0),
+                                             (2 * np.arange(n + 1) + 1) / SPHERE_AREA)
+        assert np.abs(sp.kernel_dot(n, u) - want).max() <= 1e-14
+        assert type(sp.kernel_dot(n, 0.3)) is np.float64
+
+    def test_kernel_evaluation_holds_five_blocks(self):
+        # 209 targets by 5000 nodes of inner products per block: the block,
+        # and in kernel_dot its clipped copy, the two recurrence terms and
+        # one product (legval's fresh array per step peaked near six)
+        rule = sp.equal_weight_rule(sp.random_uniform(5000, seed=1), "random")
+        targets, f3 = sp.random_uniform(1000, seed=2), sp.by_name("f3")
+        sp.evaluate_kernel(rule, f3, 10, targets[:5])   # first-call costs outside
+        tracemalloc.start()
+        try:
+            sp.evaluate_kernel(rule, f3, 10, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (_BLOCK_VALUES // rule.m) * rule.m * 8
+        assert peak <= 5.1 * block
 
     @pytest.mark.parametrize("n", [0, 1, 30, 100])
     def test_kernel_high_degree(self, n):

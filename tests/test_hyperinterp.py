@@ -237,9 +237,9 @@ class TestProjectReference:
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "basis_chunks", counted)
             got = {n: sp.project_reference(f3, n, ref) for n, ref in refs.items()}
-        # the exactness scan at n + 1 over the N latitudes' first nodes, then
-        # fit's walk at n over all 2 N^2 nodes, N = n + 11
-        assert walks == [(11, 21), (10, 882), (31, 41), (30, 3362)]
+        # the exactness scan at n + 1, then fit at n, each evaluating the
+        # basis at the heights of the N latitudes only, N = n + 11
+        assert walks == [(11, 21), (10, 21), (31, 41), (30, 41)]
         for n, ref in refs.items():
             assert np.array_equal(got[n].coeffs, sp.fit(ref, f3, n).coeffs)
 

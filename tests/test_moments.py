@@ -1,8 +1,11 @@
-"""eta of ring rules from their moments (`quadrature._ring_report`), against
-the walk (`mz_constant`), which stays the oracle.  The path a call takes is
-pinned by counting calls, not by timing."""
+"""Sums over latitude runs (`quadrature._run_sums`) against the basis
+product, and eta of rules with runs from their moments
+(`quadrature._ring_report`) against the walk (`mz_constant`), which stays
+the oracle.  The path a call takes is pinned by counting calls, not by
+timing."""
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -13,7 +16,7 @@ import sphyper as sp
 from sphyper import hyperinterp, quadrature
 from sphyper.harmonics import SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import _LANCZOS_PRODUCTS, _ring_moments, _ring_report, _rings, node_sum
+from sphyper.quadrature import _LANCZOS_PRODUCTS, _ring_report, _rings, node_sum
 
 # |eta from moments - eta from the walk|: measured at most 4.5e-14 on the
 # audit's rules (equal_area(4 (n+1)^2) and product_gauss_rule(n+1), n = 30..46),
@@ -59,32 +62,30 @@ class TestRings:
     @pytest.mark.parametrize("m", [3, 100, 2704, 10 ** 5])
     def test_equal_area_rings_are_its_collars_and_poles(self, m):
         rule = equal_area_rule(m)
-        starts, counts = _rings(rule)
-        assert counts.sum() == m
+        starts = _rings(rule.points)
+        if starts is None:   # m = 3: every run is one node
+            starts = np.arange(m)
+        counts = np.diff(np.append(starts, m))
         assert counts[0] == counts[-1] == 1   # the poles
         assert starts.size == np.unique(rule.points[:, 2]).size
-        assert np.array_equal(starts, np.append(0, np.cumsum(counts)[:-1]))
 
     @pytest.mark.parametrize("N", [1, 2, 26, 47])
     def test_gauss_product_rings_are_its_latitudes(self, N):
-        starts, counts = _rings(sp.product_gauss_rule(N))
-        assert np.array_equal(counts, np.full(N, 2 * N))
-        assert counts.sum() == sp.product_gauss_rule(N).m
+        assert np.array_equal(_rings(sp.product_gauss_rule(N).points), np.arange(0, 2 * N * N, 2 * N))
 
     def test_rotation_about_z_keeps_the_rings(self):
         rule = equal_area_rule(2704)
-        starts, counts = _rings(rotated(rule, about_z(0.3)))
-        assert np.array_equal(counts, _rings(rule)[1])
+        assert np.array_equal(_rings(rotated(rule, about_z(0.3)).points), _rings(rule.points))
 
     def test_rotation_about_x_leaves_rings_of_one(self):
-        assert np.array_equal(_rings(rotated(equal_area_rule(2704), about_x(0.3)))[1],
-                              np.ones(2704, dtype=int))
+        assert _rings(rotated(equal_area_rule(2704), about_x(0.3)).points) is None
 
     @pytest.mark.parametrize("broken", [nudged_azimuth, unequal_weight])
     def test_a_broken_ring_is_no_ring(self, broken):
-        starts, counts = _rings(broken(equal_area_rule(2704)))
-        assert np.array_equal(starts, np.arange(2704))
-        assert np.array_equal(counts, np.ones(2704, dtype=int))
+        # a run is bit-equal z alone: a ring with one node turned in azimuth
+        # or weighted apart is still the same run, whose sums hold as well
+        rule = equal_area_rule(2704)
+        assert np.array_equal(_rings(broken(rule).points), _rings(rule.points))
 
     @pytest.mark.parametrize("rule, L", [
         pytest.param(lambda: equal_area_rule(2704), 50, id="equal_area"),
@@ -92,14 +93,114 @@ class TestRings:
         pytest.param(lambda: rotated(equal_area_rule(2704), about_z(1.0)), 50, id="rotated"),
     ])
     def test_moments_match_the_node_sum(self, rule, L):
+        # the moments (node_sum of the weights, over the runs) against the
+        # plain sum over every node, the dense basis product
         rule = rule()
-        assert np.abs(_ring_moments(rule, *_rings(rule), L)
-                      - node_sum(L, rule.points, rule.weights)).max() <= 1e-13
+        assert rel_gap(node_sum(L, rule.points, rule.weights),
+                       sp.eval_basis_block(L, rule.points) @ rule.weights) <= RUN_SUM_TOL
+
+
+def basis_walk(n, points, v):
+    """sum_j v_j Y_{l,k}(x_j) by the chunked basis walk over every node."""
+    out = np.zeros((n + 1) ** 2)
+    for rows, B in quadrature.basis_chunks(n, points):
+        out += B @ v[rows]
+        del B
+    return out
+
+
+def rel_gap(got, want):
+    """max |got - want| relative to max |want|."""
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# node_sum over runs against the dense basis product eval_basis_block(n,
+# points) @ v, relative to its largest entry: measured at most 1.9e-15 over
+# the rules of TestRunSums and test_moments_match_the_node_sum
+RUN_SUM_TOL = 5e-15
+
+
+def random_runs(sizes, seed):
+    """A rule of runs of the given sizes at random heights, with random
+    azimuths and random positive weights."""
+    rng = np.random.default_rng(seed)
+    z = np.repeat(rng.uniform(-1.0, 1.0, len(sizes)), sizes)
+    phi = rng.uniform(0.0, 2.0 * math.pi, z.size)
+    s = np.sqrt((1.0 - z) * (1.0 + z))
+    weights = rng.uniform(0.5, 1.5, z.size)
+    return QuadratureRule(np.column_stack([s * np.cos(phi), s * np.sin(phi), z]),
+                          weights * SPHERE_AREA / weights.sum(), "loaded")
+
+
+def single_pair(m=500, seed=6):
+    """A random rule whose nodes 10 and 11 share their z: one run of two."""
+    points = sp.random_uniform(m, seed)
+    z, s = points[10, 2], math.sqrt((1.0 - points[10, 2]) * (1.0 + points[10, 2]))
+    points[11] = [s * math.cos(2.0), s * math.sin(2.0), z]
+    return sp.equal_weight_rule(points, "loaded")
+
+
+RUN_RULES = {
+    "equal_area": lambda: equal_area_rule(2704),
+    "gauss": lambda: sp.product_gauss_rule(26),
+    "about-z": lambda: rotated(equal_area_rule(2704), about_z(0.3)),
+    "nudged": lambda: nudged_azimuth(equal_area_rule(2704)),
+    "unequal-weight": lambda: unequal_weight(equal_area_rule(2704)),
+    "random-runs": lambda: random_runs(np.random.default_rng(5).integers(1, 60, 80), 7),
+    "single-pair": single_pair,
+}
+
+
+class TestRunSums:
+    @pytest.mark.parametrize("n", [0, 1, 15, 30])
+    @pytest.mark.parametrize("rule", RUN_RULES.values(), ids=RUN_RULES.keys())
+    def test_match_the_basis_product(self, rule, n):
+        rule = rule()
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        assert _rings(rule.points) is not None
+        assert rel_gap(node_sum(n, rule.points, v), sp.eval_basis_block(n, rule.points) @ v) \
+            <= RUN_SUM_TOL
+
+    def test_single_pair_is_one_run_of_two(self):
+        starts = _rings(single_pair().points)
+        assert starts.size == 499 and 11 not in starts
+
+    def test_chunks_of_whole_runs(self, monkeypatch):
+        # chunks end on run boundaries; a run longer than a chunk is one chunk
+        rule = random_runs([1, 30, 5, 40, 1, 7, 7, 7, 90], 8)
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        monkeypatch.setattr(quadrature, "_RUN_CHUNK", 16)
+        assert rel_gap(node_sum(12, rule.points, v), sp.eval_basis_block(12, rule.points) @ v) \
+            <= RUN_SUM_TOL
+
+    def test_runs_of_one_take_the_basis_walk(self):
+        # a rule without runs keeps the chunked basis walk, bit for bit
+        rule = sp.equal_weight_rule(sp.random_uniform(9000, 4), "random")
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        assert _rings(rule.points) is None
+        assert np.array_equal(node_sum(15, rule.points, v), basis_walk(15, rule.points, v))
+
+    def test_fit_holds_no_more_than_the_basis_walk(self):
+        # fit of sampled values on 10^6 equal-area nodes at n = 15, against
+        # w f and the chunked basis walk on the same nodes
+        rule = equal_area_rule(10 ** 6)
+        y = sp.by_name("f3")(rule.points)
+        peaks = {}
+        for name, call in (("fit", lambda: sp.fit(rule, y, 15)),
+                           ("walk", lambda: basis_walk(15, rule.points, rule.weights * y))):
+            call()   # first-call costs outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["fit"] <= peaks["walk"]
 
 
 def node_sum_residuals(rule, L):
     """exactness_degree's residuals from the sums over every node."""
-    integrals = node_sum(L, rule.points, rule.weights)
+    integrals = basis_walk(L, rule.points, rule.weights)
     errors = np.abs(integrals)
     errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
     return [float(np.max(errors[ell * ell:(ell + 1) ** 2])) for ell in range(L + 1)]
@@ -138,6 +239,8 @@ class TestRingReport:
         pytest.param(lambda: equal_area_rule(2704), 25, id="equal_area"),
         pytest.param(lambda: sp.product_gauss_rule(26), 25, id="gauss"),
         pytest.param(lambda: rotated(equal_area_rule(2704), about_z(0.3)), 25, id="about-z"),
+        pytest.param(lambda: nudged_azimuth(equal_area_rule(2704)), 25, id="nudged"),
+        pytest.param(lambda: unequal_weight(equal_area_rule(2704)), 25, id="unequal-weight"),
     ])
     def test_matches_the_walk(self, rule, n):
         rule = rule()
@@ -154,8 +257,6 @@ class TestRingReport:
                      id="random"),
         pytest.param(lambda: sp.bundled_tdesign_rule(20), 25, id="t-design"),
         pytest.param(lambda: rotated(equal_area_rule(2704), about_x(0.3)), 25, id="about-x"),
-        pytest.param(lambda: nudged_azimuth(equal_area_rule(2704)), 25, id="nudged"),
-        pytest.param(lambda: unequal_weight(equal_area_rule(2704)), 25, id="unequal-weight"),
         pytest.param(lambda: equal_area_rule(2500), 24, id="dim-625"),
         pytest.param(lambda: sp.product_gauss_rule(26), -30, id="negative-n"),
     ])
@@ -248,3 +349,50 @@ def test_sphyper_check_compares_the_two_paths(capsys):
     assert main(["check", "--filter", "gauss-exactness"]) == 0
     out = capsys.readouterr().out
     assert "PASS gauss-exactness" in out and "|eta moments - walk|" in out
+    assert "|fit run sums - basis product|" in out
+
+
+class TestFitOverRuns:
+    """fit, audited_fit and project_reference on rules with runs: the basis
+    is evaluated at the run heights only (the moments path's grid aside),
+    and audited_fit's coefficients are fit's bit for bit."""
+
+    @pytest.mark.parametrize("rule", [
+        pytest.param(lambda: equal_area_rule(2704), id="equal_area"),
+        pytest.param(lambda: sp.product_gauss_rule(26), id="gauss"),
+    ])
+    def test_basis_only_at_the_run_heights(self, monkeypatch, rule):
+        rule, f, n = rule(), sp.by_name("f3"), 25
+        heights, walks, walk = _rings(rule.points).size, [], quadrature.basis_chunks
+
+        def counted(n, points):
+            walks.append((n, len(points)))
+            return walk(n, points)
+
+        calls = {"fit": lambda: sp.fit(rule, f, n),
+                 "audited_fit": lambda: sp.audited_fit(rule, f, n),
+                 "project_reference": lambda: sp.project_reference(f, n, rule)}
+        want = {"fit": [(n, heights)],
+                "audited_fit": [(2 * n, heights), (n, heights)],   # the moments, then fit
+                "project_reference": [(n + 1, heights), (n, heights)]}   # the scan, then fit
+        if rule.provenance == "equal_area":
+            del calls["project_reference"]   # not exact to n + 1
+        for name, call in calls.items():
+            walks.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(quadrature, "basis_chunks", counted)
+                call()
+            assert walks == want[name], name
+
+    @pytest.mark.parametrize("rule, n", [
+        pytest.param(lambda: equal_area_rule(2704), 12, id="equal_area-walk"),
+        pytest.param(lambda: equal_area_rule(2704), 25, id="equal_area-moments"),
+        pytest.param(lambda: sp.product_gauss_rule(26), 20, id="gauss"),
+        pytest.param(lambda: nudged_azimuth(equal_area_rule(2704)), 12, id="nudged"),
+        pytest.param(single_pair, 4, id="single-pair"),
+        pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(3000, 9), "random"), 12,
+                     id="random"),
+    ])
+    def test_audited_fit_gives_fits_coefficients(self, rule, n):
+        rule, f = rule(), sp.by_name("f3")
+        assert np.array_equal(sp.audited_fit(rule, f, n).coeffs, sp.fit(rule, f, n).coeffs)
