@@ -16,7 +16,7 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, _check_degree, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import (RANK_TOL, _gram_walk, _one_blas_thread, _ring_report, exactness_degree,
+from .quadrature import (RANK_TOL, _gram, _one_blas_thread, _ring_report, exactness_degree,
                          mz_report, node_sum, sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
@@ -55,11 +55,12 @@ def fit(rule, f, n):
 
 
 def _gram_fit(rule, f, n):
-    """(G, h): the upper triangle of the rule's discrete Gram (`_gram_walk`)
-    and fit(rule, f, n), from one chunk walk over the nodes."""
+    """(G, h): the upper triangle of the rule's discrete Gram and fit(rule,
+    f, n), from one pass (`_gram`): the run Gram and the run sums on a rule
+    whose runs pay, else one chunk walk over the nodes."""
     n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
-        G, coeffs = _gram_walk(rule, n, _weighted_samples(rule, f))
+        G, coeffs = _gram(rule, n, _weighted_samples(rule, f))
     return G, Hyperinterpolant(n=n, coeffs=coeffs)
 
 
@@ -77,9 +78,9 @@ def audited_fit(rule, f, n):
     so we fail loudly, naming the condition, instead of degrading silently.
     Above dim 625, a rule whose moments, summed over its latitude runs, cost
     fewer basis values than one walk takes eta from them (`_ring_report`)
-    and its coefficients from fit(); any other rule takes both from the same
-    chunk walk.  Either way the coefficients are fit()'s run sums on a rule
-    with runs.
+    and its coefficients from fit(); any other rule takes both from one
+    pass (`_gram_fit`).  Either way the coefficients are fit()'s, bit for
+    bit.
     """
     n = _check_degree(n)
     report = _ring_report(rule, n)

@@ -13,16 +13,27 @@ moments, which the exactness scan and the moments path read) is
 `node_sum`.  On a rule whose nodes come in runs of equal z, as the rings
 of equal_area and product_gauss_rule do, it takes one azimuth sum per
 order and run and evaluates the basis only at the run heights
-(`_run_sums`); other rules walk the basis at every node.
+(`_run_sums`); other rules walk the basis at every node.  One cost test,
+R runs against m nodes (`_paying_runs`), decides for the node sums and
+the Gram alike.
 
-Two paths compute eta.  The walk (`_gram_walk`, then `mz_report`) builds
-G's upper triangle with dsyrk; `mz_constant`, the sweeps, rules without
-runs and every Gram of dim <= 625 take it, and it is the oracle.  The
-moments path (`_ring_report`) serves `audited_fit` on rules with runs above
-dim 625 when their moments cost fewer basis values than one walk: Lanczos
-on a matrix-free operator built from the moments to degree 2n.  Its eta
-agrees with the walk's to 1e-13 (at most 6.4e-14 measured); where Lanczos
-spends its budget, the walk and the dense eigensolver take over.
+Three paths compute eta, and every caller of a Gram (`mz_constant`,
+`discrete_gram`, the sweeps, `audited_fit`) reaches the first two through
+`_gram`:
+- the run Gram (`_run_gram`, then `mz_report`): on a rule whose runs pay,
+  G's upper triangle from two azimuth sums per run and pair of orders and
+  the Legendre table at the run heights, O(R dim^2) for R runs; within
+  2e-14 of the walk on the test rules (at most 5.0e-14 measured, on
+  equal_area(10^6) at n = 15);
+- the walk (`_gram_walk`, then `mz_report`): G's upper triangle from
+  dsyrk over basis blocks of every node, O(m dim^2); rules whose runs do
+  not pay take it, and it is the oracle;
+- the moments (`_ring_report`): `audited_fit` on rules with runs above
+  dim 625, when their moments cost fewer basis values than one walk:
+  Lanczos on a matrix-free operator built from the moments to degree 2n,
+  with no dim^2 array.  Its eta agrees with the walk's to 1e-13 (at most
+  6.4e-14 measured); where Lanczos spends its budget, `_gram` and the
+  dense eigensolver take over.
 
 A basis block meets a vector as numpy's B @ v.  Every sum here runs with
 numpy's and scipy's BLAS on one thread each (`_one_blas_thread`), so it
@@ -155,9 +166,9 @@ def _blas_thread_calls():
 
 
 def discrete_gram(rule, n):
-    """Discrete Gram matrix G = B diag(w) B^T, accumulated in point chunks:
-    the full matrix, its lower triangle mirrored from the walk's upper one."""
-    G = _gram_walk(rule, n)[0]
+    """Discrete Gram matrix G = B diag(w) B^T (`_gram`): the full matrix,
+    its lower triangle mirrored from the upper one."""
+    G = _gram(rule, n)[0]
     G += np.triu(G, 1).T
     return G
 
@@ -166,14 +177,15 @@ def discrete_gram(rule, n):
 def node_sum(n, points, v):
     """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order, for one
     value v_j per node: fit's coefficients, and the rule's moments (v = w).
-    Nodes in runs of equal z (`_rings`) are summed per run (`_run_sums`);
-    a rule whose runs are all of one node takes the chunked basis walk."""
+    Nodes in runs of equal z that pay (`_paying_runs`) are summed per run
+    (`_run_sums`); other rules take the chunked basis walk, in the blocks
+    _gram_walk cuts, so a walk's node sum is this one bit for bit."""
     n = _check_degree(n)   # before out is allocated
-    starts = _rings(points)
+    starts = _paying_runs(points)
     if starts is not None:
         return _run_sums(n, points, starts, v)
     out = np.zeros((n + 1) ** 2)
-    for rows, B in basis_chunks(n, points):
+    for rows, B in basis_chunks(n, points, _MIN_CHUNK // 2):
         out += B @ v[rows]
         del B
     return out
@@ -190,10 +202,70 @@ def _rings(points):
     return np.flatnonzero(np.concatenate([[True], new_run]))
 
 
-# nodes per chunk of _run_sums' azimuth sums: its two complex arrays hold
-# 1/8 of a basis block.  On equal_area(10^6) at n = 15 the sums took 37-44 ms
-# at this width and 49-60 ms at four times it (one BLAS thread, 2-vCPU VM)
+# nodes per run, on average, from which the sums over runs pay.  Measured on
+# rules of runs of s nodes at random heights and azimuths, m = 2 10^4 and
+# 2 10^5, n = 6, 15, 24 (one BLAS thread, 2-vCPU VM; run path against walk):
+#   s = 3: node sums 21 against 47 ms (m = 2 10^4, n = 24), Gram 174 against
+#          64 ms (m = 2 10^5, n = 6);
+#   s = 4: node sums 172 against 512 ms (m = 2 10^5, n = 24), Gram 128
+#          against 67 and 902 against 439 ms (m = 2 10^5, n = 6 and 15);
+#   s = 6: Gram 81 against 62 ms; s = 8: 60 against 59 ms (n = 6).
+# The node sums gain from s = 3 on, the Gram only from s = 6-8, and n moves
+# neither crossover much.  One test serves both, and at s = 4 the larger
+# loss either way is least: the walk's node sums at most 2.2x slower below
+# it, the run Gram at most 2.1x slower above it
+_RUN_NODES = 4
+
+
+def _paying_runs(points):
+    """The starts of the runs (`_rings`) where they hold _RUN_NODES nodes or
+    more on average, else None: the one cost test, R runs against m nodes,
+    that sends a rule's node sums and its Gram over its runs or to the
+    basis walk."""
+    starts = _rings(points)
+    if starts is None or len(points) < _RUN_NODES * starts.size:
+        return None
+    return starts
+
+
+# nodes per chunk of _azimuth_sums: its two complex arrays hold 1/8 of a
+# basis block.  On equal_area(10^6) at n = 15 the sums took 37-44 ms at this
+# width and 49-60 ms at four times it (one BLAS thread, 2-vCPU VM)
 _RUN_CHUNK = _BLOCK_VALUES // 16
+
+
+def _azimuth_sums(points, starts, v, D):
+    """T[d, r] = sum_{j in run r} v_j (x_j + iy_j)^d for d = 0..D and the runs
+    that start at `starts` (`_rings`), as a (D + 1, R) complex array: one
+    running power per chunk of whole runs, _RUN_CHUNK nodes at most (a
+    longer run is one chunk), updated in place."""
+    m = len(points)
+    ends = np.append(starts[1:], m)
+    sums = np.empty((D + 1, starts.size), dtype=complex)
+    lo = 0
+    while lo < starts.size:
+        # the runs lo..hi-1, _RUN_CHUNK nodes at most, or one longer run
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _RUN_CHUNK, "right")))
+        nodes = slice(starts[lo], ends[hi - 1])
+        u = np.empty(nodes.stop - nodes.start, dtype=complex)
+        u.real, u.imag = points[nodes, 0], points[nodes, 1]
+        power = v[nodes].astype(complex)   # v (x + iy)^d
+        for d in range(D + 1):
+            if d:
+                power *= u
+            sums[d, lo:hi] = np.add.reduceat(power, starts[lo:hi] - starts[lo])
+        del u, power
+        lo = hi
+    return sums
+
+
+def _heights(points, starts):
+    """The points (1, 0, z_r) of the run heights, where (x + iy)^M = 1: the
+    basis there is the Legendre table, sqrt(2) p_{l,M}(z_r) (p_{l,0} at
+    M = 0) in the cos(M phi) rows and 0 in the sin(M phi) ones."""
+    heights = np.zeros((starts.size, 3))
+    heights[:, 0], heights[:, 2] = 1.0, points[starts, 2]
+    return heights
 
 
 def _run_sums(n, points, starts, v):
@@ -203,36 +275,16 @@ def _run_sums(n, points, starts, v):
     alone at M = 0), so on a run of height z_r
       sum_j v_j Y_{l,k}(x_j) = sqrt(2) p_{l,M}(z_r) (Re, Im) sum_j v_j (x_j + iy_j)^M,
     whatever the run's azimuths and values.  The nodes enter through one
-    azimuth sum per order and run, taken over whole runs in chunks of
-    _RUN_CHUNK nodes, and the basis is evaluated only at the run heights
-    (1, 0, z_r), where (x + iy)^M = 1.
+    azimuth sum per order and run (`_azimuth_sums`), and the basis is
+    evaluated only at the run heights (`_heights`).
     """
-    m = len(points)
-    ends = np.append(starts[1:], m)
-    sums = np.empty((n + 1, starts.size), dtype=complex)   # [M, run]
-    lo = 0
-    while lo < starts.size:
-        # the runs lo..hi-1, _RUN_CHUNK nodes at most, or one longer run
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _RUN_CHUNK, "right")))
-        nodes = slice(starts[lo], ends[hi - 1])
-        u = np.empty(nodes.stop - nodes.start, dtype=complex)
-        u.real, u.imag = points[nodes, 0], points[nodes, 1]
-        power = v[nodes].astype(complex)   # v (x + iy)^M
-        for M in range(n + 1):
-            if M:
-                power *= u
-            sums[M, lo:hi] = np.add.reduceat(power, starts[lo:hi] - starts[lo])
-        del u, power
-        lo = hi
-    heights = np.zeros((starts.size, 3))
-    heights[:, 0], heights[:, 2] = 1.0, points[starts, 2]
+    sums = _azimuth_sums(points, starts, v, n)   # [M, run]
     cos_rows, _ = _order_rows(n)
     out = np.zeros((n + 1) ** 2)
-    for rows, B in basis_chunks(n, heights):
+    for rows, B in basis_chunks(n, _heights(points, starts)):
         for M in range(n + 1):
-            # at (1, 0, z_r) the cos(M phi) rows of order M hold sqrt(2)
-            # p_{l,M}(z_r) (p_{l,0} at M = 0); the sin(M phi) ones, each one
-            # row further, are 0 there and take the same factor
+            # the sin(M phi) rows, each one row past its cos(M phi) twin,
+            # take the same Legendre factor
             P = B[cos_rows[M, M:]]
             out[cos_rows[M, M:]] += P @ sums[M, rows].real
             if M:
@@ -242,10 +294,86 @@ def _run_sums(n, points, starts, v):
 
 
 @_one_blas_thread()
+def _gram(rule, n, v=None):
+    """(G, c) as _gram_walk gives them, for every caller of a Gram: on a rule
+    whose runs pay (`_paying_runs`), G from the runs (`_run_gram`) and c
+    from the run sums; on any other rule, from the walk."""
+    n = _check_degree(n)   # before anything is allocated
+    starts = _paying_runs(rule.points)
+    if starts is None:
+        return _gram_walk(rule, n, v)
+    c = None if v is None else _run_sums(n, rule.points, starts, v)
+    return _run_gram(n, rule.points, rule.weights, starts), c
+
+
+def _run_gram(n, points, weights, starts):
+    """The upper triangle of the discrete Gram at degree n, as the walk
+    leaves it, from the runs that start at `starts` (`_rings`).
+
+    On a run of height z_r, with u = x + iy and |u|^2 = rho_r^2 = 1 - z_r^2,
+    a product of harmonics of orders M <= M' reduces to two azimuth sums,
+    S = T_r(M + M') and D = rho_r^(2M) T_r(M' - M), where T_r(d) = sum_j
+    w_j u_j^d (`_azimuth_sums`, d <= 2n).  So the block of orders (M, M')
+    is P_M diag(k) P_M'^T, with P_M the Legendre table of order M at the
+    run heights (`_heights`) and, for a cos(M phi) or sin(M phi) row (c or
+    s; Y_{l,1} is c at M = 0) against a c or s column of order M',
+      k_cc = (Re S + Re D) / 2,   k_cs = (Im S + Im D) / 2,
+      k_sc = (Im S - Im D) / 2,   k_ss = (Re D - Re S) / 2.
+    That costs O(R dim^2) for R runs, against O(m dim^2) for the walk.  In
+    an order-major layout (per order M its c rows l = M..n, then its s
+    rows) the blocks M' >= M of order M's rows are one contiguous strip,
+    one product per kind of row; the blocks M' < M are their transposes,
+    and the layout is put in canonical order once at the end.  A Gram that
+    overflows comes out non-finite, as the walk's does, and mz_report
+    refuses it.
+    """
+    dim = (n + 1) ** 2
+    cos_rows, sin_rows = _order_rows(n)
+    strips = [(rows[M, M:], M, kind) for M in range(n + 1)
+              for kind, rows in enumerate((cos_rows, sin_rows)) if M or not kind]
+    canonical = np.concatenate([rows for rows, _, _ in strips])
+    order = np.concatenate([np.full(rows.size, M) for rows, M, _ in strips])
+    sin = np.concatenate([np.full(rows.size, kind) for rows, _, kind in strips])
+    first = np.searchsorted(order, np.arange(n + 1))   # order M's rows start here
+    z = points[starts, 2]
+    rho2 = (1.0 - z) * (1.0 + z)
+    G = np.zeros((dim, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = 0.5 * _azimuth_sums(points, starts, weights, 2 * n)   # [d, run]
+        for runs, B in basis_chunks(n, _heights(points, starts)):
+            P = B[canonical - sin]   # the table, in the layout: an s row as its c twin
+            del B
+            Z = np.empty_like(P)
+            power = np.ones(P.shape[1])   # rho^(2M)
+            for M in range(n + 1):
+                o, L = first[M], n + 1 - M
+                S, D = T[2 * M:n + M + 1, runs], power * T[:L, runs]
+                k = sin[o:] * L + order[o:] - M   # each column's row of k below
+                for row, ks in ((o, (S.real + D.real, S.imag + D.imag)),
+                                (o + L, (S.imag - D.imag, D.real - S.real)))[:1 + (M > 0)]:
+                    np.take(np.concatenate(ks), k, axis=0, out=Z[o:])
+                    Z[o:] *= P[o:]
+                    G[row:row + L, o:] += P[o:o + L] @ Z[o:].T
+                power *= rho2[runs]
+    for M in range(n):
+        a, b = first[M], first[M + 1]
+        G[b:, a:b] = G[a:b, b:].T
+    back = np.empty(dim, dtype=int)
+    back[canonical] = np.arange(dim)
+    G = G.take(back, 0)
+    G = G.take(back, 1)
+    for i in range(1, dim):
+        G[i, :i] = 0.0   # the triangle alone, as dsyrk leaves it
+    return G
+
+
+@_one_blas_thread()
 def _gram_walk(rule, n, v=None):
     """(G, c) from one chunk walk: the upper triangle of the discrete Gram
     G = B diag(w) B^T, as dsyrk leaves it (the strict lower triangle is
     zero), and, when `v` is given, the node sum c = B v (else c is None).
+    It runs on every rule, and it is the oracle of the run Gram; `_gram`
+    sends it the rules whose runs do not pay.
 
     In the degree-major basis, G and c at any degree n' <= n are the leading
     (n'+1)^2 block and slice of these, so one walk at the largest degree
@@ -254,18 +382,16 @@ def _gram_walk(rule, n, v=None):
     One worker thread adds block k to G while this thread evaluates block
     k+1, so the walk costs about the larger of the two instead of their sum.
     Block k+1 is handed over only once block k is added, so at most two
-    blocks are alive, each at least _MIN_CHUNK // 2 points wide.  On a rule
-    with runs (`_rings`), c is node_sum's run sums, taken while the worker
-    adds the last block; otherwise each block adds B v to it.  The BLAS
-    runs on one thread meanwhile (`_one_blas_thread`), so G and c are the
-    same bits at any thread count.
+    blocks are alive, each at least _MIN_CHUNK // 2 points wide.  Each
+    block adds B v to c, as node_sum's basis walk does.  The BLAS runs on
+    one thread meanwhile (`_one_blas_thread`), so G and c are the same bits
+    at any thread count.
     """
     n = _check_degree(n)   # before anything is allocated
     chunks = basis_chunks(n, rule.points, _MIN_CHUNK // 2)
-    starts = None if v is None else _rings(rule.points)
     dim = (n + 1) ** 2
     G = np.zeros((dim, dim))
-    c = np.zeros(dim) if v is not None and starts is None else None
+    c = None if v is None else np.zeros(dim)
     sqrt_w = np.sqrt(rule.weights)   # weights are positive
     added = None   # the worker's future for the block before
     with ThreadPoolExecutor(1) as worker:
@@ -277,8 +403,6 @@ def _gram_walk(rule, n, v=None):
                 added.result()
             added = worker.submit(_syrk, B, G)
             del B
-        if starts is not None:
-            c = _run_sums(n, rule.points, starts, v)
         added.result()
     return G, c
 
@@ -323,7 +447,7 @@ def _dsyrk():
 
 def mz_constant(rule, n):
     """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport."""
-    return mz_report(_gram_walk(rule, n)[0])
+    return mz_report(_gram(rule, n)[0])
 
 
 @_one_blas_thread()
@@ -419,16 +543,18 @@ def _lanczos_extremes(product, dim):
 
 @_one_blas_thread()
 def _ring_report(rule, n):
-    """MZReport of the rule at degree n from its moments, or None where the
-    walk should compute it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which the
-    walk refuses), or moments that cost as many basis values as one walk,
-    R (2n+1)^2 >= m (n+1)^2 for R runs (`_rings`; as R = m does).
+    """MZReport of the rule at degree n from its moments, or None where its
+    Gram (`_gram`) should give it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which the
+    walk refuses), runs that do not pay (`_paying_runs`), or moments that
+    cost as many basis values as one walk, R (2n+1)^2 >= m (n+1)^2 for R
+    runs.
 
     Every entry of G integrates a product of degree <= 2n, so G is fixed by
     the moments s_{L,K} = sum_j w_j Y_{L,K}(x_j), L <= 2n (`node_sum`),
     and Lanczos runs on the matrix-free operator of `_moment_gram`.  If it
-    spends its product budget (lambda_min near 0), the walk and the dense
-    eigensolver give the report, as mz_report's own Lanczos would stall too.
+    spends its product budget (lambda_min near 0), the Gram (`_gram`) and
+    the dense eigensolver give the report, as mz_report's own Lanczos would
+    stall too.
     """
     dim = (n + 1) ** 2
     if n < 0 or dim <= _LANCZOS_DIM:
@@ -436,14 +562,14 @@ def _ring_report(rule, n):
     if not math.isfinite(rule.weight_sum * dim):
         # |G_ab| <= sum(w) dim / (4 pi): the walk refuses a Gram that overflows
         return None
-    starts = _rings(rule.points)
+    starts = _paying_runs(rule.points)
     if starts is None or starts.size * (2 * n + 1) ** 2 >= rule.m * dim:
         return None
     product = _moment_gram(node_sum(2 * n, rule.points, rule.weights), n)
     try:
         return _report(n, _lanczos_extremes(product, dim))
     except _OverBudget:
-        return _dense_report(_gram_walk(rule, n)[0])
+        return _dense_report(_gram(rule, n)[0])
 
 
 def _moment_gram(moments, n):

@@ -351,13 +351,10 @@ class TestChunkBoundary:
             return G, c
 
         _, c = on_the_worker(monkeypatch, check)
-        # one walk gives the node sum as node_sum's own walk does: the walk's
-        # blocks are half as wide once they reach the floor, so the same
-        # bits before it and the same to rounding after
-        if _chunk_points(n, _MIN_CHUNK // 2) == _chunk_points(n):
-            assert np.array_equal(c, node_sum(n, rule.points, v))
-        else:
-            assert_rel_close(c, node_sum(n, rule.points, v))
+        # one walk gives the node sum as node_sum's own walk does: both cut
+        # their blocks at the floor of _MIN_CHUNK // 2 points, so the same
+        # bits at every degree
+        assert np.array_equal(c, node_sum(n, rule.points, v))
 
     def test_chunks_cover_points_in_order(self, boundary_rule):
         self.check_chunks(boundary_rule, self.n)

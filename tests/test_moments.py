@@ -1,8 +1,8 @@
 """Sums over latitude runs (`quadrature._run_sums`) against the basis
-product, and eta of rules with runs from their moments
-(`quadrature._ring_report`) against the walk (`mz_constant`), which stays
-the oracle.  The path a call takes is pinned by counting calls, not by
-timing."""
+product, the Gram of rules with runs (`quadrature._run_gram`) and their eta
+from their moments (`quadrature._ring_report`) against the walk
+(`quadrature._gram_walk`), which stays the oracle.  The path a call takes
+is pinned by counting calls, not by timing."""
 
 import math
 import tracemalloc
@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import sphyper as sp
-from sphyper import hyperinterp, quadrature
-from sphyper.harmonics import SPHERE_AREA
+from sphyper import quadrature
+from sphyper.harmonics import _MIN_CHUNK, SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import _LANCZOS_PRODUCTS, _ring_report, _rings, node_sum
+from sphyper.quadrature import (_LANCZOS_PRODUCTS, _gram, _gram_walk, _paying_runs,
+                                _ring_report, _rings, _run_gram, _run_sums, node_sum)
 
 # |eta from moments - eta from the walk|: measured at most 4.5e-14 on the
 # audit's rules (equal_area(4 (n+1)^2) and product_gauss_rule(n+1), n = 30..46),
@@ -101,9 +102,10 @@ class TestRings:
 
 
 def basis_walk(n, points, v):
-    """sum_j v_j Y_{l,k}(x_j) by the chunked basis walk over every node."""
+    """sum_j v_j Y_{l,k}(x_j) by the chunked basis walk over every node, in
+    the blocks of the Gram's walk."""
     out = np.zeros((n + 1) ** 2)
-    for rows, B in quadrature.basis_chunks(n, points):
+    for rows, B in quadrature.basis_chunks(n, points, _MIN_CHUNK // 2):
         out += B @ v[rows]
         del B
     return out
@@ -155,11 +157,13 @@ class TestRunSums:
     @pytest.mark.parametrize("n", [0, 1, 15, 30])
     @pytest.mark.parametrize("rule", RUN_RULES.values(), ids=RUN_RULES.keys())
     def test_match_the_basis_product(self, rule, n):
+        # the identity holds whatever the runs, whether or not they pay
         rule = rule()
         v = rule.weights * sp.by_name("f3")(rule.points)
-        assert _rings(rule.points) is not None
-        assert rel_gap(node_sum(n, rule.points, v), sp.eval_basis_block(n, rule.points) @ v) \
-            <= RUN_SUM_TOL
+        starts = _rings(rule.points)
+        assert starts is not None
+        assert rel_gap(_run_sums(n, rule.points, starts, v),
+                       sp.eval_basis_block(n, rule.points) @ v) <= RUN_SUM_TOL
 
     def test_single_pair_is_one_run_of_two(self):
         starts = _rings(single_pair().points)
@@ -172,6 +176,28 @@ class TestRunSums:
         monkeypatch.setattr(quadrature, "_RUN_CHUNK", 16)
         assert rel_gap(node_sum(12, rule.points, v), sp.eval_basis_block(12, rule.points) @ v) \
             <= RUN_SUM_TOL
+
+    def test_a_run_of_two_among_random_nodes_takes_the_basis_walk(self, monkeypatch):
+        # the first two of 9000 random nodes share their z: one run of two
+        # among 8999 runs, which do not pay, so node_sum walks the basis at
+        # every node, with the bits of a rule of runs of one
+        points = sp.random_uniform(9000, 4)
+        z, s = points[0, 2], math.sqrt((1.0 - points[0, 2]) * (1.0 + points[0, 2]))
+        points[1] = [s * math.cos(2.0), s * math.sin(2.0), z]
+        rule = sp.equal_weight_rule(points, "loaded")
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        assert _rings(rule.points).size == rule.m - 1 and _paying_runs(rule.points) is None
+        walks, walk = [], quadrature.basis_chunks
+
+        def counted(n, points, *args):
+            walks.append((n, len(points)))
+            return walk(n, points, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "basis_chunks", counted)
+            got = node_sum(15, rule.points, v)
+        assert walks == [(15, rule.m)]
+        assert np.array_equal(got, basis_walk(15, rule.points, v))
 
     def test_runs_of_one_take_the_basis_walk(self):
         # a rule without runs keeps the chunked basis walk, bit for bit
@@ -196,6 +222,70 @@ class TestRunSums:
             finally:
                 tracemalloc.stop()
         assert peaks["fit"] <= peaks["walk"]
+
+
+# max |G - walk| / max |walk| for the run Gram against the walk: measured at
+# most 7.2e-15 over the rules of TestRunGram at n = 0, 1, 12, 25 (gauss at
+# n = 25), 3.1e-15 on equal_area(10^5) at n = 24 and 5.0e-14 on
+# equal_area(10^6) at n = 15, which Tier-1 does not run
+GRAM_TOL = 2e-14
+
+GRAM_RULES = {name: rule for name, rule in RUN_RULES.items() if name != "single-pair"}
+
+
+def chunks_of(width):
+    """basis_chunks with blocks of `width` points."""
+    def chunks(n, points, *args):
+        return ((slice(lo, lo + width), sp.eval_basis_block(n, points[lo:lo + width]))
+                for lo in range(0, len(points), width))
+    return chunks
+
+
+class TestRunGram:
+    @pytest.mark.parametrize("n", [0, 1, 12, 25])
+    @pytest.mark.parametrize("rule", GRAM_RULES.values(), ids=GRAM_RULES.keys())
+    def test_matches_the_walk(self, rule, n):
+        rule = rule()
+        starts = _paying_runs(rule.points)
+        G = _gram(rule, n)[0]
+        with quadrature._one_blas_thread():   # the BLAS as _gram runs it
+            run_gram = _run_gram(n, rule.points, rule.weights, starts)
+        # the run Gram, and the upper triangle alone, as the walk leaves it
+        assert np.array_equal(G, run_gram)
+        assert np.array_equal(G, np.triu(G))
+        assert rel_gap(G, _gram_walk(rule, n)[0]) <= GRAM_TOL
+
+    def test_blocks_of_a_few_runs_add_up(self, monkeypatch):
+        rule, n = equal_area_rule(2704), 12
+        starts = _paying_runs(rule.points)
+        whole = _run_gram(n, rule.points, rule.weights, starts)
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "basis_chunks", chunks_of(4))
+            chunked = _run_gram(n, rule.points, rule.weights, starts)
+        assert starts.size > 10 * 4
+        assert rel_gap(chunked, whole) <= GRAM_TOL
+        assert np.array_equal(chunked, np.triu(chunked))
+
+    def test_sweep_takes_one_run_gram(self, monkeypatch):
+        # run_sweep's pass over an equal-area rule: one run Gram, at its top
+        # degree, whose leading block is each cell's Gram
+        calls = Counter()
+        run_gram = quadrature._run_gram
+
+        def counted(*args):
+            calls[args[0]] += 1
+            return run_gram(*args)
+
+        config = sp.SweepConfig(experiment="t", function="f3", points="equal_area",
+                                n_list=(4, 10), m_list=(2704,), seed=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(quadrature, "_run_gram", counted)
+            mp.setattr(quadrature, "_gram_walk", None)   # not called
+            rows = sp.run_sweep(config)
+        assert calls == {10: 1}
+        rule = equal_area_rule(2704)
+        for row in rows:
+            assert abs(row.eta - sp.mz_constant(rule, row.n).eta) <= 1e-14
 
 
 def node_sum_residuals(rule, L):
@@ -244,7 +334,7 @@ class TestRingReport:
     ])
     def test_matches_the_walk(self, rule, n):
         rule = rule()
-        got, want = _ring_report(rule, n), sp.mz_constant(rule, n)
+        got, want = _ring_report(rule, n), sp.mz_report(_gram_walk(rule, n)[0])
         assert got.dim == want.dim == (n + 1) ** 2
         for field in ("eta", "lambda_min", "lambda_max"):
             assert abs(getattr(got, field) - getattr(want, field)) <= ETA_TOL
@@ -284,7 +374,7 @@ class TestRingReport:
 
 def audited_fit_and_calls(monkeypatch, rule, f, n):
     """audited_fit(rule, f, n) (or the ValueError it raised) and the counts of
-    its dsyrk calls, walks and Lanczos operator products."""
+    its dsyrk calls, walks, run Grams and Lanczos operator products."""
     calls = Counter()
 
     def counted(fn, name):
@@ -299,9 +389,8 @@ def audited_fit_and_calls(monkeypatch, rule, f, n):
     extremes = quadrature._lanczos_extremes
     with monkeypatch.context() as mp:
         mp.setattr(quadrature, "_syrk", counted(quadrature._syrk, "syrk"))
-        walk = counted(quadrature._gram_walk, "walks")
-        for module in (quadrature, hyperinterp):
-            mp.setattr(module, "_gram_walk", walk)
+        mp.setattr(quadrature, "_gram_walk", counted(quadrature._gram_walk, "walks"))
+        mp.setattr(quadrature, "_run_gram", counted(quadrature._run_gram, "run_grams"))
         mp.setattr(quadrature, "_lanczos_extremes", lanczos)
         try:
             result = sp.audited_fit(rule, f, n)
@@ -318,30 +407,38 @@ class TestAuditedFitPath:
     def test_ring_rule_above_625_skips_the_walk(self, monkeypatch, rule):
         rule, f = rule(), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, 25)
-        assert calls["syrk"] == calls["walks"] == 0
+        assert calls["syrk"] == calls["walks"] == calls["run_grams"] == 0
         assert 0 < calls["products"] <= _LANCZOS_PRODUCTS
         assert np.array_equal(h.coeffs, sp.fit(rule, f, 25).coeffs)   # bit for bit
         assert abs(h.eta_used - sp.mz_constant(rule, 25).eta) <= ETA_TOL
 
-    def test_aliased_gauss_rule_spends_the_budget_then_walks(self, monkeypatch):
+    def test_aliased_gauss_rule_spends_the_budget_then_takes_the_run_gram(self, monkeypatch):
         # 50 azimuths alias orders k and 50 - k for k >= 20: lambda_min = 0 at n = 30
         rule = sp.product_gauss_rule(25)
         result, calls = audited_fit_and_calls(monkeypatch, rule, sp.by_name("f3"), 30)
         assert isinstance(result, ValueError) and "rank deficient" in str(result)
         assert calls["products"] == _LANCZOS_PRODUCTS
-        assert calls["walks"] == 1
+        assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
         assert _ring_report(rule, 30) == sp.mz_constant(rule, 30)   # field by field
 
     @pytest.mark.parametrize("rule, n", [
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(16 * 676, 4), "random"),
                      25, id="random"),
-        pytest.param(lambda: equal_area_rule(2500), 24, id="dim-625"),
     ])
     def test_other_rules_make_one_walk(self, monkeypatch, rule, n):
         rule, f = rule(), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, n)
-        assert calls["walks"] == 1 and calls["syrk"] > 0
+        assert calls["walks"] == 1 and calls["syrk"] > 0 and calls["run_grams"] == 0
         assert h.eta_used == sp.mz_constant(rule, n).eta
+
+    def test_ring_rule_at_dim_625_takes_one_run_gram(self, monkeypatch):
+        rule, f = equal_area_rule(2500), sp.by_name("f3")
+        h, calls = audited_fit_and_calls(monkeypatch, rule, f, 24)
+        assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
+        assert calls["products"] == 0   # dim 625: the dense eigensolver
+        assert h.eta_used == sp.mz_constant(rule, 24).eta
+        assert abs(h.eta_used - sp.mz_report(_gram_walk(rule, 24)[0]).eta) <= ETA_TOL
+        assert np.array_equal(h.coeffs, sp.fit(rule, f, 24).coeffs)
 
 
 def test_sphyper_check_compares_the_two_paths(capsys):
@@ -349,6 +446,7 @@ def test_sphyper_check_compares_the_two_paths(capsys):
     assert main(["check", "--filter", "gauss-exactness"]) == 0
     out = capsys.readouterr().out
     assert "PASS gauss-exactness" in out and "|eta moments - walk|" in out
+    assert "|eta run Gram - walk|" in out
     assert "|fit run sums - basis product|" in out
 
 
@@ -392,6 +490,9 @@ class TestFitOverRuns:
         pytest.param(single_pair, 4, id="single-pair"),
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(3000, 9), "random"), 12,
                      id="random"),
+        # blocks at the floor: 1982 nodes per block, the walk's and node_sum's
+        pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(8000, 9), "random"), 22,
+                     id="random-floor"),
     ])
     def test_audited_fit_gives_fits_coefficients(self, rule, n):
         rule, f = rule(), sp.by_name("f3")

@@ -17,7 +17,7 @@ import sphyper as sp
 from sphyper import harmonics, quadrature
 from sphyper.pointsets import QuadratureRule
 from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_thread_calls,
-                                _gram_walk, _one_blas_thread, _syrk, discrete_gram, node_sum)
+                                _gram, _gram_walk, _one_blas_thread, _syrk, discrete_gram, node_sum)
 
 
 class TestMZConstant:
@@ -511,7 +511,7 @@ class TestOrthogonalInvariance:
         self.assert_same_spectrum(sp.mz_constant(rotated, n), want)
         assert np.abs(energies(sp.fit(rotated, y, n).coeffs) - energies(c)).max() <= scale
         # the leading blocks of one walk at the largest degree, as a sweep takes them
-        G, c_top = _gram_walk(rotated, top, rule.weights * y)
+        G, c_top = _gram(rotated, top, rule.weights * y)
         dim = (n + 1) ** 2
         self.assert_same_spectrum(sp.mz_report(G[:dim, :dim]), want)
         assert np.abs(energies(c_top[:dim]) - energies(c)).max() <= scale
