@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import uniform_norm_refined
-from .harmonics import SPHERE_AREA, eval_basis_block
+from .harmonics import SPHERE_AREA, _legendre_table, eval_basis_block
 from .hyperinterp import evaluate_block, evaluate_kernel, fit
 from .pointsets import (
     bundled_tdesign_rule,
@@ -23,8 +23,8 @@ from .pointsets import (
     product_gauss_rule,
     random_uniform,
 )
-from .quadrature import (_blas_thread_calls, _gram_walk, _paying_runs, _ring_report, discrete_gram,
-                         exactness_degree, mz_constant, mz_report)
+from .quadrature import (_blas_thread_calls, _gram_walk, _order_rows, _paying_runs, _ring_report,
+                         discrete_gram, exactness_degree, mz_constant, mz_report)
 from .testfuncs import by_name, wendland_delta, wendland_phi
 from . import experiments
 
@@ -57,20 +57,31 @@ def check_gauss_exactness():
     degree = exactness_degree(product_gauss_rule(4), max_scan=8).degree
     # a rule with runs takes its Gram from them, audited_fit above dim 625
     # takes eta from its moments, and fit sums over the runs: each against
-    # the sums over nodes, the walk's eta among them
+    # the sums over nodes, the walk's eta among them; the Legendre table at
+    # the run heights is the basis there, bit for bit
     rule = equal_weight_rule(equal_area(4 * 676), "equal_area")
+    starts = _paying_runs(rule.points)
     walk = mz_report(_gram_walk(rule, 25)[0]).eta
     run_gap = abs(mz_constant(rule, 25).eta - walk)
     gap = abs(_ring_report(rule, 25).eta - walk)
     f = by_name("f3")
     fit_gap = float(np.abs(fit(rule, f, 25).coeffs - eval_basis_block(25, rule.points)
                            @ (rule.weights * f(rule.points))).max())
-    ok = (eta < 1e-10 and degree == 7 and _paying_runs(rule.points) is not None
-          and run_gap <= _RUN_GRAM_ETA_TOL and gap <= 1e-13 and fit_gap <= 1e-13)
+    table_gap = math.inf
+    if starts is not None:
+        heights = np.zeros((starts.size, 3))
+        heights[:, 0], heights[:, 2] = 1.0, rule.points[starts, 2]
+        basis = np.vstack([eval_basis_block(50, heights), np.zeros(starts.size)])
+        table_gap = float(np.abs(_legendre_table(50, heights[:, 2])
+                                 - basis[_order_rows(50)[0]]).max())
+    ok = (eta < 1e-10 and degree == 7 and starts is not None
+          and run_gap <= _RUN_GRAM_ETA_TOL and gap <= 1e-13 and fit_gap <= 1e-13
+          and table_gap == 0.0)
     return ok, (f"eta(order 8, n=7)={eta:.3e}, exactness(order 4)={degree}, "
                 f"|eta run Gram - walk|(equal-area 2704, n=25)={run_gap:.1e}, "
                 f"|eta moments - walk|={gap:.1e}, "
-                f"|fit run sums - basis product|={fit_gap:.1e}")
+                f"|fit run sums - basis product|={fit_gap:.1e}, "
+                f"|Legendre table - basis at heights|(L=50)={table_gap:.1e}")
 
 
 def check_design_exactness():

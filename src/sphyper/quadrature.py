@@ -12,10 +12,15 @@ Every sum of one value per node (the fit's w f, or the weights alone: the
 moments, which the exactness scan and the moments path read) is
 `node_sum`.  On a rule whose nodes come in runs of equal z, as the rings
 of equal_area and product_gauss_rule do, it takes one azimuth sum per
-order and run and evaluates the basis only at the run heights
+order and run and the Legendre table at the run heights only
 (`_run_sums`); other rules walk the basis at every node.  One cost test,
 R runs against m nodes (`_paying_runs`), decides for the node sums and
-the Gram alike.
+the Gram alike.  The table (`harmonics._legendre_table`) is the basis's
+cos rows at (1, 0, z_r), with its recurrence run over every order at
+once: at a few hundred heights or fewer it is 2-6x faster than
+eval_basis_block's per-(l, M) loop, with the same bits.  The run Gram
+and the moments grid take it too; no sum here evaluates eval_basis_block
+at heights or on grid nodes.
 
 Three paths compute eta, and every caller of a Gram (`mz_constant`,
 `discrete_gram`, the sweeps, `audited_fit`) reaches the first two through
@@ -54,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, basis_chunks,
-                        eval_basis_block)
+from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, _chunk_points,
+                        _legendre_table, basis_chunks)
 from .pointsets import _gauss_legendre
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
@@ -259,13 +264,15 @@ def _azimuth_sums(points, starts, v, D):
     return sums
 
 
-def _heights(points, starts):
-    """The points (1, 0, z_r) of the run heights, where (x + iy)^M = 1: the
-    basis there is the Legendre table, sqrt(2) p_{l,M}(z_r) (p_{l,0} at
-    M = 0) in the cos(M phi) rows and 0 in the sin(M phi) ones."""
-    heights = np.zeros((starts.size, 3))
-    heights[:, 0], heights[:, 2] = 1.0, points[starts, 2]
-    return heights
+def _height_tables(n, points, starts):
+    """Walk the run heights z_r in chunks, as basis_chunks walks nodes: an
+    iterator of (runs, _legendre_table(n, z[runs])), _chunk_points(n)
+    heights each.  The table is the basis at (1, 0, z_r), where (x + iy)^M
+    = 1, in its cos(M phi) rows: sqrt(2) p_{l,M}(z_r), p_{l,0} at M = 0."""
+    z = points[starts, 2]
+    width = _chunk_points(n)
+    chunks = [slice(lo, lo + width) for lo in range(0, z.size, width)]
+    return ((runs, _legendre_table(n, z[runs])) for runs in chunks)
 
 
 def _run_sums(n, points, starts, v):
@@ -275,21 +282,21 @@ def _run_sums(n, points, starts, v):
     alone at M = 0), so on a run of height z_r
       sum_j v_j Y_{l,k}(x_j) = sqrt(2) p_{l,M}(z_r) (Re, Im) sum_j v_j (x_j + iy_j)^M,
     whatever the run's azimuths and values.  The nodes enter through one
-    azimuth sum per order and run (`_azimuth_sums`), and the basis is
-    evaluated only at the run heights (`_heights`).
+    azimuth sum per order and run (`_azimuth_sums`), and the basis only
+    through the Legendre table at the run heights (`_height_tables`).
     """
     sums = _azimuth_sums(points, starts, v, n)   # [M, run]
     cos_rows, _ = _order_rows(n)
     out = np.zeros((n + 1) ** 2)
-    for rows, B in basis_chunks(n, _heights(points, starts)):
+    for rows, table in _height_tables(n, points, starts):
         for M in range(n + 1):
             # the sin(M phi) rows, each one row past its cos(M phi) twin,
             # take the same Legendre factor
-            P = B[cos_rows[M, M:]]
+            P = table[M, M:]
             out[cos_rows[M, M:]] += P @ sums[M, rows].real
             if M:
                 out[cos_rows[M, M:] + 1] += P @ sums[M, rows].imag
-        del B
+        del table
     return out
 
 
@@ -315,17 +322,18 @@ def _run_gram(n, points, weights, starts):
     S = T_r(M + M') and D = rho_r^(2M) T_r(M' - M), where T_r(d) = sum_j
     w_j u_j^d (`_azimuth_sums`, d <= 2n).  So the block of orders (M, M')
     is P_M diag(k) P_M'^T, with P_M the Legendre table of order M at the
-    run heights (`_heights`) and, for a cos(M phi) or sin(M phi) row (c or
-    s; Y_{l,1} is c at M = 0) against a c or s column of order M',
+    run heights (`_height_tables`) and, for a cos(M phi) or sin(M phi) row
+    (c or s; Y_{l,1} is c at M = 0) against a c or s column of order M',
       k_cc = (Re S + Re D) / 2,   k_cs = (Im S + Im D) / 2,
       k_sc = (Im S - Im D) / 2,   k_ss = (Re D - Re S) / 2.
     That costs O(R dim^2) for R runs, against O(m dim^2) for the walk.  In
     an order-major layout (per order M its c rows l = M..n, then its s
     rows) the blocks M' >= M of order M's rows are one contiguous strip,
-    one product per kind of row; the blocks M' < M are their transposes,
-    and the layout is put in canonical order once at the end.  A Gram that
-    overflows comes out non-finite, as the walk's does, and mz_report
-    refuses it.
+    one product per kind of row.  The layout's P is indexed straight out
+    of the table, row (M, l) for each c row and for its s twin; the blocks
+    M' < M are transposes, and the layout is put in canonical order once
+    at the end.  A Gram that overflows comes out non-finite, as the walk's
+    does, and mz_report refuses it.
     """
     dim = (n + 1) ** 2
     cos_rows, sin_rows = _order_rows(n)
@@ -334,15 +342,16 @@ def _run_gram(n, points, weights, starts):
     canonical = np.concatenate([rows for rows, _, _ in strips])
     order = np.concatenate([np.full(rows.size, M) for rows, M, _ in strips])
     sin = np.concatenate([np.full(rows.size, kind) for rows, _, kind in strips])
+    degree = np.concatenate([np.arange(M, n + 1) for _, M, _ in strips])
     first = np.searchsorted(order, np.arange(n + 1))   # order M's rows start here
     z = points[starts, 2]
     rho2 = (1.0 - z) * (1.0 + z)
     G = np.zeros((dim, dim))
     with np.errstate(over="ignore", invalid="ignore"):
         T = 0.5 * _azimuth_sums(points, starts, weights, 2 * n)   # [d, run]
-        for runs, B in basis_chunks(n, _heights(points, starts)):
-            P = B[canonical - sin]   # the table, in the layout: an s row as its c twin
-            del B
+        for runs, table in _height_tables(n, points, starts):
+            P = table[order, degree]   # the table in the layout
+            del table
             Z = np.empty_like(P)
             power = np.ones(P.shape[1])   # rho^(2M)
             for M in range(n + 1):
@@ -578,15 +587,16 @@ def _moment_gram(moments, n):
     s_{L,K} Y_{L,K}, on a grid exact to degree 4n, (2n+1) Gauss-Legendre
     nodes in z by 4n+1 equispaced azimuths.  S_n is synthesis and A_n the
     weighted analysis on that grid, each a per-order Legendre table product
-    and a cos/sin table product (the per-order transforms of SHTns)."""
+    and a cos/sin table product (the per-order transforms of SHTns).  The
+    Legendre table is the basis at the grid's nodes at azimuth 0, (rho, 0,
+    z) with rho = sqrt(1 - z^2), from one `_legendre_table`."""
     L = 2 * n
     z, wz = _gauss_legendre(L + 1)
     phi = 2.0 * math.pi * np.arange(2 * L + 1) / (2 * L + 1)
     cos_rows, sin_rows = _order_rows(L)
     # the per-order tables P[M, l, j]: Y_{l,k} of order M at azimuth 0,
     # where its sin(M phi) row is 0, at node j; 0 where l < M
-    nodes = np.column_stack([np.sqrt((1.0 - z) * (1.0 + z)), np.zeros_like(z), z])
-    P = np.vstack([eval_basis_block(L, nodes), np.zeros(z.size)])[cos_rows]
+    P = _legendre_table(L, z, np.sqrt((1.0 - z) * (1.0 + z)))
     cos, sin = np.cos(np.outer(np.arange(L + 1), phi)), np.sin(np.outer(np.arange(L + 1), phi))
     # the density mu on the grid, times the grid's weights
     mu_w = (_synthesis(moments, (cos_rows, sin_rows, P, cos, sin))

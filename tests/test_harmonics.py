@@ -13,8 +13,8 @@ from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
 from sphyper import quadrature
-from sphyper.harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _chunk_points, basis_chunks,
-                               basis_indices)
+from sphyper.harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _chunk_points,
+                               _legendre_table, basis_chunks, basis_indices)
 from sphyper.quadrature import _gram_walk, node_sum
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
@@ -59,6 +59,7 @@ DEGREE_CALLS = {
     "lb_eigenvalue": lambda n: sp.lb_eigenvalue(2, n),
     "eval_basis_block": lambda n: sp.eval_basis_block(n, DEGREE_POINTS),
     "basis_chunks": lambda n: basis_chunks(n, DEGREE_POINTS),
+    "_legendre_table": lambda n: _legendre_table(n, DEGREE_POINTS[:, 2]),
     "kernel_dot": lambda n: sp.kernel_dot(n, 0.3),
     "Hyperinterpolant": lambda n: sp.Hyperinterpolant(n=n, coeffs=np.zeros(16)),
     "fit": lambda n: sp.fit(DEGREE_RULE, sp.by_name("f3"), n),
@@ -272,6 +273,76 @@ class TestAgainstOracle:
         # sign conventions (Condon-Shortley phase) may differ row by row
         signs = np.where(np.sum(block * want, axis=1) < 0, -1.0, 1.0)
         assert np.abs(block - signs[:, None] * want).max() <= 1e-12
+
+
+def cos_rows_at(L, z, x=None):
+    """eval_basis_block(L, (x_r, 0, z_r)) in its cos rows, as [M, l, r]: the
+    harmonic of order M and degree l (Y_{l,1} at M = 0), 0 where l < M."""
+    points = np.zeros((z.size, 3))
+    points[:, 0], points[:, 2] = 1.0 if x is None else x, z
+    B = np.vstack([sp.eval_basis_block(L, points), np.zeros(z.size)])
+    return B[quadrature._order_rows(L)[0]]
+
+
+def scalar_recurrence_basis(n, points):
+    """The basis block with each recurrence coefficient from math.sqrt, one
+    (l, m) at a time: the oracle of _recurrence's arrays."""
+    x, y, z = points.T.copy()
+    B = np.empty(((n + 1) ** 2, z.size))
+    pmm = 1.0 / math.sqrt(SPHERE_AREA)
+    re, im = np.full_like(z, math.sqrt(2.0)), np.zeros_like(z)
+    for m in range(n + 1):
+        if m > 0:
+            pmm *= math.sqrt((2 * m + 1) / (2.0 * m))
+            re, im = re * x - im * y, re * y + im * x
+        p_prev, p = 0.0, pmm
+        for l in range(m, n + 1):
+            if l > m:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p, p_prev = a * (z * p - b * p_prev), p
+            if m == 0:
+                B[l * l] = p
+            else:
+                np.multiply(p, re, out=B[l * l + 2 * m - 1])
+                np.multiply(p, im, out=B[l * l + 2 * m])
+    return B
+
+
+def same_bits(got, want):
+    """Equal values and equal signs of zero."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+class TestLegendreTable:
+    """_legendre_table runs eval_basis_block's recurrence over every order at
+    once: the same bits as the cos rows of eval_basis_block."""
+
+    HEIGHTS = {
+        "single": np.array([0.3]),
+        "poles": np.array([-1.0, -0.5, 0.0, 1e-9, 0.5, 1.0]),   # rho = 0 at z = +-1
+        "equal_area": np.unique(sp.equal_area(2704)[:, 2]),
+    }
+
+    @pytest.mark.parametrize("at", ["heights", "grid"])
+    @pytest.mark.parametrize("heights", HEIGHTS.values(), ids=HEIGHTS.keys())
+    @pytest.mark.parametrize("L", [0, 1, 2, 25, 92])
+    def test_cos_rows_of_the_basis(self, L, heights, at):
+        # at the run heights (1, 0, z), and on grid nodes (rho, 0, z)
+        x = None if at == "heights" else np.sqrt((1.0 - heights) * (1.0 + heights))
+        assert same_bits(_legendre_table(L, heights, x), cos_rows_at(L, heights, x))
+
+    def test_split_heights_give_the_unsplit_table(self):
+        z = self.HEIGHTS["equal_area"]
+        whole = _legendre_table(46, z)
+        parts = [_legendre_table(46, z[rows]) for rows in (slice(0, 7), slice(7, None))]
+        assert same_bits(np.concatenate(parts, axis=2), whole)
+
+    @pytest.mark.parametrize("n", [6, 15, 46])
+    def test_recurrence_coefficients_keep_the_basis_bits(self, n):
+        points = sp.random_uniform(3000, seed=22)
+        assert same_bits(sp.eval_basis_block(n, points), scalar_recurrence_basis(n, points))
 
 
 def two_blocks_and_one(n):

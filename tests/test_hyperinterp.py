@@ -228,18 +228,19 @@ class TestProjectReference:
     def test_scan_at_the_ring_heads_then_fit(self, monkeypatch):
         f3 = sp.by_name("f3")
         refs = {n: sp.reference_rule_for(n) for n in (10, 30)}
-        walks, walk = [], quadrature.basis_chunks
+        tables, table = [], quadrature._legendre_table
 
-        def counted(n, points):
-            walks.append((n, len(points)))
-            return walk(n, points)
+        def counted(L, z, x=None):
+            tables.append((L, len(z)))
+            return table(L, z, x)
 
         with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "basis_chunks", counted)
+            mp.setattr(quadrature, "_legendre_table", counted)
+            mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
             got = {n: sp.project_reference(f3, n, ref) for n, ref in refs.items()}
-        # the exactness scan at n + 1, then fit at n, each evaluating the
-        # basis at the heights of the N latitudes only, N = n + 11
-        assert walks == [(11, 21), (10, 21), (31, 41), (30, 41)]
+        # the exactness scan at n + 1, then fit at n, each taking the
+        # Legendre table at the heights of the N latitudes only, N = n + 11
+        assert tables == [(11, 21), (10, 21), (31, 41), (30, 41)]
         for n, ref in refs.items():
             assert np.array_equal(got[n].coeffs, sp.fit(ref, f3, n).coeffs)
 

@@ -233,12 +233,18 @@ GRAM_TOL = 2e-14
 GRAM_RULES = {name: rule for name, rule in RUN_RULES.items() if name != "single-pair"}
 
 
-def chunks_of(width):
-    """basis_chunks with blocks of `width` points."""
-    def chunks(n, points, *args):
-        return ((slice(lo, lo + width), sp.eval_basis_block(n, points[lo:lo + width]))
-                for lo in range(0, len(points), width))
-    return chunks
+def count_tables(mp, tables):
+    """Have quadrature's _legendre_table calls at the run heights (x = 1)
+    append (degree, heights) to `tables`; the moments grid's table, on
+    (rho, 0, z) nodes, is not counted."""
+    table = quadrature._legendre_table
+
+    def counted(L, z, x=None):
+        if x is None:
+            tables.append((L, len(z)))
+        return table(L, z, x)
+
+    mp.setattr(quadrature, "_legendre_table", counted)
 
 
 class TestRunGram:
@@ -256,15 +262,26 @@ class TestRunGram:
         assert rel_gap(G, _gram_walk(rule, n)[0]) <= GRAM_TOL
 
     def test_blocks_of_a_few_runs_add_up(self, monkeypatch):
+        # tables of 4 run heights each: the run sums and the run Gram add
+        # one product per table, so they agree with the unsplit ones to
+        # rounding, not bit for bit
         rule, n = equal_area_rule(2704), 12
         starts = _paying_runs(rule.points)
-        whole = _run_gram(n, rule.points, rule.weights, starts)
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        whole = (_run_gram(n, rule.points, rule.weights, starts),
+                 _run_sums(n, rule.points, starts, v))
+        tables = []
         with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "basis_chunks", chunks_of(4))
-            chunked = _run_gram(n, rule.points, rule.weights, starts)
-        assert starts.size > 10 * 4
-        assert rel_gap(chunked, whole) <= GRAM_TOL
-        assert np.array_equal(chunked, np.triu(chunked))
+            mp.setattr(quadrature, "_chunk_points", lambda n: 4)
+            count_tables(mp, tables)
+            chunked = (_run_gram(n, rule.points, rule.weights, starts),
+                       _run_sums(n, rule.points, starts, v))
+        assert starts.size > 10 * 4 and starts.size % 4
+        # every height in one table of each pass, the last table short
+        assert Counter(tables) == {(n, 4): 2 * (starts.size // 4), (n, starts.size % 4): 2}
+        assert rel_gap(chunked[0], whole[0]) <= GRAM_TOL
+        assert rel_gap(chunked[1], whole[1]) <= RUN_SUM_TOL
+        assert np.array_equal(chunked[0], np.triu(chunked[0]))
 
     def test_sweep_takes_one_run_gram(self, monkeypatch):
         # run_sweep's pass over an equal-area rule: one run Gram, at its top
@@ -302,16 +319,12 @@ class TestExactnessFromMoments:
         pytest.param(lambda: sp.product_gauss_rule(26), 53, 26, id="gauss"),
     ])
     def test_ring_rules_walk_only_the_ring_heads(self, monkeypatch, rule, L, heads):
-        rule, walks, walk = rule(), [], quadrature.basis_chunks
-
-        def counted(n, points):
-            walks.append((n, len(points)))
-            return walk(n, points)
-
+        rule, tables = rule(), []
         with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "basis_chunks", counted)
+            count_tables(mp, tables)
+            mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
             residuals = sp.exactness_degree(rule, L).residuals
-        assert walks == [(L, heads)]
+        assert tables == [(L, heads)]
         assert np.abs(np.subtract(residuals, node_sum_residuals(rule, L))).max() <= 1e-13
 
     @pytest.mark.parametrize("rule, L", [
@@ -448,6 +461,7 @@ def test_sphyper_check_compares_the_two_paths(capsys):
     assert "PASS gauss-exactness" in out and "|eta moments - walk|" in out
     assert "|eta run Gram - walk|" in out
     assert "|fit run sums - basis product|" in out
+    assert "|Legendre table - basis at heights|(L=50)=0.0e+00" in out
 
 
 class TestFitOverRuns:
@@ -461,11 +475,7 @@ class TestFitOverRuns:
     ])
     def test_basis_only_at_the_run_heights(self, monkeypatch, rule):
         rule, f, n = rule(), sp.by_name("f3"), 25
-        heights, walks, walk = _rings(rule.points).size, [], quadrature.basis_chunks
-
-        def counted(n, points):
-            walks.append((n, len(points)))
-            return walk(n, points)
+        heights, tables = _rings(rule.points).size, []
 
         calls = {"fit": lambda: sp.fit(rule, f, n),
                  "audited_fit": lambda: sp.audited_fit(rule, f, n),
@@ -476,11 +486,12 @@ class TestFitOverRuns:
         if rule.provenance == "equal_area":
             del calls["project_reference"]   # not exact to n + 1
         for name, call in calls.items():
-            walks.clear()
+            tables.clear()
             with monkeypatch.context() as mp:
-                mp.setattr(quadrature, "basis_chunks", counted)
+                count_tables(mp, tables)
+                mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
                 call()
-            assert walks == want[name], name
+            assert tables == want[name], name
 
     @pytest.mark.parametrize("rule, n", [
         pytest.param(lambda: equal_area_rule(2704), 12, id="equal_area-walk"),
