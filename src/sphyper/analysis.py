@@ -59,8 +59,8 @@ def sobolev_norm(coeffs, s):
     """
     c = np.asarray(coeffs, dtype=float)
     n = int(round(math.sqrt(c.size))) - 1
-    if (n + 1) ** 2 != c.size:
-        raise ValueError(f"coefficient vector length {c.size} is not a square")
+    if n < 0 or (n + 1) ** 2 != c.size:
+        raise ValueError(f"coefficient vector length {c.size} is not (n+1)^2 for a degree n >= 0")
     if not 0 <= s < math.inf:   # NaN fails too
         raise ValueError(f"smoothness s must be >= 0 and finite, got {s}")
     total = 0.0

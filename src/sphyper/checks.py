@@ -23,7 +23,7 @@ from .pointsets import (
     product_gauss_rule,
     random_uniform,
 )
-from .quadrature import (_blas_thread_calls, _gram_walk, _order_rows, _paying_runs, _ring_report,
+from .quadrature import (_audit, _blas_thread_calls, _gram_walk, _order_rows, _paying_runs,
                          discrete_gram, exactness_degree, mz_constant, mz_report)
 from .testfuncs import by_name, wendland_delta, wendland_phi
 from . import experiments
@@ -63,7 +63,7 @@ def check_gauss_exactness():
     starts = _paying_runs(rule.points)
     walk = mz_report(_gram_walk(rule, 25)[0]).eta
     run_gap = abs(mz_constant(rule, 25).eta - walk)
-    gap = abs(_ring_report(rule, 25).eta - walk)
+    gap = abs(_audit(rule, 25)[0].eta - walk)
     f = by_name("f3")
     fit_gap = float(np.abs(fit(rule, f, 25).coeffs - eval_basis_block(25, rule.points)
                            @ (rule.weights * f(rule.points))).max())

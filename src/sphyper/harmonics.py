@@ -54,24 +54,35 @@ def _check_degree(n, name="degree n"):
     return int(n)
 
 
+def _real_array(a, what):
+    """a as a float64 array, refusing values that are not real numbers
+    (complex, object or string arrays), which a float conversion would cut
+    to their real part or fail on further in."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def lb_eigenvalue(d, ell):
     """Laplace-Beltrami eigenvalue lambda_ell = ell*(ell + d - 1) on S^d."""
-    if d < 2:
-        raise ValueError(f"sphere dimension d must be >= 2, got {d}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 2:
+        raise ValueError(f"sphere dimension d must be an integer >= 2, got {d!r}")
     ell = _check_degree(ell, "degree ell")
     return ell * (ell + d - 1)
 
 
 def flat_index(ell, k):
     """Flat position of (ell, k) in the canonical degree-major ordering."""
-    if ell < 0 or not 1 <= k <= 2 * ell + 1:
-        raise ValueError(f"invalid basis index (ell={ell}, k={k})")
-    return ell * ell + (k - 1)
+    ell = _check_degree(ell, "degree ell")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 2 * ell + 1:
+        raise ValueError(f"invalid basis index (ell={ell}, k={k!r})")
+    return ell * ell + (int(k) - 1)
 
 
 def basis_indices(n):
     """All (ell, k) pairs up to degree n in canonical order."""
-    return [(ell, k) for ell in range(n + 1) for k in range(1, 2 * ell + 2)]
+    return [(ell, k) for ell in range(_check_degree(n) + 1) for k in range(1, 2 * ell + 2)]
 
 
 def eval_basis_block(n, points):

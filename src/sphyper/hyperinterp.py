@@ -7,17 +7,19 @@ the MZ property) and the QMC variant Q_n are the same formula
 
 differing only in the quadrature rule supplied, so one implementation
 serves all three.  Fitting never gates on eta; use `audited_fit` to
-refuse rank-deficient rules; it takes the Gram from the fit's own pass.
+refuse rules with eta >= 1.  It takes eta and the coefficients from one
+call, `quadrature._audit`, which picks the route: the moments on rules whose
+latitude runs pay above dim 625, else the Gram from the fit's own pass.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import _BLOCK_VALUES, _check_degree, basis_chunks, kernel_dot
+from .harmonics import _BLOCK_VALUES, _check_degree, _real_array, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import (RANK_TOL, _gram, _one_blas_thread, _ring_report, exactness_degree,
-                         mz_report, node_sum, sample_values)
+from .quadrature import (RANK_TOL, _audit, _gram, _one_blas_thread, exactness_degree, node_sum,
+                         sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -32,7 +34,7 @@ class Hyperinterpolant:
     eta_used: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        object.__setattr__(self, "coeffs", _real_array(self.coeffs, "coefficients"))
         object.__setattr__(self, "n", _check_degree(self.n))
         if self.coeffs.shape != ((self.n + 1) ** 2,):
             raise ValueError(
@@ -76,19 +78,14 @@ def audited_fit(rule, f, n):
     With a rank-deficient discrete Gram (lambda_min <= RANK_TOL), or with
     eta >= 1 by lambda_max >= 2, the stability and error theory is vacuous,
     so we fail loudly, naming the condition, instead of degrading silently.
-    Above dim 625, a rule whose moments, summed over its latitude runs, cost
-    fewer basis values than one walk takes eta from them (`_ring_report`)
-    and its coefficients from fit(); any other rule takes both from one
-    pass (`_gram_fit`).  Either way the coefficients are fit()'s, bit for
-    bit.
+    The report and the coefficients come from one call (`quadrature._audit`):
+    eta from the moments on rules whose runs pay above dim 625, else from
+    the rule's Gram.  Either way the coefficients are fit()'s, bit for bit.
     """
     n = _check_degree(n)
-    report = _ring_report(rule, n)
-    if report is None:
-        G, h = _gram_fit(rule, f, n)
-        report = mz_report(G)
-    else:
-        h = fit(rule, f, n)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
+        report, coeffs = _audit(rule, n, _weighted_samples(rule, f))
+    h = Hyperinterpolant(n=n, coeffs=coeffs, eta_used=report.eta)
     if report.rank_deficient:
         raise ValueError(
             f"rule unusable at degree {n}: eta = {report.eta:.6g}, lambda_min = "
@@ -97,7 +94,7 @@ def audited_fit(rule, f, n):
         raise ValueError(
             f"rule unusable at degree {n}: eta = {report.eta:.6g} >= 1, "
             f"lambda_max = {report.lambda_max:.3e}")
-    return replace(h, eta_used=report.eta)
+    return h
 
 
 @_one_blas_thread()

@@ -22,9 +22,9 @@ eval_basis_block's per-(l, M) loop, with the same bits.  The run Gram
 and the moments grid take it too; no sum here evaluates eval_basis_block
 at heights or on grid nodes.
 
-Three paths compute eta, and every caller of a Gram (`mz_constant`,
-`discrete_gram`, the sweeps, `audited_fit`) reaches the first two through
-`_gram`:
+Three paths compute eta.  Every caller of a Gram (`mz_constant`,
+`discrete_gram`, the sweeps) reaches the first two through `_gram`;
+`audited_fit` makes one call, `_audit`, which picks among all three:
 - the run Gram (`_run_gram`, then `mz_report`): on a rule whose runs pay,
   G's upper triangle from two azimuth sums per run and pair of orders and
   the Legendre table at the run heights, O(R dim^2) for R runs; within
@@ -33,12 +33,12 @@ Three paths compute eta, and every caller of a Gram (`mz_constant`,
 - the walk (`_gram_walk`, then `mz_report`): G's upper triangle from
   dsyrk over basis blocks of every node, O(m dim^2); rules whose runs do
   not pay take it, and it is the oracle;
-- the moments (`_ring_report`): `audited_fit` on rules with runs above
-  dim 625, when their moments cost fewer basis values than one walk:
-  Lanczos on a matrix-free operator built from the moments to degree 2n,
-  with no dim^2 array.  Its eta agrees with the walk's to 1e-13 (at most
-  6.4e-14 measured); where Lanczos spends its budget, `_gram` and the
-  dense eigensolver take over.
+- the moments (`_audit`): rules whose runs pay, above dim 625: Lanczos on
+  a matrix-free operator built from the moments to degree 2n, with no
+  dim^2 array.  Its eta agrees with the walk's to 1e-13 (at most 6.4e-14
+  measured); where Lanczos spends its budget, `_gram` and the dense
+  eigensolver take over.  `mz_constant` stays on the Gram: the moments
+  are faster, but the tests pin its eta tighter than they hold it.
 
 A basis block meets a vector as numpy's B @ v.  Every sum here runs with
 numpy's and scipy's BLAS on one thread each (`_one_blas_thread`), so it
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, _chunk_points,
-                        _legendre_table, basis_chunks)
+                        _legendre_table, _real_array, basis_chunks)
 from .pointsets import _gauss_legendre
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
@@ -103,12 +103,13 @@ class ExactnessReport:
 
 
 def sample_values(f, points):
-    """Values of `f` at `points`, checked: one finite value per point.
+    """Values of `f` at `points`, checked: one finite real value per point,
+    as float64.
 
     `f` is a callable on (m, 3) arrays or an array of values already
     sampled at `points`.
     """
-    y = f(points) if callable(f) else np.asarray(f, dtype=float)
+    y = _real_array(f(points) if callable(f) else f, "sample values")
     if y.shape != (len(points),):
         raise ValueError(f"expected {len(points)} sample values, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -455,7 +456,8 @@ def _dsyrk():
 
 
 def mz_constant(rule, n):
-    """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport."""
+    """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport,
+    from the Gram (`_gram`): the tests pin it tighter than `_audit`'s moments hold."""
     return mz_report(_gram(rule, n)[0])
 
 
@@ -471,8 +473,8 @@ def mz_report(G):
     `eigvalsh`.  The two agree to about 1e-14.
     """
     try:
-        G = np.asarray(G, dtype=float)
-    except (TypeError, ValueError) as exc:   # ragged, or not numbers
+        G = _real_array(G, "a Gram's entries")
+    except ValueError as exc:   # ragged, or not real numbers
         raise ValueError(f"a Gram is a square array of floats: {exc}") from None
     n = math.isqrt(G.shape[0]) - 1 if G.ndim == 2 and G.shape[0] == G.shape[1] else -1
     if n < 0 or G.shape[0] != (n + 1) ** 2:
@@ -551,34 +553,31 @@ def _lanczos_extremes(product, dim):
 
 
 @_one_blas_thread()
-def _ring_report(rule, n):
-    """MZReport of the rule at degree n from its moments, or None where its
-    Gram (`_gram`) should give it: dim (n+1)^2 <= _LANCZOS_DIM (or n < 0, which the
-    walk refuses), runs that do not pay (`_paying_runs`), or moments that
-    cost as many basis values as one walk, R (2n+1)^2 >= m (n+1)^2 for R
-    runs.
+def _audit(rule, n, v=None):
+    """(MZReport, c): the rule's eta at degree n, and c = node_sum(n,
+    points, v) (None without `v`), for `audited_fit`.
 
-    Every entry of G integrates a product of degree <= 2n, so G is fixed by
-    the moments s_{L,K} = sum_j w_j Y_{L,K}(x_j), L <= 2n (`node_sum`),
-    and Lanczos runs on the matrix-free operator of `_moment_gram`.  If it
-    spends its product budget (lambda_min near 0), the Gram (`_gram`) and
-    the dense eigensolver give the report, as mz_report's own Lanczos would
-    stall too.
+    Above dim _LANCZOS_DIM, a rule whose runs pay (`_paying_runs`) and whose
+    Gram is finite takes eta from its moments to degree 2n (`_run_sums`),
+    which fix G, by Lanczos on `_moment_gram`.  They never cost more basis
+    values than a walk: m >= _RUN_NODES R gives m (n+1)^2 > R (2n+1)^2.
+    Where Lanczos spends its budget (lambda_min near 0), the Gram and the
+    dense solver take over.  Any other rule takes G and c from `_gram`.
     """
+    n = _check_degree(n)   # before anything is allocated
     dim = (n + 1) ** 2
-    if n < 0 or dim <= _LANCZOS_DIM:
-        return None
-    if not math.isfinite(rule.weight_sum * dim):
-        # |G_ab| <= sum(w) dim / (4 pi): the walk refuses a Gram that overflows
-        return None
-    starts = _paying_runs(rule.points)
-    if starts is None or starts.size * (2 * n + 1) ** 2 >= rule.m * dim:
-        return None
-    product = _moment_gram(node_sum(2 * n, rule.points, rule.weights), n)
+    starts = None
+    if dim > _LANCZOS_DIM and math.isfinite(rule.weight_sum * dim):   # |G_ab| <= sum(w) dim
+        starts = _paying_runs(rule.points)
+    if starts is None:
+        G, c = _gram(rule, n, v)
+        return mz_report(G), c
+    product = _moment_gram(_run_sums(2 * n, rule.points, starts, rule.weights), n)
     try:
-        return _report(n, _lanczos_extremes(product, dim))
+        report = _report(n, _lanczos_extremes(product, dim))
     except _OverBudget:
-        return _dense_report(_gram(rule, n)[0])
+        report = _dense_report(_gram(rule, n)[0])
+    return report, None if v is None else _run_sums(n, rule.points, starts, v)
 
 
 def _moment_gram(moments, n):

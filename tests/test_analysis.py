@@ -62,6 +62,11 @@ class TestSobolevNorm:
         with pytest.raises(ValueError):
             sp.sobolev_norm(np.zeros(7), 1.0)
 
+    def test_empty_coefficients_rejected(self):
+        # (n + 1)^2 = 0 at n = -1: no degree has no coefficients
+        with pytest.raises(ValueError, match="coefficient vector length 0"):
+            sp.sobolev_norm([], 0.0)
+
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):
             sp.sobolev_norm(np.zeros(4), -1.0)

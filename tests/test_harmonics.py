@@ -52,11 +52,23 @@ class TestIndexing:
         with pytest.raises(ValueError):
             sp.flat_index(2, 6)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_non_integer_order_index_rejected(self, k):
+        with pytest.raises(ValueError, match="invalid basis index"):
+            sp.flat_index(2, k)
+
+    @pytest.mark.parametrize("d", [2.5, 2.0, 1, True, "3"])
+    def test_sphere_dimension_must_be_an_integer_from_2(self, d):
+        with pytest.raises(ValueError, match="sphere dimension d must be an integer >= 2"):
+            sp.lb_eigenvalue(d, 3)
+
 
 DEGREE_POINTS = sp.random_uniform(50, seed=20)
 DEGREE_RULE = sp.equal_weight_rule(sp.equal_area(4000), "equal_area")
 DEGREE_CALLS = {
     "lb_eigenvalue": lambda n: sp.lb_eigenvalue(2, n),
+    "flat_index": lambda n: sp.flat_index(n, 1),
+    "basis_indices": basis_indices,
     "eval_basis_block": lambda n: sp.eval_basis_block(n, DEGREE_POINTS),
     "basis_chunks": lambda n: basis_chunks(n, DEGREE_POINTS),
     "_legendre_table": lambda n: _legendre_table(n, DEGREE_POINTS[:, 2]),

@@ -64,6 +64,18 @@ class TestFit:
             sp.fit(rule, y, 2)
         with pytest.raises(ValueError, match="not finite"):
             sp.fit(rule, lambda pts: np.full(len(pts), np.inf), 2)
+        # values that are not real numbers, on a ring rule and on a random
+        # rule, sampled or returned by a callable: a complex part would be
+        # dropped, or summed into the wrong rows
+        for rule in (sp.equal_weight_rule(sp.equal_area(400), "equal_area"),
+                     sp.equal_weight_rule(sp.random_uniform(400, seed=5), "random")):
+            x, y = rule.points[:, 0], rule.points[:, 1]
+            for values in (x + 1j * y, x.astype(object)):
+                for f in (values, lambda pts, values=values: values):
+                    with pytest.raises(ValueError, match="sample values must be real numbers"):
+                        sp.fit(rule, f, 3)
+                    with pytest.raises(ValueError, match="sample values must be real numbers"):
+                        sp.audited_fit(rule, f, 3)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -108,6 +120,23 @@ class TestHyperinterpolantObject:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="coefficients are not finite"):
             sp.Hyperinterpolant(n=1, coeffs=np.array([0.5, bad, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("coeffs", [np.array([0.5, 1j, 1.0, 0.0]),
+                                        np.array([0.5, 0.0, 1.0, 0.0], dtype=object)],
+                             ids=["complex", "object"])
+    def test_coefficients_that_are_not_real_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients must be real numbers"):
+            sp.Hyperinterpolant(n=1, coeffs=coeffs)
+
+    def test_integer_and_bool_samples_fit_as_floats(self):
+        # the values are converted to float64, as they were multiplied by
+        # the weights before: the same bits
+        rule = sp.equal_weight_rule(sp.equal_area(400), "equal_area")
+        ints = np.arange(rule.m) % 7 - 3
+        for y in (ints, ints > 0):
+            want = sp.fit(rule, y.astype(float), 5).coeffs
+            for f in (y, lambda pts, y=y: y):
+                assert np.array_equal(sp.fit(rule, f, 5).coeffs, want)
 
     def test_callable_matches_evaluate_block(self):
         h = sp.Hyperinterpolant(n=1, coeffs=np.array([0.5, 0.0, 1.0, 0.0]))

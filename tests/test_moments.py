@@ -1,6 +1,6 @@
 """Sums over latitude runs (`quadrature._run_sums`) against the basis
 product, the Gram of rules with runs (`quadrature._run_gram`) and their eta
-from their moments (`quadrature._ring_report`) against the walk
+from their moments (`quadrature._audit`) against the walk
 (`quadrature._gram_walk`), which stays the oracle.  The path a call takes
 is pinned by counting calls, not by timing."""
 
@@ -16,8 +16,8 @@ import sphyper as sp
 from sphyper import quadrature
 from sphyper.harmonics import _MIN_CHUNK, SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_LANCZOS_PRODUCTS, _gram, _gram_walk, _paying_runs,
-                                _ring_report, _rings, _run_gram, _run_sums, node_sum)
+from sphyper.quadrature import (_LANCZOS_PRODUCTS, _RUN_NODES, _audit, _gram, _gram_walk,
+                                _paying_runs, _rings, _run_gram, _run_sums, node_sum)
 
 # |eta from moments - eta from the walk|: measured at most 4.5e-14 on the
 # audit's rules (equal_area(4 (n+1)^2) and product_gauss_rule(n+1), n = 30..46),
@@ -347,13 +347,13 @@ class TestRingReport:
     ])
     def test_matches_the_walk(self, rule, n):
         rule = rule()
-        got, want = _ring_report(rule, n), sp.mz_report(_gram_walk(rule, n)[0])
+        got, want = _audit(rule, n)[0], sp.mz_report(_gram_walk(rule, n)[0])
         assert got.dim == want.dim == (n + 1) ** 2
         for field in ("eta", "lambda_min", "lambda_max"):
             assert abs(getattr(got, field) - getattr(want, field)) <= ETA_TOL
 
     def test_exact_gauss_rule_has_eta_zero(self):
-        assert _ring_report(sp.product_gauss_rule(31), 30).eta <= ETA_TOL
+        assert _audit(sp.product_gauss_rule(31), 30)[0].eta <= ETA_TOL
 
     @pytest.mark.parametrize("rule, n", [
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(2704, 3), "random"), 25,
@@ -363,26 +363,54 @@ class TestRingReport:
         pytest.param(lambda: equal_area_rule(2500), 24, id="dim-625"),
         pytest.param(lambda: sp.product_gauss_rule(26), -30, id="negative-n"),
     ])
-    def test_leaves_the_rule_to_the_walk(self, rule, n):
-        assert _ring_report(rule(), n) is None
+    def test_leaves_the_rule_to_the_walk(self, monkeypatch, rule, n):
+        # the rule's Gram gives the report, as mz_constant's does; the
+        # moments operator is never built
+        rule = rule()
+        monkeypatch.setattr(quadrature, "_moment_gram", None)   # not called
+        if n < 0:
+            with pytest.raises(ValueError, match="degree n must be >= 0"):
+                _audit(rule, n)
+        else:
+            assert _audit(rule, n)[0] == sp.mz_constant(rule, n)   # field by field
 
     def test_weights_that_overflow_the_gram_are_left_to_the_walk(self):
         # finite weights, but the pole's overflows G (and the moments): the
-        # walk refuses the Gram, without a numpy RuntimeWarning
+        # Gram is refused, without a numpy RuntimeWarning
         rule = equal_area_rule(2704)
         weights = rule.weights.copy()
         weights[0] = 1.7e308
         rule = QuadratureRule(rule.points, weights, "loaded")
-        assert _ring_report(rule, 25) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram is not finite"):
+                _audit(rule, 25)
             with pytest.raises(ValueError, match="Gram is not finite"):
                 sp.audited_fit(rule, sp.by_name("f3"), 25)
 
     def test_rotation_about_x_keeps_eta(self):
         rule = equal_area_rule(2704)
         assert abs(sp.mz_constant(rotated(rule, about_x(0.3)), 25).eta
-                   - _ring_report(rule, 25).eta) <= ETA_TOL
+                   - _audit(rule, 25)[0].eta) <= ETA_TOL
+
+    def test_audited_fit_scans_the_runs_once(self, monkeypatch):
+        # the moments, the Lanczos operator and the fit's sums all read the
+        # one scan of _audit
+        rule, scans, rings = equal_area_rule(4 * 676), [], quadrature._rings
+
+        def counted(points):
+            scans.append(len(points))
+            return rings(points)
+
+        monkeypatch.setattr(quadrature, "_rings", counted)
+        sp.audited_fit(rule, sp.by_name("f3"), 25)
+        assert scans == [rule.m]
+
+    def test_runs_that_pay_make_the_moments_cheaper_than_a_walk(self):
+        # why _audit has no cost test of its own: runs pay where m >=
+        # _RUN_NODES R, and then the moments' R (2n+1)^2 basis values are
+        # fewer than one walk's m (n+1)^2
+        assert all((2 * n + 1) ** 2 < _RUN_NODES * (n + 1) ** 2 for n in range(201))
 
 
 def audited_fit_and_calls(monkeypatch, rule, f, n):
@@ -432,7 +460,7 @@ class TestAuditedFitPath:
         assert isinstance(result, ValueError) and "rank deficient" in str(result)
         assert calls["products"] == _LANCZOS_PRODUCTS
         assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
-        assert _ring_report(rule, 30) == sp.mz_constant(rule, 30)   # field by field
+        assert _audit(rule, 30)[0] == sp.mz_constant(rule, 30)   # field by field
 
     @pytest.mark.parametrize("rule, n", [
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(16 * 676, 4), "random"),

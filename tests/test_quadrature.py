@@ -100,6 +100,12 @@ class TestMZConstant:
         with pytest.raises(ValueError, match="a Gram is a square array of floats"):
             sp.mz_report(G)
 
+    @pytest.mark.parametrize("G", [np.eye(4) * (1.0 + 1e-3j), np.eye(4, dtype=object)],
+                             ids=["complex", "object"])
+    def test_gram_that_is_not_real_refused(self, G):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            sp.mz_report(G)
+
     def test_solver_failure_stays_a_runtime_error(self, monkeypatch):
         def failing(G):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
