@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import lb_eigenvalue
+from .harmonics import _real_array, lb_eigenvalue
 from .pointsets import equal_area, product_gauss_rule
 from .quadrature import _one_blas_thread, sample_values
 
@@ -57,7 +57,7 @@ def sobolev_norm(coeffs, s):
     `coeffs` is a coefficient vector in the canonical layout; its length
     determines the maximum degree.  s = 0 recovers the L2 norm.
     """
-    c = np.asarray(coeffs, dtype=float)
+    c = _real_array(coeffs, "coefficients")
     n = int(round(math.sqrt(c.size))) - 1
     if n < 0 or (n + 1) ** 2 != c.size:
         raise ValueError(f"coefficient vector length {c.size} is not (n+1)^2 for a degree n >= 0")

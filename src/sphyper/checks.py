@@ -56,7 +56,7 @@ def check_gauss_exactness():
     eta = mz_constant(product_gauss_rule(8), 7).eta
     degree = exactness_degree(product_gauss_rule(4), max_scan=8).degree
     # a rule with runs takes its Gram from them, audited_fit above dim 625
-    # takes eta from its moments, and fit sums over the runs: each against
+    # takes eta from its run operator, and fit sums over the runs: each against
     # the sums over nodes, the walk's eta among them; the Legendre table at
     # the run heights is the basis there, bit for bit
     rule = equal_weight_rule(equal_area(4 * 676), "equal_area")
@@ -79,7 +79,7 @@ def check_gauss_exactness():
           and table_gap == 0.0)
     return ok, (f"eta(order 8, n=7)={eta:.3e}, exactness(order 4)={degree}, "
                 f"|eta run Gram - walk|(equal-area 2704, n=25)={run_gap:.1e}, "
-                f"|eta moments - walk|={gap:.1e}, "
+                f"|eta run operator - walk|={gap:.1e}, "
                 f"|fit run sums - basis product|={fit_gap:.1e}, "
                 f"|Legendre table - basis at heights|(L=50)={table_gap:.1e}")
 

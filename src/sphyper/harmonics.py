@@ -27,8 +27,8 @@ SPHERE_AREA = 4.0 * math.pi
 # n = 15) is written at about half the rate.  Narrow blocks leave
 # eval_basis_block's per-(l, m) Python loop dominant, so a basis block never
 # has fewer than _MIN_CHUNK points.  Where the points are a few hundred at
-# most (the run heights, the moments grid), _legendre_table runs the
-# recurrence over every order at once and pays that loop's L steps only.
+# most (the run heights), _legendre_table runs the recurrence over every
+# order at once and pays that loop's L steps only.
 _BLOCK_VALUES = 2 ** 20
 _MIN_CHUNK = 2048
 

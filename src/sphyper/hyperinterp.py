@@ -8,8 +8,8 @@ the MZ property) and the QMC variant Q_n are the same formula
 differing only in the quadrature rule supplied, so one implementation
 serves all three.  Fitting never gates on eta; use `audited_fit` to
 refuse rules with eta >= 1.  It takes eta and the coefficients from one
-call, `quadrature._audit`, which picks the route: the moments on rules whose
-latitude runs pay above dim 625, else the Gram from the fit's own pass.
+call, `quadrature._audit`, which picks the route: the run operator on rules
+whose latitude runs pay above dim 625, else the Gram from the fit's own pass.
 """
 
 from dataclasses import dataclass
@@ -79,8 +79,8 @@ def audited_fit(rule, f, n):
     eta >= 1 by lambda_max >= 2, the stability and error theory is vacuous,
     so we fail loudly, naming the condition, instead of degrading silently.
     The report and the coefficients come from one call (`quadrature._audit`):
-    eta from the moments on rules whose runs pay above dim 625, else from
-    the rule's Gram.  Either way the coefficients are fit()'s, bit for bit.
+    eta from the run operator on rules whose runs pay above dim 625, else
+    from the rule's Gram.  Either way the coefficients are fit()'s, bit for bit.
     """
     n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite

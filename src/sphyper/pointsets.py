@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .harmonics import SPHERE_AREA
+from .harmonics import SPHERE_AREA, _real_array
 
 __all__ = [
     "QuadratureRule",
@@ -38,7 +38,7 @@ _PROVENANCES = ("random", "equal_area", "gauss_product", "loaded")
 def unit_points(points):
     """`points` as an (m, 3) float array of finite unit vectors (norm within
     1e-6 of 1); the one check on rule nodes and on evaluation points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(_real_array(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (m, 3), got {pts.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -58,7 +58,7 @@ class QuadratureRule:
 
     def __post_init__(self):
         self.points = unit_points(self.points)
-        self.weights = np.asarray(self.weights, dtype=float).ravel()
+        self.weights = _real_array(self.weights, "quadrature weights").ravel()
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError(
                 f"{self.points.shape[0]} points vs {self.weights.shape[0]} weights")

@@ -9,18 +9,17 @@ integral(chi^2) = a^T a, so the MZ ratio extremizes exactly at the
 extreme eigenvalues of G.
 
 Every sum of one value per node (the fit's w f, or the weights alone: the
-moments, which the exactness scan and the moments path read) is
-`node_sum`.  On a rule whose nodes come in runs of equal z, as the rings
-of equal_area and product_gauss_rule do, it takes one azimuth sum per
-order and run and the Legendre table at the run heights only
-(`_run_sums`); other rules walk the basis at every node.  One cost test,
-R runs against m nodes (`_paying_runs`), decides for the node sums and
-the Gram alike.  The table (`harmonics._legendre_table`) is the basis's
-cos rows at (1, 0, z_r), with its recurrence run over every order at
-once: at a few hundred heights or fewer it is 2-6x faster than
-eval_basis_block's per-(l, M) loop, with the same bits.  The run Gram
-and the moments grid take it too; no sum here evaluates eval_basis_block
-at heights or on grid nodes.
+moments, which the exactness scan reads) is `node_sum`.  On a rule whose
+nodes come in runs of equal z, as the rings of equal_area and
+product_gauss_rule do, it takes one azimuth sum per order and run and the
+Legendre table at the run heights only (`_run_sums`); other rules walk
+the basis at every node.  One cost test, R runs against m nodes
+(`_paying_runs`), decides for the node sums and the Gram alike.  The
+table (`harmonics._legendre_table`) is the basis's cos rows at (1, 0,
+z_r), with its recurrence run over every order at once: at a few hundred
+heights or fewer it is 2-6x faster than eval_basis_block's per-(l, M)
+loop, with the same bits.  The run Gram and the run operator take it
+too; no sum here evaluates eval_basis_block at the run heights.
 
 Three paths compute eta.  Every caller of a Gram (`mz_constant`,
 `discrete_gram`, the sweeps) reaches the first two through `_gram`;
@@ -33,12 +32,17 @@ Three paths compute eta.  Every caller of a Gram (`mz_constant`,
 - the walk (`_gram_walk`, then `mz_report`): G's upper triangle from
   dsyrk over basis blocks of every node, O(m dim^2); rules whose runs do
   not pay take it, and it is the oracle;
-- the moments (`_audit`): rules whose runs pay, above dim 625: Lanczos on
-  a matrix-free operator built from the moments to degree 2n, with no
-  dim^2 array.  Its eta agrees with the walk's to 1e-13 (at most 6.4e-14
-  measured); where Lanczos spends its budget, `_gram` and the dense
-  eigensolver take over.  `mz_constant` stays on the Gram: the moments
-  are faster, but the tests pin its eta tighter than they hold it.
+- the run operator (`_run_operator`, for `_audit`): rules whose runs pay,
+  no more runs than dim, above dim 625: Lanczos on a matrix-free operator
+  that synthesises x at each run height, weights it by the run's azimuth
+  measure to degree 2n and analyses it back, with no dim^2 array.  Its eta
+  agrees with the walk's to 1e-13 (at most 8.4e-15 measured on the
+  audit's rules, n = 25..46); where Lanczos spends its budget, `_gram` and
+  the dense eigensolver take over.  `mz_constant` stays on the Gram, whose
+  eta the tests pin to 1e-14 against the dense solver.
+
+Above dim 625 both ends of the spectrum come from one Lanczos run
+(`_lanczos_extremes`), on the Gram's triangle or on the run operator.
 
 A basis block meets a vector as numpy's B @ v.  Every sum here runs with
 numpy's and scipy's BLAS on one thread each (`_one_blas_thread`), so it
@@ -61,7 +65,6 @@ import numpy as np
 
 from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, _chunk_points,
                         _legendre_table, _real_array, basis_chunks)
-from .pointsets import _gauss_legendre
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -75,12 +78,20 @@ RANK_TOL = 1e-10
 _LANCZOS_DIM = 625
 
 # Gram-vector products Lanczos may spend on both ends of the spectrum before
-# mz_report falls back to the dense eigensolver.  Equal-area Grams (m = 4 dim)
-# of dim 676-2209 converge in 70-190, random ones with m = 8 dim in 150-220.
-# Near lambda_min = 0 (aliased Gauss rules, random rules with m <= 2 dim)
-# Lanczos stalls, and the spent budget costs 0.3-0.8x the dense solve that
-# follows it at dims 961-2209, about 1x at dim 676 (one BLAS thread).
+# the dense eigensolver takes over.  Measured: the run operator of
+# equal_area(4 dim) at n = 25-46 in 36-91, of exact Gauss rules in 10-16;
+# Gram triangles of equal_area(4 dim) in 56-91, of random rules with m = 8
+# dim in about 100, of aliased Gauss rules (lambda_min = 0 in a cluster at
+# rounding level) in 143-230.  A random rule with m = 1.2 dim (lambda_min =
+# 1.2e-5 among many small eigenvalues) spends it: 0.08 s at dim 961, about
+# the dense solve that follows (one BLAS thread)
 _LANCZOS_PRODUCTS = 250
+
+# Lanczos stops once both extreme Ritz pairs' residual bounds are at most
+# this, relative to max(1, |lambda_max|); it looks at them every
+# _LANCZOS_CHECK products until they near it
+_LANCZOS_TOL = 1e-15
+_LANCZOS_CHECK = 8
 
 # largest integration residual that exactness_degree counts as exact
 _EXACTNESS_TOL = 1e-8
@@ -457,7 +468,7 @@ def _dsyrk():
 
 def mz_constant(rule, n):
     """MZ constant eta = ||G - I||_2 for the rule at degree n, as an MZReport,
-    from the Gram (`_gram`): the tests pin it tighter than `_audit`'s moments hold."""
+    from the Gram (`_gram`); `audited_fit` takes `_audit`'s instead."""
     return mz_report(_gram(rule, n)[0])
 
 
@@ -513,7 +524,8 @@ def _report(n, lam):
 
 
 class _OverBudget(Exception):
-    """Lanczos asked for more than _LANCZOS_PRODUCTS Gram-vector products."""
+    """Lanczos spent _LANCZOS_PRODUCTS Gram-vector products, or met a value
+    that is not finite."""
 
 
 def _triangle_product(G):
@@ -527,29 +539,47 @@ def _triangle_product(G):
 
 
 def _lanczos_extremes(product, dim):
-    """(lambda_min, lambda_max) of a symmetric dim x dim operator by Lanczos
-    (ARPACK's `eigsh`, largest then smallest end), from its products x ->
-    G x; raises _OverBudget past _LANCZOS_PRODUCTS products."""
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-    products = 0
-
-    def counted(x):
-        nonlocal products
-        products += 1
-        if products > _LANCZOS_PRODUCTS:
+    """(lambda_min, lambda_max) of a symmetric dim x dim operator from its
+    products x -> G x: one Lanczos run from a fixed start vector, so the
+    result repeats bit for bit, with full reorthogonalization (two classical
+    Gram-Schmidt passes per step) and no restarts.  Both ends come from the
+    one tridiagonal T.  It stops once both extreme Ritz pairs' residual
+    bounds |beta s_last| are within tol = _LANCZOS_TOL max(1, |theta_max|),
+    which a beta within _LANCZOS_TOL ensures (the Krylov space closes, as
+    on the identity), or after dim vectors.  It looks at the bounds every
+    _LANCZOS_CHECK products, and at every product once both have been
+    within sqrt(tol): near lambda_min = 0 the bound of that end jumps by
+    decades from one product to the next.  Raises _OverBudget after
+    _LANCZOS_PRODUCTS products, or on a value that is not finite."""
+    from scipy.linalg import eigh_tridiagonal
+    steps = min(_LANCZOS_PRODUCTS, dim)
+    V = np.empty((steps + 1, dim))   # the Lanczos vectors
+    v = np.random.default_rng(0).standard_normal(dim)
+    V[0] = v / math.sqrt(v @ v)
+    alpha, beta = [], []
+    near = False
+    for k in range(steps):
+        w = product(V[k])
+        a = 0.0
+        for _ in range(2):   # a fresh w first, as the product may hand back V[k]
+            h = V[:k + 1] @ w
+            w = w - h @ V[:k + 1]
+            a += h[k]
+        alpha.append(a)
+        beta.append(math.sqrt(w @ w))
+        if not math.isfinite(a + beta[-1]):
             raise _OverBudget
-        return product(x)
-
-    op = LinearOperator((dim, dim), matvec=counted, dtype=float)
-    # a fixed start vector makes the result repeat bit for bit
-    opts = dict(k=1, v0=np.random.default_rng(0).standard_normal(dim),
-                return_eigenvectors=False)
-    try:
-        lam_max = eigsh(op, which="LA", **opts)[0]
-        lam_min = eigsh(op, which="SA", **opts)[0]
-    except ArpackError as exc:
-        raise RuntimeError(f"Lanczos eigensolver failed on dim {dim}: {exc}")
-    return lam_min, lam_max
+        if near or beta[-1] <= _LANCZOS_TOL or k + 1 == dim or (k + 1) % _LANCZOS_CHECK == 0:
+            ends = [eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(i, i))
+                    for i in (0, k)]
+            theta = [float(value[0]) for value, _ in ends]
+            bound = max(beta[-1] * abs(s[-1, 0]) for _, s in ends)
+            tol = _LANCZOS_TOL * max(1.0, abs(theta[1]))
+            if bound <= tol or k + 1 == dim:
+                return theta
+            near = near or bound <= math.sqrt(tol)
+        V[k + 1] = w / beta[-1]
+    raise _OverBudget
 
 
 @_one_blas_thread()
@@ -557,51 +587,56 @@ def _audit(rule, n, v=None):
     """(MZReport, c): the rule's eta at degree n, and c = node_sum(n,
     points, v) (None without `v`), for `audited_fit`.
 
-    Above dim _LANCZOS_DIM, a rule whose runs pay (`_paying_runs`) and whose
-    Gram is finite takes eta from its moments to degree 2n (`_run_sums`),
-    which fix G, by Lanczos on `_moment_gram`.  They never cost more basis
-    values than a walk: m >= _RUN_NODES R gives m (n+1)^2 > R (2n+1)^2.
-    Where Lanczos spends its budget (lambda_min near 0), the Gram and the
-    dense solver take over.  Any other rule takes G and c from `_gram`.
+    Above dim _LANCZOS_DIM, a rule whose runs pay (`_paying_runs`), no more
+    runs than dim and a finite Gram takes eta by Lanczos on `_run_operator`,
+    with no dim^2 array.  Where Lanczos spends its budget (lambda_min near
+    0), the Gram and the dense solver take over.  Any other rule takes G and
+    c from `_gram`: past dim runs, the operator's table would outgrow G.
     """
     n = _check_degree(n)   # before anything is allocated
     dim = (n + 1) ** 2
     starts = None
     if dim > _LANCZOS_DIM and math.isfinite(rule.weight_sum * dim):   # |G_ab| <= sum(w) dim
         starts = _paying_runs(rule.points)
-    if starts is None:
+    if starts is None or starts.size > dim:
         G, c = _gram(rule, n, v)
         return mz_report(G), c
-    product = _moment_gram(_run_sums(2 * n, rule.points, starts, rule.weights), n)
     try:
-        report = _report(n, _lanczos_extremes(product, dim))
+        report = _report(n, _lanczos_extremes(_run_operator(n, rule, starts), dim))
     except _OverBudget:
         report = _dense_report(_gram(rule, n)[0])
     return report, None if v is None else _run_sums(n, rule.points, starts, v)
 
 
-def _moment_gram(moments, n):
-    """x -> G x for the Gram G at degree n of a rule with the given moments
-    up to degree 2n, with no dim^2 array: G x = A_n(mu S_n x), mu = sum
-    s_{L,K} Y_{L,K}, on a grid exact to degree 4n, (2n+1) Gauss-Legendre
-    nodes in z by 4n+1 equispaced azimuths.  S_n is synthesis and A_n the
-    weighted analysis on that grid, each a per-order Legendre table product
-    and a cos/sin table product (the per-order transforms of SHTns).  The
-    Legendre table is the basis at the grid's nodes at azimuth 0, (rho, 0,
-    z) with rho = sqrt(1 - z^2), from one `_legendre_table`."""
-    L = 2 * n
-    z, wz = _gauss_legendre(L + 1)
-    phi = 2.0 * math.pi * np.arange(2 * L + 1) / (2 * L + 1)
-    cos_rows, sin_rows = _order_rows(L)
-    # the per-order tables P[M, l, j]: Y_{l,k} of order M at azimuth 0,
-    # where its sin(M phi) row is 0, at node j; 0 where l < M
-    P = _legendre_table(L, z, np.sqrt((1.0 - z) * (1.0 + z)))
-    cos, sin = np.cos(np.outer(np.arange(L + 1), phi)), np.sin(np.outer(np.arange(L + 1), phi))
-    # the density mu on the grid, times the grid's weights
-    mu_w = (_synthesis(moments, (cos_rows, sin_rows, P, cos, sin))
-            * (wz[:, None] * (2.0 * math.pi / phi.size)))
-    grid = (*_order_rows(n), np.ascontiguousarray(P[:n + 1, :n + 1]), cos[:n + 1], sin[:n + 1])
-    return lambda x: _analysis(mu_w * _synthesis(x, grid), grid)
+def _run_operator(n, rule, starts):
+    """x -> G x for the Gram G at degree n of a rule whose runs start at
+    `starts` (`_rings`), with no dim^2 array: per run, the synthesis of x at
+    its height z_r on K = 4n+1 equispaced azimuths psi_k, times the run's
+    azimuth measure truncated to degree 2n, then the analysis back.
+
+    On a run, sum_j w_j g(phi_j) e^(-i M phi_j), for g of degree n in phi and
+    M <= n, reads only the measure's Fourier sums T_r(d) = sum_j w_j
+    e^(i d phi_j), |d| <= 2n (`_azimuth_sums` of the unit phases; a pole's
+    phi is 0), and equals (1/K) sum_k g(psi_k) e^(-i M psi_k)
+    mu_r(psi_k), mu_r(psi) = sum_{|d| <= 2n} T_r(d) e^(-i d psi), exactly,
+    since the products have degree 4n < K.  Synthesis and analysis are the
+    per-order Legendre table products at the run heights
+    (`_legendre_table(n, z_r, rho_r)`, the basis at (rho_r, 0, z_r)) and a
+    cos/sin table product (the per-order transforms of SHTns): O(R n^2) per
+    product for R runs, where the walk's Gram costs O(m n^4)."""
+    points, K = rule.points, 4 * n + 1
+    z = points[starts, 2]
+    psi = 2.0 * math.pi * np.arange(K) / K
+    d = np.arange(2 * n + 1)[:, None]
+    cos, sin = np.cos(d * psi), np.sin(d * psi)
+    phi = np.arctan2(points[:, 1], points[:, 0])   # 0 at a pole
+    T = _azimuth_sums(np.column_stack([np.cos(phi), np.sin(phi)]), starts, rule.weights,
+                      2 * n)   # [d, run]
+    T[1:] *= 2.0   # T_r(d) and T_r(-d) = conj T_r(d) together
+    mu = (T.real.T @ cos + T.imag.T @ sin) / K   # [run, k]
+    grid = (*_order_rows(n), _legendre_table(n, z, np.sqrt((1.0 - z) * (1.0 + z))),
+            cos[:n + 1], sin[:n + 1])
+    return lambda x: _analysis(mu * _synthesis(x, grid), grid)
 
 
 def _order_rows(L):
@@ -616,7 +651,7 @@ def _order_rows(L):
 
 
 def _synthesis(x, grid):
-    """sum_{l,k} x_{l,k} Y_{l,k} on the grid (z nodes by azimuths)."""
+    """sum_{l,k} x_{l,k} Y_{l,k} on the grid (heights by azimuths)."""
     cos_rows, sin_rows, P, cos, sin = grid
     x = np.append(x, 0.0)   # the row past the last: 0 where no harmonic is
     a = (x[cos_rows][:, None, :] @ P)[:, 0]

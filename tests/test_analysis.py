@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestSobolevNorm:
         # (n + 1)^2 = 0 at n = -1: no degree has no coefficients
         with pytest.raises(ValueError, match="coefficient vector length 0"):
             sp.sobolev_norm([], 0.0)
+
+    def test_complex_coefficients_rejected(self):
+        # not cut to their real part with a ComplexWarning: [1 + 5j, 0, 0, 0]
+        # read as 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficients must be real numbers"):
+                sp.sobolev_norm([1.0 + 5j, 0.0, 0.0, 0.0], 0.0)
 
     def test_negative_s_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Sums over latitude runs (`quadrature._run_sums`) against the basis
 product, the Gram of rules with runs (`quadrature._run_gram`) and their eta
-from their moments (`quadrature._audit`) against the walk
+from the run operator (`quadrature._audit`) against the walk
 (`quadrature._gram_walk`), which stays the oracle.  The path a call takes
 is pinned by counting calls, not by timing."""
 
@@ -16,12 +16,13 @@ import sphyper as sp
 from sphyper import quadrature
 from sphyper.harmonics import _MIN_CHUNK, SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_LANCZOS_PRODUCTS, _RUN_NODES, _audit, _gram, _gram_walk,
+from sphyper.quadrature import (_LANCZOS_PRODUCTS, _audit, _gram, _gram_walk,
                                 _paying_runs, _rings, _run_gram, _run_sums, node_sum)
 
-# |eta from moments - eta from the walk|: measured at most 4.5e-14 on the
-# audit's rules (equal_area(4 (n+1)^2) and product_gauss_rule(n+1), n = 30..46),
-# where exact Gauss rules give eta <= 6.5e-14
+# |eta (lambda_min, lambda_max) from the run operator - the walk's|: measured
+# at most 1.2e-14 on the audit's rules (equal_area(4 (n+1)^2) and
+# product_gauss_rule(n+1), n = 25..46) and 4.5e-15 on TestRingReport's, where
+# exact Gauss rules give eta <= 4.2e-14
 ETA_TOL = 1e-13
 
 
@@ -234,14 +235,13 @@ GRAM_RULES = {name: rule for name, rule in RUN_RULES.items() if name != "single-
 
 
 def count_tables(mp, tables):
-    """Have quadrature's _legendre_table calls at the run heights (x = 1)
-    append (degree, heights) to `tables`; the moments grid's table, on
-    (rho, 0, z) nodes, is not counted."""
+    """Have quadrature's _legendre_table calls append (degree, heights) to
+    `tables`: at (1, 0, z_r) for the run sums and the run Gram, at (rho_r,
+    0, z_r) for the run operator."""
     table = quadrature._legendre_table
 
     def counted(L, z, x=None):
-        if x is None:
-            tables.append((L, len(z)))
+        tables.append((L, len(z)))
         return table(L, z, x)
 
     mp.setattr(quadrature, "_legendre_table", counted)
@@ -362,12 +362,14 @@ class TestRingReport:
         pytest.param(lambda: rotated(equal_area_rule(2704), about_x(0.3)), 25, id="about-x"),
         pytest.param(lambda: equal_area_rule(2500), 24, id="dim-625"),
         pytest.param(lambda: sp.product_gauss_rule(26), -30, id="negative-n"),
+        # 700 runs of 4 pay, but are more than dim 676: the run Gram
+        pytest.param(lambda: random_runs([4] * 700, 7), 25, id="more-runs-than-dim"),
     ])
     def test_leaves_the_rule_to_the_walk(self, monkeypatch, rule, n):
-        # the rule's Gram gives the report, as mz_constant's does; the
-        # moments operator is never built
+        # the rule's Gram gives the report, as mz_constant's does; the run
+        # operator is never built
         rule = rule()
-        monkeypatch.setattr(quadrature, "_moment_gram", None)   # not called
+        monkeypatch.setattr(quadrature, "_run_operator", None)   # not called
         if n < 0:
             with pytest.raises(ValueError, match="degree n must be >= 0"):
                 _audit(rule, n)
@@ -375,7 +377,7 @@ class TestRingReport:
             assert _audit(rule, n)[0] == sp.mz_constant(rule, n)   # field by field
 
     def test_weights_that_overflow_the_gram_are_left_to_the_walk(self):
-        # finite weights, but the pole's overflows G (and the moments): the
+        # finite weights, but the pole's overflows G (and the run sums): the
         # Gram is refused, without a numpy RuntimeWarning
         rule = equal_area_rule(2704)
         weights = rule.weights.copy()
@@ -394,8 +396,7 @@ class TestRingReport:
                    - _audit(rule, 25)[0].eta) <= ETA_TOL
 
     def test_audited_fit_scans_the_runs_once(self, monkeypatch):
-        # the moments, the Lanczos operator and the fit's sums all read the
-        # one scan of _audit
+        # the run operator and the fit's sums both read the one scan of _audit
         rule, scans, rings = equal_area_rule(4 * 676), [], quadrature._rings
 
         def counted(points):
@@ -406,11 +407,24 @@ class TestRingReport:
         sp.audited_fit(rule, sp.by_name("f3"), 25)
         assert scans == [rule.m]
 
-    def test_runs_that_pay_make_the_moments_cheaper_than_a_walk(self):
-        # why _audit has no cost test of its own: runs pay where m >=
-        # _RUN_NODES R, and then the moments' R (2n+1)^2 basis values are
-        # fewer than one walk's m (n+1)^2
-        assert all((2 * n + 1) ** 2 < _RUN_NODES * (n + 1) ** 2 for n in range(201))
+    @pytest.mark.parametrize("rule, n", [
+        pytest.param(lambda: equal_area_rule(4 * 676), 25, id="equal_area-25"),
+        pytest.param(lambda: equal_area_rule(4 * 961), 30, id="equal_area-30"),
+        pytest.param(lambda: sp.product_gauss_rule(31), 30, id="gauss-30"),
+    ])
+    def test_run_operator_holds_less_than_one_gram(self, rule, n):
+        # the run operator's table ((n+1)^2 R values for R <= dim runs), its
+        # azimuth measure and the Lanczos vectors: at its peak, the audit
+        # holds less than the dim^2 Gram it does without
+        rule = rule()
+        _audit(rule, n)   # first-call costs outside the measurement
+        tracemalloc.start()
+        try:
+            _audit(rule, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (n + 1) ** 4
 
 
 def audited_fit_and_calls(monkeypatch, rule, f, n):
@@ -454,13 +468,18 @@ class TestAuditedFitPath:
         assert abs(h.eta_used - sp.mz_constant(rule, 25).eta) <= ETA_TOL
 
     def test_aliased_gauss_rule_spends_the_budget_then_takes_the_run_gram(self, monkeypatch):
-        # 50 azimuths alias orders k and 50 - k for k >= 20: lambda_min = 0 at n = 30
+        # 50 azimuths alias orders k and 50 - k for k >= 20: lambda_min = 0 at
+        # n = 30, in a cluster at rounding level that the run operator's
+        # Lanczos does not resolve within its budget (Lanczos on the Gram's
+        # triangle does, in mz_constant: TestEigensolverBranch)
         rule = sp.product_gauss_rule(25)
         result, calls = audited_fit_and_calls(monkeypatch, rule, sp.by_name("f3"), 30)
         assert isinstance(result, ValueError) and "rank deficient" in str(result)
         assert calls["products"] == _LANCZOS_PRODUCTS
         assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
-        assert _audit(rule, 30)[0] == sp.mz_constant(rule, 30)   # field by field
+        with quadrature._one_blas_thread():   # the BLAS as _audit runs it
+            dense = quadrature._dense_report(_gram(rule, 30)[0])
+        assert _audit(rule, 30)[0] == dense   # field by field
 
     @pytest.mark.parametrize("rule, n", [
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(16 * 676, 4), "random"),
@@ -486,7 +505,7 @@ def test_sphyper_check_compares_the_two_paths(capsys):
     from sphyper.cli import main
     assert main(["check", "--filter", "gauss-exactness"]) == 0
     out = capsys.readouterr().out
-    assert "PASS gauss-exactness" in out and "|eta moments - walk|" in out
+    assert "PASS gauss-exactness" in out and "|eta run operator - walk|" in out
     assert "|eta run Gram - walk|" in out
     assert "|fit run sums - basis product|" in out
     assert "|Legendre table - basis at heights|(L=50)=0.0e+00" in out
@@ -494,8 +513,8 @@ def test_sphyper_check_compares_the_two_paths(capsys):
 
 class TestFitOverRuns:
     """fit, audited_fit and project_reference on rules with runs: the basis
-    is evaluated at the run heights only (the moments path's grid aside),
-    and audited_fit's coefficients are fit's bit for bit."""
+    is evaluated at the run heights only, and audited_fit's coefficients are
+    fit's bit for bit."""
 
     @pytest.mark.parametrize("rule", [
         pytest.param(lambda: equal_area_rule(2704), id="equal_area"),
@@ -509,7 +528,7 @@ class TestFitOverRuns:
                  "audited_fit": lambda: sp.audited_fit(rule, f, n),
                  "project_reference": lambda: sp.project_reference(f, n, rule)}
         want = {"fit": [(n, heights)],
-                "audited_fit": [(2 * n, heights), (n, heights)],   # the moments, then fit
+                "audited_fit": [(n, heights), (n, heights)],   # the run operator, then fit
                 "project_reference": [(n + 1, heights), (n, heights)]}   # the scan, then fit
         if rule.provenance == "equal_area":
             del calls["project_reference"]   # not exact to n + 1

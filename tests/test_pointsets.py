@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sphyper as sp
 from sphyper.harmonics import SPHERE_AREA
-from sphyper.pointsets import QuadratureRule, _gauss_legendre, bundled_tdesigns
+from sphyper.pointsets import QuadratureRule, _gauss_legendre, bundled_tdesigns, unit_points
 
 
 class TestRandomUniform:
@@ -111,6 +111,28 @@ class TestRules:
         pts = sp.random_uniform(4, seed=0)
         with pytest.raises(ValueError, match="finite"):
             QuadratureRule(pts, np.array([1.0, bad, 1.0, 1.0]), "loaded")
+
+    def test_complex_weights_rejected(self):
+        # not cut to their real part with a ComplexWarning
+        pts = sp.random_uniform(4, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="quadrature weights must be real numbers"):
+                QuadratureRule(pts, np.ones(4) * (1.0 + 1e-3j), "loaded")
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(unit_points, id="unit_points"),
+        pytest.param(lambda pts: QuadratureRule(pts, np.ones(4), "loaded"), id="rule"),
+        pytest.param(lambda pts: sp.evaluate_block(sp.Hyperinterpolant(2, np.ones(9)), pts),
+                     id="evaluate_block"),
+    ])
+    def test_complex_points_rejected(self, call):
+        pts = sp.random_uniform(4, seed=0) * (1.0 + 0j)
+        pts[1, 0] += 1e-3j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="points must be real numbers"):
+                call(pts)
 
     def test_overflowing_weight_sum_rejected(self):
         # finite weights whose sum is not: fit would return inf coefficients

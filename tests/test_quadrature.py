@@ -3,13 +3,13 @@ import re
 import sys
 import threading
 import time
+import warnings
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg.blas
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,15 +124,17 @@ class TestMZConstant:
         assert first.eta == pytest.approx(
             max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0)), abs=1e-14)
 
-    def test_rank_deficient_lanczos_falls_back_to_dense(self):
+    def test_rank_deficient_gram_converges_on_the_lanczos_branch(self, monkeypatch):
         # 80 azimuths alias orders k and 80 - k for k >= 36, so at n = 44 the
-        # Gram is singular; Lanczos stalls near lambda_min = 0 and spends its
-        # product budget before the dense solver takes over
+        # Gram is singular; Lanczos finds lambda_min = 0 within its budget
+        # (230 products measured), and the dense solver is not called
         rule = sp.product_gauss_rule(40)
-        report = sp.mz_constant(rule, 44)
+        G = discrete_gram(rule, 44)
+        report, calls = report_and_calls(monkeypatch, G)
+        assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
         assert report.dim == 2025
         assert report.rank_deficient
-        lam = np.linalg.eigvalsh(discrete_gram(rule, 44))
+        lam = np.linalg.eigvalsh(G)
         assert report.eta == pytest.approx(
             max(abs(max(lam[0], 0.0) - 1.0), abs(lam[-1] - 1.0)), abs=1e-12)
         with pytest.raises(ValueError, match="rank deficient"):
@@ -149,8 +151,9 @@ class TestMZConstant:
 
 
 def report_and_calls(monkeypatch, G):
-    """mz_report(G), and the counts of its eigsh calls, Gram-vector products
-    (dsymv) and dense eigvalsh calls; mz_report looks each up when it runs."""
+    """mz_report(G), and the counts of its Lanczos runs (_lanczos_extremes),
+    Gram-vector products (dsymv) and dense eigvalsh calls; mz_report looks
+    each up when it runs."""
     calls = Counter()
 
     def counted(fn, name):
@@ -160,7 +163,7 @@ def report_and_calls(monkeypatch, G):
         return call
 
     with monkeypatch.context() as mp:
-        for module, name in ((scipy.sparse.linalg, "eigsh"),
+        for module, name in ((quadrature, "_lanczos_extremes"),
                              (scipy.linalg.blas, "dsymv"), (np.linalg, "eigvalsh")):
             mp.setattr(module, name, counted(getattr(module, name), name))
         report = sp.mz_report(G)
@@ -178,7 +181,7 @@ class TestEigensolverBranch:
     def test_equal_area_gram_above_625_takes_lanczos(self, monkeypatch):
         G = discrete_gram(sp.equal_weight_rule(sp.equal_area(4 * 676), "equal_area"), 25)
         report, calls = report_and_calls(monkeypatch, G)
-        assert calls["eigsh"] == 2 and calls["eigvalsh"] == 0
+        assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
         assert 0 < calls["dsymv"] <= _LANCZOS_PRODUCTS
         assert sp.mz_report(G) == report   # bit for bit
         lam = np.linalg.eigvalsh(G)
@@ -188,18 +191,36 @@ class TestEigensolverBranch:
         assert abs(report.eta - max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0))) <= 1e-14
 
     @pytest.mark.parametrize("gram", [
-        pytest.param(lambda: discrete_gram(sp.product_gauss_rule(25), 30), id="aliased-gauss"),
         pytest.param(lambda: random_gram(1.2, 30, seed=1), id="random-1.2dim"),
     ])
     def test_near_singular_gram_spends_the_budget_then_goes_dense(self, monkeypatch, gram):
+        # lambda_min = 1.2e-5, in a dense spread of small eigenvalues
         G = gram()
         report, calls = report_and_calls(monkeypatch, G)
+        assert calls["_lanczos_extremes"] == 1
         assert calls["dsymv"] == _LANCZOS_PRODUCTS
         assert calls["eigvalsh"] == 1
         with _one_blas_thread():   # the solver's bits, as mz_report runs it
             lam = np.linalg.eigvalsh(G)
         assert report.lambda_min == max(lam[0], 0.0)
         assert report.lambda_max == lam[-1]
+
+    @pytest.mark.parametrize("rule, n", [
+        # 50 and 42 azimuths alias orders k and 50 - k (42 - k): lambda_min
+        # = 0, in a cluster of eigenvalues at rounding level.  Measured: 218
+        # and 143 products
+        pytest.param(lambda: sp.product_gauss_rule(25), 30, id="gauss-25-n30"),
+        pytest.param(lambda: sp.product_gauss_rule(21), 25, id="gauss-21-n25"),
+    ])
+    def test_aliased_gauss_gram_converges_at_lambda_min_zero(self, monkeypatch, rule, n):
+        G = discrete_gram(rule(), n)
+        report, calls = report_and_calls(monkeypatch, G)
+        assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
+        assert 0 < calls["dsymv"] < _LANCZOS_PRODUCTS
+        assert report.rank_deficient
+        lam = np.linalg.eigvalsh(G)
+        assert abs(report.lambda_min - lam[0]) <= 1e-14
+        assert abs(report.lambda_max - lam[-1]) <= 1e-14
 
     def test_dim_625_stays_dense(self, monkeypatch):
         G = discrete_gram(sp.equal_weight_rule(sp.equal_area(2500), "equal_area"), 24)
@@ -210,11 +231,61 @@ class TestEigensolverBranch:
     def test_random_gram_with_eta_above_one_converges(self, monkeypatch):
         G = random_gram(8, 30, seed=5)
         report, calls = report_and_calls(monkeypatch, G)
-        assert calls["eigsh"] == 2 and calls["eigvalsh"] == 0
+        assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
         assert report.eta == pytest.approx(1.28, abs=0.01)
         lam = np.linalg.eigvalsh(G)
         assert abs(report.lambda_min - lam[0]) <= 1e-14
         assert abs(report.lambda_max - lam[-1]) <= 1e-14
+
+
+class TestLanczos:
+    """_lanczos_extremes on operators whose spectrum is known."""
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-3])
+    def test_diagonal_with_clustered_extremes(self, gap):
+        # each end a double eigenvalue and three more `gap` apart, the rest
+        # spread in between, in a shuffled order
+        rng = np.random.default_rng(3)
+        cluster = gap * np.array([0, 0, 1, 2, 3])
+        d = rng.permutation(np.concatenate([0.25 + cluster, rng.uniform(0.5, 2.5, 890),
+                                            3.0 - cluster]))
+        lam_min, lam_max = quadrature._lanczos_extremes(lambda x: d * x, d.size)
+        want = np.linalg.eigvalsh(np.diag(d))
+        assert abs(lam_min - want[0]) <= 1e-14
+        assert abs(lam_max - want[-1]) <= 1e-14
+
+    def test_identity_stops_at_beta_zero(self):
+        # G v_0 = v_0: beta_0 = 0 (or rounding) closes the Krylov space after
+        # one product, with no division by it
+        products = []
+
+        def identity(x):
+            products.append(x)
+            return x
+
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert quadrature._lanczos_extremes(identity, 700) == [1.0, 1.0]
+        assert len(products) == 1
+
+    def test_identity_plus_rounding(self):
+        # G = I + 1e-14 E, ||E|| = 1: the Gram of an exact rule
+        rng = np.random.default_rng(4)
+        E = rng.standard_normal((700, 700))
+        E = (E + E.T) / 2
+        G = np.eye(700) + 1e-14 * E / np.linalg.norm(E, 2)
+        lam_min, lam_max = quadrature._lanczos_extremes(lambda x: G @ x, 700)
+        want = np.linalg.eigvalsh(G)
+        assert abs(lam_min - want[0]) <= 1e-14
+        assert abs(lam_max - want[-1]) <= 1e-14
+
+    def test_two_runs_agree_bit_for_bit(self):
+        G = random_gram(8, 30, seed=5)
+        product = quadrature._triangle_product(G)
+        with _one_blas_thread():
+            first = quadrature._lanczos_extremes(product, G.shape[0])
+            second = quadrature._lanczos_extremes(product, G.shape[0])
+        assert first == second
 
 
 def equal_area_rule(m):
@@ -228,14 +299,16 @@ class TestGramTriangle:
         pytest.param(lambda: equal_area_rule(4 * 49), 6, "dense", id="dense"),
         pytest.param(lambda: equal_area_rule(4 * 676), 25, "lanczos", id="lanczos-25"),
         pytest.param(lambda: equal_area_rule(4 * 961), 30, "lanczos", id="lanczos-30"),
-        pytest.param(lambda: sp.product_gauss_rule(21), 25, "fallback", id="fallback"),
+        pytest.param(lambda: sp.product_gauss_rule(21), 25, "lanczos", id="lanczos-aliased"),
+        pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(1153, 1), "random"), 30,
+                     "fallback", id="fallback"),
     ])
     def test_upper_triangle_reports_as_the_full_gram(self, monkeypatch, rule, n, branch):
         G = discrete_gram(rule(), n)
         report, calls = report_and_calls(monkeypatch, np.triu(G))
         assert report == sp.mz_report(G)   # field by field, bit for bit
         assert {"dense": calls == {"eigvalsh": 1},
-                "lanczos": calls["eigsh"] == 2 and calls["eigvalsh"] == 0,
+                "lanczos": calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0,
                 "fallback": calls["dsymv"] == _LANCZOS_PRODUCTS and calls["eigvalsh"] == 1,
                 }[branch]
 

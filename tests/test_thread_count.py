@@ -13,7 +13,7 @@ SRC = Path(sp.__file__).resolve().parents[1]
 # Two sweeps, random and equal-area, each with a cell at n = 22 whose walk
 # has more than one block of the floor width (m > 2048 nodes), then eta of a
 # random rule above dim 625 (Lanczos on the walk's triangle), audited_fit on
-# an equal-area rule at n = 30 (eta from its moments), the exactness
+# an equal-area rule at n = 30 (eta from its run operator), the exactness
 # scan of an equal-area rule (its moments), a reference projection, and
 # the L2 error of two random fits at n = 60 on the 10082-node reference rule
 # (synthesis and the weighted sum of squares, both wide enough to thread).
