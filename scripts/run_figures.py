@@ -4,11 +4,10 @@
 
 Each config in scripts/configs/ becomes three CSVs ({experiment}.csv,
 {experiment}_agg.csv, {experiment}_times.csv).  fig2b reaches m = 1e6 and
-dominates the runtime: all twelve configs took 54-64 s on a 2-vCPU VM,
-44-48 s of it fig2b and under 6 s each for the others, at one BLAS thread
-or at the default two alike.  The library's sums run on one BLAS thread
-either way, so the CSVs are the same bytes, and the Gram's walk runs
-dsyrk on the second core.
+dominates the runtime: all twelve configs took 17.7-21.5 s on a 2-vCPU VM
+at the default BLAS threads, 13.2-16.2 s of it fig2b and under 3 s each
+for the others.  The library's sums run on one BLAS thread at any thread
+count, so the CSVs are the same bytes.
 """
 
 import argparse

@@ -56,14 +56,17 @@ def check_gauss_exactness():
     eta = mz_constant(product_gauss_rule(8), 7).eta
     degree = exactness_degree(product_gauss_rule(4), max_scan=8).degree
     # a rule with runs takes its Gram from them, audited_fit above dim 625
-    # takes eta from its run operator, and fit sums over the runs: each against
-    # the sums over nodes, the walk's eta among them; the Legendre table at
-    # the run heights is the basis there, bit for bit
+    # takes eta from its run operator, and fit sums over the runs; a random
+    # rule takes its Gram from its grid twin, through its Fourier sums: each
+    # against the sums over nodes, the walk's eta among them; the Legendre
+    # table at the run heights is the basis there, bit for bit
     rule = equal_weight_rule(equal_area(4 * 676), "equal_area")
     starts = _paying_runs(rule.points)
     walk = mz_report(_gram_walk(rule, 25)[0]).eta
     run_gap = abs(mz_constant(rule, 25).eta - walk)
     gap = abs(_audit(rule, 25)[0].eta - walk)
+    random = equal_weight_rule(random_uniform(4 * 676, 3), "random")
+    fourier_gap = abs(mz_constant(random, 25).eta - mz_report(_gram_walk(random, 25)[0]).eta)
     f = by_name("f3")
     fit_gap = float(np.abs(fit(rule, f, 25).coeffs - eval_basis_block(25, rule.points)
                            @ (rule.weights * f(rule.points))).max())
@@ -75,11 +78,12 @@ def check_gauss_exactness():
         table_gap = float(np.abs(_legendre_table(50, heights[:, 2])
                                  - basis[_order_rows(50)[0]]).max())
     ok = (eta < 1e-10 and degree == 7 and starts is not None
-          and run_gap <= _RUN_GRAM_ETA_TOL and gap <= 1e-13 and fit_gap <= 1e-13
-          and table_gap == 0.0)
+          and run_gap <= _RUN_GRAM_ETA_TOL and gap <= 1e-13 and fourier_gap <= 1e-13
+          and fit_gap <= 1e-13 and table_gap == 0.0)
     return ok, (f"eta(order 8, n=7)={eta:.3e}, exactness(order 4)={degree}, "
                 f"|eta run Gram - walk|(equal-area 2704, n=25)={run_gap:.1e}, "
                 f"|eta run operator - walk|={gap:.1e}, "
+                f"|eta fourier - walk|(random 2704, n=25)={fourier_gap:.1e}, "
                 f"|fit run sums - basis product|={fit_gap:.1e}, "
                 f"|Legendre table - basis at heights|(L=50)={table_gap:.1e}")
 

@@ -188,10 +188,10 @@ def run_sweep(config, force=False):
     # one reference rule per degree
     refs = {n: reference_rule_for(n) for n in dict.fromkeys(n for n, _, _ in cells)}
     seeds = [cell_seed(config.seed, n, m, rep) for n, m, rep in cells]
-    # one basis pass per rule: a deterministic rule's cells share the walk at
-    # their largest degree, whose leading blocks and slices are each cell's
-    # Gram and coefficients; a random cell is a group of one, because its
-    # seed includes n
+    # one pass per rule: a deterministic rule's cells share the Gram and the
+    # coefficients at their largest degree, whose leading blocks and slices
+    # are each cell's; a random cell is a group of one, because its seed
+    # includes n
     groups = {}
     for i, (n, m, rep) in enumerate(cells):
         groups.setdefault(m if config.deterministic() else i, []).append(i)
@@ -203,7 +203,7 @@ def run_sweep(config, force=False):
         rule = (rules[m] if config.deterministic()
                 else _cell_rule(config, m, seeds[members[0]]))
         G, h = _gram_fit(rule, f, top)
-        # the walk's time goes to the first cell at the top degree, the cell
+        # the pass's time goes to the first cell at the top degree, the cell
         # that would have done that work anyway
         shared = time.perf_counter() - start
         for i in members:

@@ -190,8 +190,9 @@ def basis_chunks(n, points, min_points=_MIN_CHUNK):
 
     Each chunk has _chunk_points(n, min_points) points, the last at most
     that many; `rows` is the slice of `points` that the block's columns
-    cover.  Every sum over a rule's nodes (`quadrature`) and every synthesis
-    at many points goes through this one walk.  A consumer that deletes its
+    cover.  The Gram walk (`quadrature._gram_walk`, the oracle of the sums
+    over a rule's nodes) and every synthesis at many points go through this
+    one walk.  A consumer that deletes its
     block at the end of each step keeps one block alive instead of two
     while the next one is built.
     """

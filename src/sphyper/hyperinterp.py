@@ -9,7 +9,8 @@ differing only in the quadrature rule supplied, so one implementation
 serves all three.  Fitting never gates on eta; use `audited_fit` to
 refuse rules with eta >= 1.  It takes eta and the coefficients from one
 call, `quadrature._audit`, which picks the route: the run operator on rules
-whose latitude runs pay above dim 625, else the Gram from the fit's own pass.
+whose latitude runs pay above dim 625, else the Gram from the fit's own pass
+(the run Gram, or on random points the grid twin of their Fourier sums).
 """
 
 from dataclasses import dataclass
@@ -49,7 +50,8 @@ class Hyperinterpolant:
 
 def fit(rule, f, n):
     """Hyperinterpolant of degree n: coeffs = B diag(w) y, summed per latitude
-    run where the rule's nodes come in runs (`node_sum`)."""
+    run where the rule's nodes come in runs, else from the nodes' Fourier
+    sums (`node_sum`)."""
     n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
         coeffs = node_sum(n, rule.points, _weighted_samples(rule, f))
@@ -59,7 +61,7 @@ def fit(rule, f, n):
 def _gram_fit(rule, f, n):
     """(G, h): the upper triangle of the rule's discrete Gram and fit(rule,
     f, n), from one pass (`_gram`): the run Gram and the run sums on a rule
-    whose runs pay, else one chunk walk over the nodes."""
+    whose runs pay, else the grid twin's Gram and the Fourier sums."""
     n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
         G, coeffs = _gram(rule, n, _weighted_samples(rule, f))
@@ -80,7 +82,9 @@ def audited_fit(rule, f, n):
     so we fail loudly, naming the condition, instead of degrading silently.
     The report and the coefficients come from one call (`quadrature._audit`):
     eta from the run operator on rules whose runs pay above dim 625, else
-    from the rule's Gram.  Either way the coefficients are fit()'s, bit for bit.
+    from the rule's Gram (`quadrature._gram`: the run Gram, or the grid twin
+    of a rule whose runs do not pay, such as random points).  Either way the
+    coefficients are fit()'s, bit for bit.
     """
     n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite

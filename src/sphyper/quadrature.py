@@ -12,14 +12,18 @@ Every sum of one value per node (the fit's w f, or the weights alone: the
 moments, which the exactness scan reads) is `node_sum`.  On a rule whose
 nodes come in runs of equal z, as the rings of equal_area and
 product_gauss_rule do, it takes one azimuth sum per order and run and the
-Legendre table at the run heights only (`_run_sums`); other rules walk
-the basis at every node.  One cost test, R runs against m nodes
-(`_paying_runs`), decides for the node sums and the Gram alike.  The
-table (`harmonics._legendre_table`) is the basis's cos rows at (1, 0,
-z_r), with its recurrence run over every order at once: at a few hundred
-heights or fewer it is 2-6x faster than eval_basis_block's per-(l, M)
-loop, with the same bits.  The run Gram and the run operator take it
-too; no sum here evaluates eval_basis_block at the run heights.
+Legendre table at the run heights only (`_run_sums`); every other rule,
+random points among them, takes its nodes' (theta, phi) Fourier sums
+(`_fourier_sums`): per block of nodes, the rows cos/sin(k theta) and
+v cos/sin(M phi), k, M <= n, meet in one small GEMM, and fixed
+well-conditioned coefficients map the result to the basis, O(n^2) flops per
+node.  One cost test, R runs against m nodes (`_paying_runs`), decides for
+the node sums and the Gram alike.  The table (`harmonics._legendre_table`)
+is the basis's cos rows at (1, 0, z_r), with its recurrence run over every
+order at once: at a few hundred heights or fewer it is 2-6x faster than
+eval_basis_block's per-(l, M) loop, with the same bits.  The run Gram, the
+grid twin and the run operator take it too; no sum here evaluates
+eval_basis_block at the nodes or the run heights.
 
 Three paths compute eta.  Every caller of a Gram (`mz_constant`,
 `discrete_gram`, the sweeps) reaches the first two through `_gram`;
@@ -29,28 +33,31 @@ Three paths compute eta.  Every caller of a Gram (`mz_constant`,
   the Legendre table at the run heights, O(R dim^2) for R runs; within
   2e-14 of the walk on the test rules (at most 5.0e-14 measured, on
   equal_area(10^6) at n = 15);
-- the walk (`_gram_walk`, then `mz_report`): G's upper triangle from
-  dsyrk over basis blocks of every node, O(m dim^2); rules whose runs do
-  not pay take it, and it is the oracle;
+- the grid twin (`_twin_gram`, then `mz_report`): on every other rule, the
+  run Gram of the product Gauss grid of 2n+1 rings weighted by the
+  degree-2n polynomial whose moments are the rule's (its Fourier sums at
+  degree 2n), which has the rule's Gram; O(m n^2) for the moments and
+  O(n dim^2) for the Gram, against the walk's O(m dim^2): 0.08-0.14 s in
+  place of 0.63-0.70 s on 8836 random nodes at n = 46, within 7.9e-15 of
+  the walk on the test rules;
 - the run operator (`_run_operator`, for `_audit`): rules whose runs pay,
   no more runs than dim, above dim 625: Lanczos on a matrix-free operator
   that synthesises x at each run height, weights it by the run's azimuth
   measure to degree 2n and analyses it back, with no dim^2 array.  Its eta
   agrees with the walk's to 1e-13 (at most 8.4e-15 measured on the
   audit's rules, n = 25..46); where Lanczos spends its budget, `_gram` and
-  the dense eigensolver take over.  `mz_constant` stays on the Gram, whose
-  eta the tests pin to 1e-14 against the dense solver.
+  `mz_report` take over.  `mz_constant` stays on the Gram, whose eta the
+  tests pin to 1e-14 against the dense solver.
+The walk (`_gram_walk`): G's upper triangle from dsyrk over basis blocks of
+every node, O(m dim^2), and the node sum from the same blocks.  No library
+call takes it any more; it is the oracle of the tests and of `sphyper
+check`.
 
 Above dim 625 both ends of the spectrum come from one Lanczos run
 (`_lanczos_extremes`), on the Gram's triangle or on the run operator.
 
-A basis block meets a vector as numpy's B @ v.  Every sum here runs with
-numpy's and scipy's BLAS on one thread each (`_one_blas_thread`), so it
-gives the same bits at any BLAS thread count; the walk's worker thread
-runs dsyrk on the second core instead.  At the default threads of a
-2-vCPU VM, that took the twelve figure configs from 77-82 s to 54-57 s,
-but cost a single wide walk its second BLAS thread (mz_constant on 8836
-random nodes at n = 46: 1.7 -> 2.8 s).
+Every sum here runs with numpy's and scipy's BLAS on one thread each
+(`_one_blas_thread`), so it gives the same bits at any BLAS thread count.
 """
 
 import contextlib
@@ -65,6 +72,7 @@ import numpy as np
 
 from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, _chunk_points,
                         _legendre_table, _real_array, basis_chunks)
+from .pointsets import product_gauss_rule
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
            "exactness_degree", "RANK_TOL", "discrete_gram", "mz_report"]
@@ -195,17 +203,13 @@ def node_sum(n, points, v):
     """sum_j v_j Y_{l,k}(x_j) for every l <= n, in canonical order, for one
     value v_j per node: fit's coefficients, and the rule's moments (v = w).
     Nodes in runs of equal z that pay (`_paying_runs`) are summed per run
-    (`_run_sums`); other rules take the chunked basis walk, in the blocks
-    _gram_walk cuts, so a walk's node sum is this one bit for bit."""
-    n = _check_degree(n)   # before out is allocated
+    (`_run_sums`); every other rule, from its nodes' (theta, phi) Fourier
+    sums (`_fourier_sums`).  The basis walk (`_gram_walk`) is their oracle."""
+    n = _check_degree(n)
     starts = _paying_runs(points)
     if starts is not None:
         return _run_sums(n, points, starts, v)
-    out = np.zeros((n + 1) ** 2)
-    for rows, B in basis_chunks(n, points, _MIN_CHUNK // 2):
-        out += B @ v[rows]
-        del B
-    return out
+    return _fourier_sums(n, points, v)
 
 
 def _rings(points):
@@ -237,8 +241,8 @@ _RUN_NODES = 4
 def _paying_runs(points):
     """The starts of the runs (`_rings`) where they hold _RUN_NODES nodes or
     more on average, else None: the one cost test, R runs against m nodes,
-    that sends a rule's node sums and its Gram over its runs or to the
-    basis walk."""
+    that sends a rule's node sums and its Gram over its runs or to its
+    Fourier sums and grid twin."""
     starts = _rings(points)
     if starts is None or len(points) < _RUN_NODES * starts.size:
         return None
@@ -312,17 +316,137 @@ def _run_sums(n, points, starts, v):
     return out
 
 
+# values per node of a _fourier_sums block: two complex running powers and
+# the real rows they are copied to, 8 (L + 1) values in all
+def _fourier_width(L):
+    return max(_MIN_CHUNK // 2, _BLOCK_VALUES // (8 * (L + 1)))
+
+
+def _fourier_sums(L, points, v):
+    """node_sum at degree L for any rule, from the nodes' (theta, phi)
+    Fourier sums: O(L) values and O(L^2) flops per node.
+
+    With z = cos theta, rho = sin theta = |x + iy| and the unit phase
+    e^(i phi) = (x + iy) / rho (1 at a pole), Y_{l,k} of order M is
+    f_{l,M}(theta) (cos, sin)(M phi), and f_{l,M} = sqrt(2) rho^M p_{l,M}(z)
+    (p_{l,0} at M = 0) is a cos(k theta) series for even M and a sin(k theta)
+    series for odd M, k <= l, with the coefficients A of
+    `_theta_coefficients`.  So
+      sum_j v_j Y_{l,k}(x_j) = sum_k A[M, l, k] W[k, M],
+      W[k, M] = sum_j (cos, sin)(k theta_j) v_j (cos, sin)(M phi_j),
+    and W is one product per parity of M per block of nodes: the rows
+    (z + i rho)^k and v (x + iy)^M / rho^M, each a running power updated in
+    place, meet in a GEMM.  A is well conditioned (sum_k |A| <= 3.9 at L =
+    92), where p_{l,M}(z) alone grows like 10^(0.21 L) at the poles.
+    """
+    A = _theta_coefficients(L)
+    width = _fourier_width(L)
+    ne, no = L // 2 + 1, (L + 1) // 2   # even and odd orders M <= L
+    W_even = np.zeros((L + 1, 2 * ne))   # [k, cos then sin (M phi)], cos(k theta)
+    W_odd = np.zeros((L, 2 * no))        # the same for odd M, sin(k theta), k >= 1
+    powers = np.empty((2, L + 1, width), dtype=complex)   # [theta or phi, k or M, node]
+    R = np.empty((2 * L + 1, width))   # cos(k theta), then sin(k theta) for k >= 1
+    Q = np.empty((2 * L + 2, width))   # v (cos, sin)(M phi), even M, then odd M
+    for lo in range(0, len(points), width):
+        p = points[lo:lo + width]
+        b = len(p)
+        u = np.empty(b, dtype=complex)
+        u.real, u.imag = p[:, 0], p[:, 1]
+        rho = np.abs(u)
+        base = np.ones((2, b), dtype=complex)
+        base[0].real, base[0].imag = p[:, 2], rho          # e^(i theta)
+        np.divide(u, rho, out=base[1], where=rho > 0.0)   # e^(i phi), 1 at a pole
+        powers[0, 0, :b], powers[1, 0, :b] = 1.0, v[lo:lo + width]
+        for k in range(1, L + 1):
+            np.multiply(powers[:, k - 1, :b], base, out=powers[:, k, :b])
+        theta, phi = powers[0, :, :b], powers[1, :, :b]
+        R[:L + 1, :b], R[L + 1:, :b] = theta.real, theta.imag[1:]
+        Q[:ne, :b], Q[ne:2 * ne, :b] = phi[0::2].real, phi[0::2].imag
+        Q[2 * ne:2 * ne + no, :b], Q[2 * ne + no:, :b] = phi[1::2].real, phi[1::2].imag
+        W_even += R[:L + 1, :b] @ Q[:2 * ne, :b].T
+        W_odd += R[L + 1:, :b] @ Q[2 * ne:, :b].T
+    # W[0, 0] is sum_j v_j, whose terms share the weights' sign, so the
+    # GEMM's running sum errs by up to m eps there (7.5e-14 of 4 pi on 2000
+    # equal weights, 5e-15 on every even zonal moment, 2e-14 on the Gram);
+    # numpy's pairwise sum does not
+    W_even[0, 0] = np.sum(v)
+    cos_rows, sin_rows = _order_rows(L)
+    out = np.empty((L + 1) ** 2 + 1)   # every row, and one past them for l < M
+    for rows, A_M, W in ((cos_rows[0::2], A[0::2], W_even[:, :ne]),
+                         (sin_rows[0::2], A[0::2], W_even[:, ne:]),
+                         (cos_rows[1::2], A[1::2, :, 1:], W_odd[:, :no]),
+                         (sin_rows[1::2], A[1::2, :, 1:], W_odd[:, no:])):
+        out[rows] = (A_M @ W.T[:, :, None])[:, :, 0]
+    return out[:-1]
+
+
+@functools.lru_cache(maxsize=4)
+def _theta_coefficients(L):
+    """A[M, l, k], (L+1)^3, read-only: f_{l,M}(theta), the cos(M phi) row of
+    the basis at (sin theta, 0, cos theta) (`_legendre_table`), is
+    sum_k A[M, l, k] cos(k theta) for even M and sum_k A[M, l, k]
+    sin(k theta) for odd M (A[M, l, 0] = 0), a trigonometric polynomial of
+    degree l.  Sampled at 2L + 2 equispaced theta, more than 2L, its
+    discrete Fourier transform is exact.  As f_{l,M}(pi - theta) =
+    (-1)^(l-M) f_{l,M}(theta), only k = l (mod 2) are nonzero; the transform
+    leaves rounding (up to 2e-15 at L = 30) at the others, which are set to
+    0: the node sums at L = 92 came 1.6e-15 from the dense product in
+    place of 3.3e-15.  0.04 s at L = 92, so the last few degrees are kept."""
+    K = 2 * L + 2
+    theta = 2.0 * math.pi * np.arange(K) / K
+    F = np.fft.rfft(_legendre_table(L, np.cos(theta), np.sin(theta)), axis=-1)[..., :L + 1]
+    A = F.real * (2.0 / K)
+    A[1::2] = F[1::2].imag * (-2.0 / K)
+    A[0::2, :, 0] /= 2.0
+    A[1::2, :, 0] = 0.0
+    l = np.arange(L + 1)
+    A[:, (l[:, None] - l) % 2 == 1] = 0.0
+    A.flags.writeable = False
+    return A
+
+
 @_one_blas_thread()
 def _gram(rule, n, v=None):
     """(G, c) as _gram_walk gives them, for every caller of a Gram: on a rule
     whose runs pay (`_paying_runs`), G from the runs (`_run_gram`) and c
-    from the run sums; on any other rule, from the walk."""
+    from the run sums; on any other rule, G from its grid twin
+    (`_twin_gram`) and c from the Fourier sums, so that c is node_sum's
+    (fit's) bit for bit."""
     n = _check_degree(n)   # before anything is allocated
     starts = _paying_runs(rule.points)
     if starts is None:
-        return _gram_walk(rule, n, v)
+        c = None if v is None else _fourier_sums(n, rule.points, v)
+        return _twin_gram(n, rule), c
     c = None if v is None else _run_sums(n, rule.points, starts, v)
     return _run_gram(n, rule.points, rule.weights, starts), c
+
+
+def _twin_gram(n, rule):
+    """The upper triangle of the rule's discrete Gram at degree n, as the
+    walk leaves it, from the rule's grid twin: the product Gauss grid of 2n+1
+    rings and 4n+2 azimuths (exact to degree 4n), weighted by w_g sigma(x_g),
+    where sigma = sum_{l <= 2n} mu_{l,k} Y_{l,k} and mu are the rule's
+    degree-2n moments (`_fourier_sums` of the weights).
+
+    Each entry of G is the rule's sum of a product Y_a Y_b of degree 2n or
+    less, which reads only mu; on the twin, the same sum is the grid's of
+    sigma Y_a Y_b, degree 4n, which is the integral of sigma Y_a Y_b, which
+    reads the same mu.  So the twin's Gram is the rule's, and the twin is
+    2n+1 runs, which `_run_gram` takes in O(n dim^2).  sigma is synthesised
+    at the grid's heights and azimuths from the Legendre table, as the run
+    operator synthesises.  Its weights may be negative; _run_gram needs
+    none positive.
+    """
+    grid, K = product_gauss_rule(2 * n + 1), 4 * n + 2
+    heads = grid.points[::K]   # each ring's node at azimuth 0: (rho, 0, z)
+    d, psi = np.arange(2 * n + 1)[:, None], 2.0 * math.pi * np.arange(K) / K
+    table = _legendre_table(2 * n, heads[:, 2], heads[:, 0])
+    # weights that overflow come out non-finite, and mz_report refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _fourier_sums(2 * n, rule.points, rule.weights)
+        sigma = _synthesis(mu, (*_order_rows(2 * n), table, np.cos(d * psi), np.sin(d * psi)))
+        weights = grid.weights * sigma.ravel()
+    return _run_gram(n, grid.points, weights, np.arange(0, grid.m, K))
 
 
 def _run_gram(n, points, weights, starts):
@@ -343,9 +467,9 @@ def _run_gram(n, points, weights, starts):
     rows) the blocks M' >= M of order M's rows are one contiguous strip,
     one product per kind of row.  The layout's P is indexed straight out
     of the table, row (M, l) for each c row and for its s twin; the blocks
-    M' < M are transposes, and the layout is put in canonical order once
-    at the end.  A Gram that overflows comes out non-finite, as the walk's
-    does, and mz_report refuses it.
+    M' < M are transposes, and each row of the canonical triangle is
+    gathered from its layout row once at the end.  A Gram that overflows
+    comes out non-finite, as the walk's does, and mz_report refuses it.
     """
     dim = (n + 1) ** 2
     cos_rows, sin_rows = _order_rows(n)
@@ -379,13 +503,12 @@ def _run_gram(n, points, weights, starts):
     for M in range(n):
         a, b = first[M], first[M + 1]
         G[b:, a:b] = G[a:b, b:].T
-    back = np.empty(dim, dtype=int)
+    back = np.empty(dim, dtype=int)   # canonical row a is layout row back[a]
     back[canonical] = np.arange(dim)
-    G = G.take(back, 0)
-    G = G.take(back, 1)
-    for i in range(1, dim):
-        G[i, :i] = 0.0   # the triangle alone, as dsyrk leaves it
-    return G
+    upper = np.zeros((dim, dim))   # the triangle alone, as dsyrk leaves it
+    for a, i in enumerate(back.tolist()):
+        upper[a, a:] = G[i].take(back[a:])
+    return upper
 
 
 @_one_blas_thread()
@@ -393,8 +516,8 @@ def _gram_walk(rule, n, v=None):
     """(G, c) from one chunk walk: the upper triangle of the discrete Gram
     G = B diag(w) B^T, as dsyrk leaves it (the strict lower triangle is
     zero), and, when `v` is given, the node sum c = B v (else c is None).
-    It runs on every rule, and it is the oracle of the run Gram; `_gram`
-    sends it the rules whose runs do not pay.
+    It runs on every rule, and it is the oracle of the run Gram, the grid
+    twin and the node sums; no library call takes it.
 
     In the degree-major basis, G and c at any degree n' <= n are the leading
     (n'+1)^2 block and slice of these, so one walk at the largest degree
@@ -404,9 +527,8 @@ def _gram_walk(rule, n, v=None):
     k+1, so the walk costs about the larger of the two instead of their sum.
     Block k+1 is handed over only once block k is added, so at most two
     blocks are alive, each at least _MIN_CHUNK // 2 points wide.  Each
-    block adds B v to c, as node_sum's basis walk does.  The BLAS runs on
-    one thread meanwhile (`_one_blas_thread`), so G and c are the same bits
-    at any thread count.
+    block adds B v to c.  The BLAS runs on one thread meanwhile
+    (`_one_blas_thread`), so G and c are the same bits at any thread count.
     """
     n = _check_degree(n)   # before anything is allocated
     chunks = basis_chunks(n, rule.points, _MIN_CHUNK // 2)
@@ -590,8 +712,11 @@ def _audit(rule, n, v=None):
     Above dim _LANCZOS_DIM, a rule whose runs pay (`_paying_runs`), no more
     runs than dim and a finite Gram takes eta by Lanczos on `_run_operator`,
     with no dim^2 array.  Where Lanczos spends its budget (lambda_min near
-    0), the Gram and the dense solver take over.  Any other rule takes G and
-    c from `_gram`: past dim runs, the operator's table would outgrow G.
+    0), the Gram and mz_report take over, as in mz_constant: Lanczos on its
+    triangle resolves the cluster at lambda_min = 0 of an aliased Gauss rule
+    that the operator does not, and the dense solver follows only if that
+    spends its budget too.  Any other rule takes G and c from `_gram`: past
+    dim runs, the operator's table would outgrow G.
     """
     n = _check_degree(n)   # before anything is allocated
     dim = (n + 1) ** 2
@@ -604,7 +729,7 @@ def _audit(rule, n, v=None):
     try:
         report = _report(n, _lanczos_extremes(_run_operator(n, rule, starts), dim))
     except _OverBudget:
-        report = _dense_report(_gram(rule, n)[0])
+        report = mz_report(_gram(rule, n)[0])
     return report, None if v is None else _run_sums(n, rule.points, starts, v)
 
 

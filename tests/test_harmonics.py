@@ -15,7 +15,7 @@ import sphyper as sp
 from sphyper import quadrature
 from sphyper.harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _chunk_points,
                                _legendre_table, basis_chunks, basis_indices)
-from sphyper.quadrature import _gram_walk, node_sum
+from sphyper.quadrature import _gram, _gram_walk, node_sum
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
 raw_vectors = st.tuples(coords, coords, coords).filter(
@@ -414,30 +414,28 @@ class TestChunkBoundary:
 
         def check():
             for r in (rule, unequal):
-                G = sp.discrete_gram(r, n)
-                assert_rel_close(G, (B * r.weights) @ B.T)
-                # the walk keeps the upper triangle dsyrk writes, its strict
-                # lower one zero, and discrete_gram mirrors it exactly
-                assert np.array_equal(_gram_walk(r, n)[0], np.triu(G))
-                assert np.array_equal(G, G.T)
+                # the walk, the oracle, keeps the upper triangle dsyrk writes
+                # and its strict lower one zero
+                assert_rel_close(_gram_walk(r, n)[0], np.triu((B * r.weights) @ B.T))
 
         on_the_worker(monkeypatch, check)
+        for r in (rule, unequal):
+            G = sp.discrete_gram(r, n)
+            assert_rel_close(G, (B * r.weights) @ B.T)
+            # discrete_gram mirrors the triangle of _gram exactly
+            assert np.array_equal(_gram(r, n)[0], np.triu(G))
+            assert np.array_equal(G, G.T)
 
     def check_fused_walk(self, rule, n, monkeypatch):
         w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
         unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
         v = unequal.weights * sp.by_name("f3")(rule.points)
-
-        def check():
-            G, c = _gram_walk(unequal, n, v)
-            assert np.array_equal(G, np.triu(sp.discrete_gram(unequal, n)))
-            return G, c
-
-        _, c = on_the_worker(monkeypatch, check)
-        # one walk gives the node sum as node_sum's own walk does: both cut
-        # their blocks at the floor of _MIN_CHUNK // 2 points, so the same
-        # bits at every degree
-        assert np.array_equal(c, node_sum(n, rule.points, v))
+        G, c = on_the_worker(monkeypatch, lambda: _gram_walk(unequal, n, v))
+        # one walk gives the Gram and the node sum that the Fourier sums
+        # give in its place: G from the grid twin within the run Gram's
+        # 2e-14, c within node_sum's 5e-15 of the dense product
+        assert_rel_close(G, np.triu(sp.discrete_gram(unequal, n)), rtol=2e-14)
+        assert_rel_close(c, node_sum(n, rule.points, v), rtol=5e-15)
 
     def test_chunks_cover_points_in_order(self, boundary_rule):
         self.check_chunks(boundary_rule, self.n)
@@ -468,9 +466,9 @@ class TestChunkBoundary:
         # a walk of one block hands its dsyrk to the worker like any other
         rule = sp.equal_weight_rule(sp.random_uniform(1000, seed=19), "random")
         assert rule.m <= _chunk_points(self.n, _MIN_CHUNK // 2)
-        G = on_the_worker(monkeypatch, lambda: sp.discrete_gram(rule, self.n))
+        G = on_the_worker(monkeypatch, lambda: _gram_walk(rule, self.n)[0])
         B = sp.eval_basis_block(self.n, rule.points)
-        assert_rel_close(G, (B * rule.weights) @ B.T)
+        assert_rel_close(G, np.triu((B * rule.weights) @ B.T))
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)

@@ -16,7 +16,7 @@ import sphyper as sp
 from sphyper import quadrature
 from sphyper.harmonics import _MIN_CHUNK, SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_LANCZOS_PRODUCTS, _audit, _gram, _gram_walk,
+from sphyper.quadrature import (_LANCZOS_PRODUCTS, _audit, _fourier_sums, _gram, _gram_walk,
                                 _paying_runs, _rings, _run_gram, _run_sums, node_sum)
 
 # |eta (lambda_min, lambda_max) from the run operator - the walk's|: measured
@@ -178,34 +178,39 @@ class TestRunSums:
         assert rel_gap(node_sum(12, rule.points, v), sp.eval_basis_block(12, rule.points) @ v) \
             <= RUN_SUM_TOL
 
-    def test_a_run_of_two_among_random_nodes_takes_the_basis_walk(self, monkeypatch):
+    def test_a_run_of_two_among_random_nodes_takes_the_fourier_sums(self, monkeypatch):
         # the first two of 9000 random nodes share their z: one run of two
-        # among 8999 runs, which do not pay, so node_sum walks the basis at
-        # every node, with the bits of a rule of runs of one
+        # among 8999 runs, which do not pay, so node_sum takes the Fourier
+        # sums over every node, as on a rule of runs of one, and no basis walk
         points = sp.random_uniform(9000, 4)
         z, s = points[0, 2], math.sqrt((1.0 - points[0, 2]) * (1.0 + points[0, 2]))
         points[1] = [s * math.cos(2.0), s * math.sin(2.0), z]
         rule = sp.equal_weight_rule(points, "loaded")
         v = rule.weights * sp.by_name("f3")(rule.points)
         assert _rings(rule.points).size == rule.m - 1 and _paying_runs(rule.points) is None
-        walks, walk = [], quadrature.basis_chunks
+        sums, fourier = [], quadrature._fourier_sums
 
-        def counted(n, points, *args):
-            walks.append((n, len(points)))
-            return walk(n, points, *args)
+        def counted(L, points, v):
+            sums.append((L, len(points)))
+            return fourier(L, points, v)
 
         with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "basis_chunks", counted)
+            mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
+            mp.setattr(quadrature, "_fourier_sums", counted)
             got = node_sum(15, rule.points, v)
-        assert walks == [(15, rule.m)]
-        assert np.array_equal(got, basis_walk(15, rule.points, v))
+        assert sums == [(15, rule.m)]
+        assert rel_gap(got, basis_walk(15, rule.points, v)) <= RUN_SUM_TOL
 
-    def test_runs_of_one_take_the_basis_walk(self):
-        # a rule without runs keeps the chunked basis walk, bit for bit
+    def test_runs_of_one_take_the_fourier_sums(self):
+        # a rule without runs takes the Fourier sums, bit for bit, within
+        # RUN_SUM_TOL of the chunked basis walk
         rule = sp.equal_weight_rule(sp.random_uniform(9000, 4), "random")
         v = rule.weights * sp.by_name("f3")(rule.points)
         assert _rings(rule.points) is None
-        assert np.array_equal(node_sum(15, rule.points, v), basis_walk(15, rule.points, v))
+        got = node_sum(15, rule.points, v)
+        with quadrature._one_blas_thread():   # the BLAS as node_sum runs it
+            assert np.array_equal(got, _fourier_sums(15, rule.points, v))
+        assert rel_gap(got, basis_walk(15, rule.points, v)) <= RUN_SUM_TOL
 
     def test_fit_holds_no_more_than_the_basis_walk(self):
         # fit of sampled values on 10^6 equal-area nodes at n = 15, against
@@ -305,9 +310,10 @@ class TestRunGram:
             assert abs(row.eta - sp.mz_constant(rule, row.n).eta) <= 1e-14
 
 
-def node_sum_residuals(rule, L):
-    """exactness_degree's residuals from the sums over every node."""
-    integrals = basis_walk(L, rule.points, rule.weights)
+def node_sum_residuals(rule, L, sums=basis_walk):
+    """exactness_degree's residuals from the sums over every node (the basis
+    walk, or node_sum)."""
+    integrals = sums(L, rule.points, rule.weights)
     errors = np.abs(integrals)
     errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
     return [float(np.max(errors[ell * ell:(ell + 1) ** 2])) for ell in range(L + 1)]
@@ -333,8 +339,11 @@ class TestExactnessFromMoments:
         pytest.param(lambda: sp.bundled_tdesign_rule(20), 21, id="t-design"),
     ])
     def test_rules_of_rings_of_one_give_the_node_sum_bit_for_bit(self, rule, L):
+        # their moments are node_sum's Fourier sums, near the basis walk's
         rule = rule()
-        assert sp.exactness_degree(rule, L).residuals == node_sum_residuals(rule, L)
+        residuals = sp.exactness_degree(rule, L).residuals
+        assert residuals == node_sum_residuals(rule, L, node_sum)
+        assert np.abs(np.subtract(residuals, node_sum_residuals(rule, L))).max() <= 1e-13
 
 
 class TestRingReport:
@@ -429,7 +438,8 @@ class TestRingReport:
 
 def audited_fit_and_calls(monkeypatch, rule, f, n):
     """audited_fit(rule, f, n) (or the ValueError it raised) and the counts of
-    its dsyrk calls, walks, run Grams and Lanczos operator products."""
+    its dsyrk calls, walks, run Grams, grid twins, Lanczos operator products
+    and dense eigensolves."""
     calls = Counter()
 
     def counted(fn, name):
@@ -446,6 +456,8 @@ def audited_fit_and_calls(monkeypatch, rule, f, n):
         mp.setattr(quadrature, "_syrk", counted(quadrature._syrk, "syrk"))
         mp.setattr(quadrature, "_gram_walk", counted(quadrature._gram_walk, "walks"))
         mp.setattr(quadrature, "_run_gram", counted(quadrature._run_gram, "run_grams"))
+        mp.setattr(quadrature, "_twin_gram", counted(quadrature._twin_gram, "twins"))
+        mp.setattr(quadrature, "_dense_report", counted(quadrature._dense_report, "dense"))
         mp.setattr(quadrature, "_lanczos_extremes", lanczos)
         try:
             result = sp.audited_fit(rule, f, n)
@@ -470,26 +482,30 @@ class TestAuditedFitPath:
     def test_aliased_gauss_rule_spends_the_budget_then_takes_the_run_gram(self, monkeypatch):
         # 50 azimuths alias orders k and 50 - k for k >= 20: lambda_min = 0 at
         # n = 30, in a cluster at rounding level that the run operator's
-        # Lanczos does not resolve within its budget (Lanczos on the Gram's
-        # triangle does, in mz_constant: TestEigensolverBranch)
+        # Lanczos does not resolve within its budget; Lanczos on the run
+        # Gram's triangle (mz_report) does, in 218 products, with no dense
+        # eigensolve
         rule = sp.product_gauss_rule(25)
         result, calls = audited_fit_and_calls(monkeypatch, rule, sp.by_name("f3"), 30)
         assert isinstance(result, ValueError) and "rank deficient" in str(result)
-        assert calls["products"] == _LANCZOS_PRODUCTS
+        assert calls["products"] == _LANCZOS_PRODUCTS + 218 and calls["dense"] == 0
         assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
-        with quadrature._one_blas_thread():   # the BLAS as _audit runs it
-            dense = quadrature._dense_report(_gram(rule, 30)[0])
-        assert _audit(rule, 30)[0] == dense   # field by field
+        assert _audit(rule, 30)[0] == sp.mz_constant(rule, 30)   # field by field
 
     @pytest.mark.parametrize("rule, n", [
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(16 * 676, 4), "random"),
                      25, id="random"),
     ])
-    def test_other_rules_make_one_walk(self, monkeypatch, rule, n):
+    def test_other_rules_take_the_grid_twin(self, monkeypatch, rule, n):
+        # a rule whose runs do not pay: G from its grid twin's run Gram,
+        # with no walk, and the coefficients of fit
         rule, f = rule(), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, n)
-        assert calls["walks"] == 1 and calls["syrk"] > 0 and calls["run_grams"] == 0
+        assert calls["twins"] == calls["run_grams"] == 1
+        assert calls["walks"] == calls["syrk"] == 0
         assert h.eta_used == sp.mz_constant(rule, n).eta
+        assert abs(h.eta_used - sp.mz_report(_gram_walk(rule, n)[0]).eta) <= ETA_TOL
+        assert np.array_equal(h.coeffs, sp.fit(rule, f, n).coeffs)
 
     def test_ring_rule_at_dim_625_takes_one_run_gram(self, monkeypatch):
         rule, f = equal_area_rule(2500), sp.by_name("f3")
@@ -507,6 +523,7 @@ def test_sphyper_check_compares_the_two_paths(capsys):
     out = capsys.readouterr().out
     assert "PASS gauss-exactness" in out and "|eta run operator - walk|" in out
     assert "|eta run Gram - walk|" in out
+    assert "|eta fourier - walk|(random 2704, n=25)=" in out
     assert "|fit run sums - basis product|" in out
     assert "|Legendre table - basis at heights|(L=50)=0.0e+00" in out
 

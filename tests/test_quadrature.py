@@ -479,8 +479,7 @@ class TestOneBlasThread:
             _syrk(B, G)
 
         monkeypatch.setattr(quadrature, "_syrk", recorded)
-        rule = three_block_rule(6)
-        sp.mz_constant(rule, 6)
+        _gram_walk(three_block_rule(6), 6)
         assert seen and all(t == {"numpy": 1, "scipy": 1} for t in seen)
         assert blas_threads() == {"numpy": 2, "scipy": 2}
 
