@@ -4,8 +4,8 @@
 
 Each config in scripts/configs/ becomes three CSVs ({experiment}.csv,
 {experiment}_agg.csv, {experiment}_times.csv).  fig2b reaches m = 1e6 and
-dominates the runtime: all twelve configs took 17.7-21.5 s on a 2-vCPU VM
-at the default BLAS threads, 13.2-16.2 s of it fig2b and under 3 s each
+dominates the runtime: all twelve configs took 16.0-16.8 s on a 2-vCPU VM
+at the default BLAS threads, 12.1-13.0 s of it fig2b and under 3 s each
 for the others.  The library's sums run on one BLAS thread at any thread
 count, so the CSVs are the same bytes.
 """

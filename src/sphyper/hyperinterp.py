@@ -10,7 +10,8 @@ serves all three.  Fitting never gates on eta; use `audited_fit` to
 refuse rules with eta >= 1.  It takes eta and the coefficients from one
 call, `quadrature._audit`, which picks the route: the run operator on rules
 whose latitude runs pay above dim 625, else the Gram from the fit's own pass
-(the run Gram, or on random points the grid twin of their Fourier sums).
+(the run Gram, or on random points the grid twin of the moments that the
+same pass over their Fourier sums gives beside the coefficients).
 """
 
 from dataclasses import dataclass
@@ -60,8 +61,9 @@ def fit(rule, f, n):
 
 def _gram_fit(rule, f, n):
     """(G, h): the upper triangle of the rule's discrete Gram and fit(rule,
-    f, n), from one pass (`_gram`): the run Gram and the run sums on a rule
-    whose runs pay, else the grid twin's Gram and the Fourier sums."""
+    f, n), from one call (`_gram`): the run Gram and the run sums on a rule
+    whose runs pay, else one pass over the nodes' Fourier sums, which gives
+    the coefficients and the moments of the grid twin's Gram."""
     n = _check_degree(n)
     with np.errstate(over="ignore", invalid="ignore"):   # refused as not finite
         G, coeffs = _gram(rule, n, _weighted_samples(rule, f))

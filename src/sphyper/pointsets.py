@@ -98,10 +98,24 @@ def random_uniform(m, seed):
     """
     m = _size(m, "m")
     rng = np.random.default_rng(seed)
-    z = 2.0 * rng.random(m) - 1.0
-    phi = 2.0 * math.pi * rng.random(m)
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    points = np.empty((m, 3))
+    x, y, z = points.T
+    # z = 2 u - 1, phi = 2 pi u', s = sqrt(max(0, 1 - z^2)), then (s cos phi,
+    # s sin phi, z), written in place through two buffers of m values
+    u = rng.random(m)
+    np.multiply(2.0, u, out=z)
+    z -= 1.0
+    s = np.multiply(z, z)
+    np.subtract(1.0, s, out=s)
+    np.maximum(0.0, s, out=s)
+    np.sqrt(s, out=s)
+    rng.random(out=u)
+    u *= 2.0 * math.pi
+    np.cos(u, out=x)
+    x *= s
+    np.sin(u, out=y)
+    y *= s
+    return points
 
 
 def _cap_colatitude(fraction):

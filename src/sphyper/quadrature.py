@@ -17,7 +17,9 @@ random points among them, takes its nodes' (theta, phi) Fourier sums
 (`_fourier_sums`): per block of nodes, the rows cos/sin(k theta) and
 v cos/sin(M phi), k, M <= n, meet in one small GEMM, and fixed
 well-conditioned coefficients map the result to the basis, O(n^2) flops per
-node.  One cost test, R runs against m nodes (`_paying_runs`), decides for
+node.  One pass takes several values at once, sharing the blocks' theta
+rows: the Gram's c at n and moments at 2n.  One cost test, R runs against m
+nodes (`_paying_runs`), decides for
 the node sums and the Gram alike.  The table (`harmonics._legendre_table`)
 is the basis's cos rows at (1, 0, z_r), with its recurrence run over every
 order at once: at a few hundred heights or fewer it is 2-6x faster than
@@ -36,10 +38,11 @@ Three paths compute eta.  Every caller of a Gram (`mz_constant`,
 - the grid twin (`_twin_gram`, then `mz_report`): on every other rule, the
   run Gram of the product Gauss grid of 2n+1 rings weighted by the
   degree-2n polynomial whose moments are the rule's (its Fourier sums at
-  degree 2n), which has the rule's Gram; O(m n^2) for the moments and
-  O(n dim^2) for the Gram, against the walk's O(m dim^2): 0.08-0.14 s in
-  place of 0.63-0.70 s on 8836 random nodes at n = 46, within 7.9e-15 of
-  the walk on the test rules;
+  degree 2n, from the one pass over the nodes that also gives c at n),
+  which has the rule's Gram; O(m n^2) for the pass and O(n dim^2) for the
+  Gram, against the walk's O(m dim^2): 0.08-0.14 s in place of 0.63-0.70 s
+  on 8836 random nodes at n = 46, within 7.9e-15 of the walk on the test
+  rules;
 - the run operator (`_run_operator`, for `_audit`): rules whose runs pay,
   no more runs than dim, above dim 625: Lanczos on a matrix-free operator
   that synthesises x at each run height, weights it by the run's azimuth
@@ -209,7 +212,7 @@ def node_sum(n, points, v):
     starts = _paying_runs(points)
     if starts is not None:
         return _run_sums(n, points, starts, v)
-    return _fourier_sums(n, points, v)
+    return _fourier_sums(points, (n, v))[0]
 
 
 def _rings(points):
@@ -316,15 +319,21 @@ def _run_sums(n, points, starts, v):
     return out
 
 
-# values per node of a _fourier_sums block: two complex running powers and
-# the real rows they are copied to, 8 (L + 1) values in all
-def _fourier_width(L):
-    return max(_MIN_CHUNK // 2, _BLOCK_VALUES // (8 * (L + 1)))
+# nodes per block of _fourier_sums, at every degree: a value's sums are then
+# the same bits alone (node_sum) or beside another value's (_gram).  c at n
+# and the moments at 2n on random(10^6), best of 9 (one BLAS thread, 2-vCPU
+# VM), at 512 / 768 / 1024 / 1536 / 2048 nodes: 166 / 140 / 129 / 122 / 132
+# ms at n = 6, 381 / 379 / 388 / 412 / 413 ms at n = 15, 707 / 699 / 739 /
+# 726 / 743 ms at n = 24; 768-1536 are within the spread between runs (about
+# 5%).  A block at L = 92 beside a value at 46 holds 1023 doubles per node
+# (powers 558, R 185, the two Q 186 and 94), 8.4 MB
+_FOURIER_NODES = 1024
 
 
-def _fourier_sums(L, points, v):
-    """node_sum at degree L for any rule, from the nodes' (theta, phi)
-    Fourier sums: O(L) values and O(L^2) flops per node.
+def _fourier_sums(points, *sums):
+    """[node_sum(L, points, v) for (L, v) in sums] for any rule, from one pass
+    over the nodes and their (theta, phi) Fourier sums: O(L) values and
+    O(L^2) flops per node and value.
 
     With z = cos theta, rho = sin theta = |x + iy| and the unit phase
     e^(i phi) = (x + iy) / rho (1 at a pole), Y_{l,k} of order M is
@@ -335,36 +344,60 @@ def _fourier_sums(L, points, v):
       sum_j v_j Y_{l,k}(x_j) = sum_k A[M, l, k] W[k, M],
       W[k, M] = sum_j (cos, sin)(k theta_j) v_j (cos, sin)(M phi_j),
     and W is one product per parity of M per block of nodes: the rows
-    (z + i rho)^k and v (x + iy)^M / rho^M, each a running power updated in
-    place, meet in a GEMM.  A is well conditioned (sum_k |A| <= 3.9 at L =
-    92), where p_{l,M}(z) alone grows like 10^(0.21 L) at the poles.
+    (z + i rho)^k and v (x + iy)^M / rho^M, running powers updated in place
+    side by side, meet in a GEMM.  A is well conditioned (sum_k |A| <= 3.9
+    at L = 92), where p_{l,M}(z) alone grows like 10^(0.21 L) at the poles.
+
+    Every value shares a block's setup and its theta rows, k up to the
+    largest L: _gram takes c at n and the moments at 2n from one pass.  The
+    blocks are _FOURIER_NODES wide whatever the Ls, so each value's sums are
+    the same bits alone or beside another's.
     """
-    A = _theta_coefficients(L)
-    width = _fourier_width(L)
-    ne, no = L // 2 + 1, (L + 1) // 2   # even and odd orders M <= L
-    W_even = np.zeros((L + 1, 2 * ne))   # [k, cos then sin (M phi)], cos(k theta)
-    W_odd = np.zeros((L, 2 * no))        # the same for odd M, sin(k theta), k >= 1
-    powers = np.empty((2, L + 1, width), dtype=complex)   # [theta or phi, k or M, node]
-    R = np.empty((2 * L + 1, width))   # cos(k theta), then sin(k theta) for k >= 1
-    Q = np.empty((2 * L + 2, width))   # v (cos, sin)(M phi), even M, then odd M
+    A = [_theta_coefficients(L) for L, _ in sums]   # a degree too large fails here, before the pass
+    top = max(L for L, _ in sums)
+    width = min(_FOURIER_NODES, len(points))
+    # [k or M, theta then each value's phase from the deepest L, node]: the
+    # rows still running at power k are a leading slice
+    deep = sorted(range(len(sums)), key=lambda i: -sums[i][0])
+    running = [1 + sum(L >= k for L, _ in sums) for k in range(top + 1)]
+    powers = np.empty((top + 1, 1 + len(sums), width), dtype=complex)
+    R = np.empty((2 * top + 1, width))   # cos(k theta), then sin(k theta) for k >= 1
+    Q = [np.empty((2 * L + 2, width)) for L, _ in sums]   # v (cos, sin)(M phi), even M, then odd M
+    W_even = [np.zeros((L + 1, 2 * (L // 2 + 1))) for L, _ in sums]   # [k, cos then sin (M phi)]
+    W_odd = [np.zeros((L, 2 * ((L + 1) // 2))) for L, _ in sums]   # odd M, sin(k theta), k >= 1
     for lo in range(0, len(points), width):
         p = points[lo:lo + width]
         b = len(p)
         u = np.empty(b, dtype=complex)
         u.real, u.imag = p[:, 0], p[:, 1]
         rho = np.abs(u)
-        base = np.ones((2, b), dtype=complex)
+        base = np.ones((1 + len(sums), b), dtype=complex)
         base[0].real, base[0].imag = p[:, 2], rho          # e^(i theta)
         np.divide(u, rho, out=base[1], where=rho > 0.0)   # e^(i phi), 1 at a pole
-        powers[0, 0, :b], powers[1, 0, :b] = 1.0, v[lo:lo + width]
-        for k in range(1, L + 1):
-            np.multiply(powers[:, k - 1, :b], base, out=powers[:, k, :b])
-        theta, phi = powers[0, :, :b], powers[1, :, :b]
-        R[:L + 1, :b], R[L + 1:, :b] = theta.real, theta.imag[1:]
-        Q[:ne, :b], Q[ne:2 * ne, :b] = phi[0::2].real, phi[0::2].imag
-        Q[2 * ne:2 * ne + no, :b], Q[2 * ne + no:, :b] = phi[1::2].real, phi[1::2].imag
-        W_even += R[:L + 1, :b] @ Q[:2 * ne, :b].T
-        W_odd += R[L + 1:, :b] @ Q[2 * ne:, :b].T
+        base[2:] = base[1]
+        powers[0, 0, :b] = 1.0
+        for row, i in enumerate(deep, 1):
+            powers[0, row, :b] = sums[i][1][lo:lo + width]
+        for k in range(1, top + 1):
+            a = running[k]
+            np.multiply(powers[k - 1, :a, :b], base[:a], out=powers[k, :a, :b])
+        theta = powers[:, 0, :b]
+        R[:top + 1, :b], R[top + 1:, :b] = theta.real, theta.imag[1:]
+        for row, i in enumerate(deep, 1):
+            L, q = sums[i][0], Q[i]
+            ne, no = L // 2 + 1, (L + 1) // 2   # even and odd orders M <= L
+            phi = powers[:L + 1, row, :b]
+            q[:ne, :b], q[ne:2 * ne, :b] = phi[0::2].real, phi[0::2].imag
+            q[2 * ne:2 * ne + no, :b], q[2 * ne + no:, :b] = phi[1::2].real, phi[1::2].imag
+            W_even[i] += R[:L + 1, :b] @ q[:2 * ne, :b].T
+            W_odd[i] += R[top + 1:top + 1 + L, :b] @ q[2 * ne:, :b].T
+    return [_theta_map(L, A_L, We, Wo, v)
+            for (L, v), A_L, We, Wo in zip(sums, A, W_even, W_odd)]
+
+
+def _theta_map(L, A, W_even, W_odd, v):
+    """node_sum at degree L from a value's Fourier sums W (`_fourier_sums`)."""
+    ne, no = L // 2 + 1, (L + 1) // 2
     # W[0, 0] is sum_j v_j, whose terms share the weights' sign, so the
     # GEMM's running sum errs by up to m eps there (7.5e-14 of 4 pi on 2000
     # equal weights, 5e-15 on every even zonal moment, 2e-14 on the Gram);
@@ -409,41 +442,44 @@ def _theta_coefficients(L):
 def _gram(rule, n, v=None):
     """(G, c) as _gram_walk gives them, for every caller of a Gram: on a rule
     whose runs pay (`_paying_runs`), G from the runs (`_run_gram`) and c
-    from the run sums; on any other rule, G from its grid twin
-    (`_twin_gram`) and c from the Fourier sums, so that c is node_sum's
-    (fit's) bit for bit."""
+    from the run sums; on any other rule, one pass over the nodes
+    (`_fourier_sums`) takes c at n and the moments at 2n, and G comes from
+    the moments' grid twin (`_twin_gram`).  c is node_sum's (fit's) bit for
+    bit."""
     n = _check_degree(n)   # before anything is allocated
     starts = _paying_runs(rule.points)
     if starts is None:
-        c = None if v is None else _fourier_sums(n, rule.points, v)
-        return _twin_gram(n, rule), c
+        # weights that overflow come out non-finite, and mz_report refuses them
+        with np.errstate(over="ignore", invalid="ignore"):
+            *c, mu = _fourier_sums(rule.points, *([] if v is None else [(n, v)]),
+                                   (2 * n, rule.weights))
+        return _twin_gram(n, mu), (c[0] if c else None)
     c = None if v is None else _run_sums(n, rule.points, starts, v)
     return _run_gram(n, rule.points, rule.weights, starts), c
 
 
-def _twin_gram(n, rule):
-    """The upper triangle of the rule's discrete Gram at degree n, as the
-    walk leaves it, from the rule's grid twin: the product Gauss grid of 2n+1
-    rings and 4n+2 azimuths (exact to degree 4n), weighted by w_g sigma(x_g),
-    where sigma = sum_{l <= 2n} mu_{l,k} Y_{l,k} and mu are the rule's
-    degree-2n moments (`_fourier_sums` of the weights).
+def _twin_gram(n, mu):
+    """The upper triangle at degree n of the discrete Gram of the rule whose
+    degree-2n moments are mu (`_fourier_sums` of its weights), as the walk
+    leaves it, from the rule's grid twin: the product Gauss grid of 2n+1
+    rings and 4n+2 azimuths (exact to degree 4n), weighted by w_g
+    sigma(x_g), where sigma = sum_{l <= 2n} mu_{l,k} Y_{l,k}.
 
     Each entry of G is the rule's sum of a product Y_a Y_b of degree 2n or
     less, which reads only mu; on the twin, the same sum is the grid's of
     sigma Y_a Y_b, degree 4n, which is the integral of sigma Y_a Y_b, which
     reads the same mu.  So the twin's Gram is the rule's, and the twin is
-    2n+1 runs, which `_run_gram` takes in O(n dim^2).  sigma is synthesised
-    at the grid's heights and azimuths from the Legendre table, as the run
-    operator synthesises.  Its weights may be negative; _run_gram needs
-    none positive.
+    2n+1 runs, which `_run_gram` takes in O(n dim^2), with no sum over the
+    rule's nodes.  sigma is synthesised at the grid's heights and azimuths
+    from the Legendre table, as the run operator synthesises.  Its weights
+    may be negative; _run_gram needs none positive.
     """
     grid, K = product_gauss_rule(2 * n + 1), 4 * n + 2
     heads = grid.points[::K]   # each ring's node at azimuth 0: (rho, 0, z)
     d, psi = np.arange(2 * n + 1)[:, None], 2.0 * math.pi * np.arange(K) / K
     table = _legendre_table(2 * n, heads[:, 2], heads[:, 0])
-    # weights that overflow come out non-finite, and mz_report refuses them
+    # moments that overflowed are not finite, and mz_report refuses the Gram
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = _fourier_sums(2 * n, rule.points, rule.weights)
         sigma = _synthesis(mu, (*_order_rows(2 * n), table, np.cos(d * psi), np.sin(d * psi)))
         weights = grid.weights * sigma.ravel()
     return _run_gram(n, grid.points, weights, np.arange(0, grid.m, K))

@@ -118,13 +118,14 @@ class TestEta:
 
 
     def test_gram_too_large_to_allocate_exits_two(self, capsys, monkeypatch):
-        # n = 1000 asks for a 7.31 TiB Gram; the random rule's grid twin is
-        # replaced so that nothing that large is requested for real
-        def refused(n, rule):
+        # n = 1000 asks for a 7.31 TiB Gram; the random rule's pass over its
+        # nodes, which allocates first, is replaced so that nothing that large
+        # is requested for real
+        def refused(points, *sums):
             raise MemoryError("Unable to allocate 7.31 TiB for an array with "
                               "shape (1002001, 1002001) and data type float64")
 
-        monkeypatch.setattr(quadrature, "_twin_gram", refused)
+        monkeypatch.setattr(quadrature, "_fourier_sums", refused)
         rc = main(["eta", "--kind", "random", "--m", "10", "--n", "1000"])
         assert rc == 2
         assert capsys.readouterr().err == (

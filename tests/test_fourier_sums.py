@@ -1,7 +1,8 @@
-"""Node sums of rules whose runs do not pay, from their (theta, phi) Fourier
-sums (`quadrature._fourier_sums`), and their Gram from the grid twin
-(`quadrature._twin_gram`), against the dense basis product and the walk
-(`quadrature._gram_walk`), which stays the oracle."""
+"""Node sums of rules whose runs do not pay, from one pass over their nodes'
+(theta, phi) Fourier sums (`quadrature._fourier_sums`), and their Gram from
+the grid twin of their moments (`quadrature._twin_gram`), against the dense
+basis product and the walk (`quadrature._gram_walk`), which stays the
+oracle."""
 
 import math
 import warnings
@@ -14,8 +15,7 @@ import sphyper as sp
 from sphyper import hyperinterp, quadrature
 from sphyper.harmonics import SPHERE_AREA, _legendre_table
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_fourier_sums, _fourier_width, _gram, _gram_walk,
-                                _theta_coefficients)
+from sphyper.quadrature import _FOURIER_NODES, _fourier_sums, _gram, _gram_walk, _theta_coefficients
 
 # max |got - want| / max |want| for the node sums against the dense basis
 # product, as for the run sums: measured at most 2.4e-15 (n <= 46)
@@ -86,23 +86,68 @@ class TestFourierSums:
     def test_match_the_basis_product_and_the_walk(self, rule, L):
         rule = rule()
         v = rule.weights * sp.by_name("f3")(rule.points)
-        got = _fourier_sums(L, rule.points, v)
+        got = _fourier_sums(rule.points, (L, v))[0]
         assert rel_gap(got, sp.eval_basis_block(L, rule.points) @ v) <= RUN_SUM_TOL
         assert rel_gap(got, _gram_walk(rule, L, v)[1]) <= RUN_SUM_TOL
 
+    @pytest.mark.parametrize("n", [0, 1, 6, 15])
+    @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+    def test_one_pass_gives_c_and_the_moments(self, rule, n):
+        # c at n and the moments at 2n from one pass, each against the dense
+        # basis product, and c bit for bit the one-value pass's
+        rule = rule()
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        with quadrature._one_blas_thread():   # the BLAS as _gram runs it
+            c, mu = _fourier_sums(rule.points, (n, v), (2 * n, rule.weights))
+            assert np.array_equal(c, _fourier_sums(rule.points, (n, v))[0])
+        B = sp.eval_basis_block(2 * n, rule.points)
+        assert rel_gap(mu, B @ rule.weights) <= RUN_SUM_TOL
+        assert rel_gap(c, B[:(n + 1) ** 2] @ v) <= RUN_SUM_TOL
+
     def test_n_zero_is_the_weighted_sum(self):
         rule = random_rule(300, 4, unequal=True)
-        got = _fourier_sums(0, rule.points, rule.weights)
+        got = _fourier_sums(rule.points, (0, rule.weights))[0]
         assert got.shape == (1,)
         assert abs(got[0] - SPHERE_AREA / math.sqrt(SPHERE_AREA)) <= 1e-15 * math.sqrt(SPHERE_AREA)
 
     def test_blocks_add_up(self, monkeypatch):
-        # three blocks, the last of one node, against one block
-        rule, L = random_rule(2 * _fourier_width(12) + 1, 5), 12
+        # three blocks of the constant width, the last of one node, against
+        # one block
+        rule, L = random_rule(2 * _FOURIER_NODES + 1, 5), 12
         v = rule.weights * sp.by_name("f3")(rule.points)
-        blocks = _fourier_sums(L, rule.points, v)
-        monkeypatch.setattr(quadrature, "_fourier_width", lambda L: rule.m)
-        assert rel_gap(blocks, _fourier_sums(L, rule.points, v)) <= RUN_SUM_TOL
+        blocks = _fourier_sums(rule.points, (L, v))[0]
+        monkeypatch.setattr(quadrature, "_FOURIER_NODES", rule.m)
+        assert rel_gap(blocks, _fourier_sums(rule.points, (L, v))[0]) <= RUN_SUM_TOL
+
+    def test_two_values_blocks_add_up(self, monkeypatch):
+        # the same for c at 6 and the moments at 12 side by side
+        rule = random_rule(2 * _FOURIER_NODES + 1, 5)
+        sums = (6, rule.weights * sp.by_name("f3")(rule.points)), (12, rule.weights)
+        blocks = _fourier_sums(rule.points, *sums)
+        monkeypatch.setattr(quadrature, "_FOURIER_NODES", rule.m)
+        for got, want in zip(blocks, _fourier_sums(rule.points, *sums), strict=True):
+            assert rel_gap(got, want) <= RUN_SUM_TOL
+
+    def test_the_gram_makes_one_pass(self, monkeypatch):
+        # c at n and the moments at 2n in one pass for _gram with a value,
+        # the moments alone for mz_constant, n alone for fit
+        rule, n = random_rule(3000, 11), 9
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        calls, fourier = [], quadrature._fourier_sums
+
+        def counted(points, *sums):   # the Ls of each pass over the nodes
+            calls.append(tuple(L for L, _ in sums))
+            return fourier(points, *sums)
+
+        monkeypatch.setattr(quadrature, "_fourier_sums", counted)
+        _gram(rule, n, v)
+        assert calls == [(n, 2 * n)]
+        calls.clear()
+        sp.mz_constant(rule, n)
+        assert calls == [(2 * n,)]
+        calls.clear()
+        sp.fit(rule, sp.by_name("f3"), n)
+        assert calls == [(n,)]
 
     def test_no_basis_walk(self, monkeypatch):
         # fit, the exactness scan, the Gram and eta of a random rule never

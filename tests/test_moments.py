@@ -190,15 +190,15 @@ class TestRunSums:
         assert _rings(rule.points).size == rule.m - 1 and _paying_runs(rule.points) is None
         sums, fourier = [], quadrature._fourier_sums
 
-        def counted(L, points, v):
-            sums.append((L, len(points)))
-            return fourier(L, points, v)
+        def counted(points, *values):
+            sums.append((tuple(L for L, _ in values), len(points)))
+            return fourier(points, *values)
 
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
             mp.setattr(quadrature, "_fourier_sums", counted)
             got = node_sum(15, rule.points, v)
-        assert sums == [(15, rule.m)]
+        assert sums == [((15,), rule.m)]
         assert rel_gap(got, basis_walk(15, rule.points, v)) <= RUN_SUM_TOL
 
     def test_runs_of_one_take_the_fourier_sums(self):
@@ -209,7 +209,7 @@ class TestRunSums:
         assert _rings(rule.points) is None
         got = node_sum(15, rule.points, v)
         with quadrature._one_blas_thread():   # the BLAS as node_sum runs it
-            assert np.array_equal(got, _fourier_sums(15, rule.points, v))
+            assert np.array_equal(got, _fourier_sums(rule.points, (15, v))[0])
         assert rel_gap(got, basis_walk(15, rule.points, v)) <= RUN_SUM_TOL
 
     def test_fit_holds_no_more_than_the_basis_walk(self):

@@ -30,6 +30,18 @@ class TestRandomUniform:
         with pytest.raises(ValueError):
             sp.random_uniform(0, seed=0)
 
+    @pytest.mark.parametrize("m, seed", [(1, 0), (2, 5), (17, 3), (1000, 1), (12345, 9)])
+    def test_the_points_of_the_stacked_recipe(self, m, seed):
+        # the in-place construction gives the bits of the recipe written as
+        # whole-array expressions, in a C-ordered (m, 3) array
+        rng = np.random.default_rng(seed)
+        z = 2.0 * rng.random(m) - 1.0
+        phi = 2.0 * np.pi * rng.random(m)
+        s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        want = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+        got = sp.random_uniform(m, seed)
+        assert np.array_equal(got, want) and got.flags.c_contiguous
+
 
 @pytest.mark.parametrize("build, name, size", [
     (sp.equal_area, "m", 2.5),
