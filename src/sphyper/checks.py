@@ -23,7 +23,7 @@ from .pointsets import (
     product_gauss_rule,
     random_uniform,
 )
-from .quadrature import (_audit, _blas_thread_calls, _gram_walk, _order_rows, _paying_runs,
+from .quadrature import (_audit, _blas_thread_calls, _one_blas_thread, _order_rows, _paying_runs,
                          discrete_gram, exactness_degree, mz_constant, mz_report)
 from .testfuncs import by_name, wendland_delta, wendland_phi
 from . import experiments
@@ -47,8 +47,9 @@ def check_addition_theorem():
     return worst < 1e-12, f"max deviation {worst:.3e}"
 
 
-# |eta of the run Gram - eta of the walk|: measured at most 9.3e-15 on
-# equal_area and product_gauss_rule up to n = 46
+# |eta of the run Gram - eta of the dense product B diag(w) B^T|: measured
+# 2.4e-15 on this check's equal_area(2704) at n = 25, and at most 6.2e-15 on
+# equal_area(4 (n+1)^2) and 1.6e-14 on product_gauss_rule(n+1), n = 25..46
 _RUN_GRAM_ETA_TOL = 5e-14
 
 
@@ -58,18 +59,22 @@ def check_gauss_exactness():
     # a rule with runs takes its Gram from them, audited_fit above dim 625
     # takes eta from its run operator, and fit sums over the runs; a random
     # rule takes its Gram from its grid twin, through its Fourier sums: each
-    # against the sums over nodes, the walk's eta among them; the Legendre
-    # table at the run heights is the basis there, bit for bit
+    # against the dense products B diag(w) B^T and B (w f) of the basis B at
+    # every node, on one BLAS thread (the same digits at any thread count);
+    # the Legendre table at the run heights is the basis there, bit for bit
     rule = equal_weight_rule(equal_area(4 * 676), "equal_area")
-    starts = _paying_runs(rule.points)
-    walk = mz_report(_gram_walk(rule, 25)[0]).eta
-    run_gap = abs(mz_constant(rule, 25).eta - walk)
-    gap = abs(_audit(rule, 25)[0].eta - walk)
     random = equal_weight_rule(random_uniform(4 * 676, 3), "random")
-    fourier_gap = abs(mz_constant(random, 25).eta - mz_report(_gram_walk(random, 25)[0]).eta)
+    starts = _paying_runs(rule.points)
     f = by_name("f3")
-    fit_gap = float(np.abs(fit(rule, f, 25).coeffs - eval_basis_block(25, rule.points)
-                           @ (rule.weights * f(rule.points))).max())
+    B, B_random = eval_basis_block(25, rule.points), eval_basis_block(25, random.points)
+    with _one_blas_thread():
+        dense = mz_report((B * rule.weights) @ B.T).eta
+        dense_random = mz_report((B_random * random.weights) @ B_random.T).eta
+        fit_gap = float(np.abs(fit(rule, f, 25).coeffs - B @ (rule.weights * f(rule.points))).max())
+    del B, B_random
+    run_gap = abs(mz_constant(rule, 25).eta - dense)
+    gap = abs(_audit(rule, 25)[0].eta - dense)
+    fourier_gap = abs(mz_constant(random, 25).eta - dense_random)
     table_gap = math.inf
     if starts is not None:
         heights = np.zeros((starts.size, 3))
@@ -81,9 +86,9 @@ def check_gauss_exactness():
           and run_gap <= _RUN_GRAM_ETA_TOL and gap <= 1e-13 and fourier_gap <= 1e-13
           and fit_gap <= 1e-13 and table_gap == 0.0)
     return ok, (f"eta(order 8, n=7)={eta:.3e}, exactness(order 4)={degree}, "
-                f"|eta run Gram - walk|(equal-area 2704, n=25)={run_gap:.1e}, "
-                f"|eta run operator - walk|={gap:.1e}, "
-                f"|eta fourier - walk|(random 2704, n=25)={fourier_gap:.1e}, "
+                f"|eta run Gram - dense|(equal-area 2704, n=25)={run_gap:.1e}, "
+                f"|eta run operator - dense|={gap:.1e}, "
+                f"|eta fourier - dense|(random 2704, n=25)={fourier_gap:.1e}, "
                 f"|fit run sums - basis product|={fit_gap:.1e}, "
                 f"|Legendre table - basis at heights|(L=50)={table_gap:.1e}")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 SPHERE_AREA = 4.0 * math.pi
 
-# values per block of every chunked walk (8 MB of doubles).  The allocator
+# values per block of every chunked pass (8 MB of doubles).  The allocator
 # reuses a block this size without fresh page faults, and it is still in
 # cache when the product that reads it runs; a 41 MB block (20000 points at
 # n = 15) is written at about half the rate.  Narrow blocks leave
@@ -184,28 +184,28 @@ def _legendre_table(L, z, x=None):
     return T
 
 
-def basis_chunks(n, points, min_points=_MIN_CHUNK):
+def basis_chunks(n, points):
     """Walk `points` in chunks: an iterator of (rows, eval_basis_block(n,
     points[rows])), with n checked when it is called, before any block.
 
-    Each chunk has _chunk_points(n, min_points) points, the last at most
-    that many; `rows` is the slice of `points` that the block's columns
-    cover.  The Gram walk (`quadrature._gram_walk`, the oracle of the sums
-    over a rule's nodes) and every synthesis at many points go through this
-    one walk.  A consumer that deletes its
-    block at the end of each step keeps one block alive instead of two
-    while the next one is built.
+    Each chunk has _chunk_points(n) points, the last at most that many;
+    `rows` is the slice of `points` that the block's columns cover.  Every
+    synthesis at many points (`hyperinterp.evaluate_block`) goes through
+    this one walk; no sum over a rule's nodes evaluates the basis there.  A
+    consumer that deletes its block at the end of each step keeps one block
+    alive instead of two while the next one is built.
     """
-    width = _chunk_points(n, min_points)
+    width = _chunk_points(n)
     chunks = [slice(lo, min(lo + width, len(points))) for lo in range(0, len(points), width)]
     return ((rows, eval_basis_block(n, points[rows])) for rows in chunks)
 
 
-def _chunk_points(n, min_points=_MIN_CHUNK):
-    """Points per basis block at degree n: _BLOCK_VALUES values, or min_points.
-    Every walk sizes its blocks here, so this is where n is checked."""
+def _chunk_points(n):
+    """Points per basis block at degree n: _BLOCK_VALUES values, or
+    _MIN_CHUNK.  Every walk sizes its blocks here, so this is where n is
+    checked."""
     n = _check_degree(n)
-    return max(min_points, _BLOCK_VALUES // (n + 1) ** 2)
+    return max(_MIN_CHUNK, _BLOCK_VALUES // (n + 1) ** 2)
 
 
 def kernel_dot(n, u):

@@ -33,28 +33,25 @@ Three paths compute eta.  Every caller of a Gram (`mz_constant`,
 - the run Gram (`_run_gram`, then `mz_report`): on a rule whose runs pay,
   G's upper triangle from two azimuth sums per run and pair of orders and
   the Legendre table at the run heights, O(R dim^2) for R runs; within
-  2e-14 of the walk on the test rules (at most 5.0e-14 measured, on
-  equal_area(10^6) at n = 15);
+  2e-14 of the dense product B diag(w) B^T on the test rules (at most
+  7.1e-15 measured, and 3.1e-15 on equal_area(10^6) at n = 15);
 - the grid twin (`_twin_gram`, then `mz_report`): on every other rule, the
   run Gram of the product Gauss grid of 2n+1 rings weighted by the
   degree-2n polynomial whose moments are the rule's (its Fourier sums at
   degree 2n, from the one pass over the nodes that also gives c at n),
   which has the rule's Gram; O(m n^2) for the pass and O(n dim^2) for the
-  Gram, against the walk's O(m dim^2): 0.08-0.14 s in place of 0.63-0.70 s
-  on 8836 random nodes at n = 46, within 7.9e-15 of the walk on the test
-  rules;
+  Gram, against O(m dim^2) for the dense product, and within 6.9e-15 of
+  it on the test rules;
 - the run operator (`_run_operator`, for `_audit`): rules whose runs pay,
   no more runs than dim, above dim 625: Lanczos on a matrix-free operator
   that synthesises x at each run height, weights it by the run's azimuth
   measure to degree 2n and analyses it back, with no dim^2 array.  Its eta
-  agrees with the walk's to 1e-13 (at most 8.4e-15 measured on the
-  audit's rules, n = 25..46); where Lanczos spends its budget, `_gram` and
+  agrees with the dense product's to 1e-13 (at most 1.6e-14 measured on
+  the audit's rules, n = 25..46); where Lanczos spends its budget, `_gram` and
   `mz_report` take over.  `mz_constant` stays on the Gram, whose eta the
   tests pin to 1e-14 against the dense solver.
-The walk (`_gram_walk`): G's upper triangle from dsyrk over basis blocks of
-every node, O(m dim^2), and the node sum from the same blocks.  No library
-call takes it any more; it is the oracle of the tests and of `sphyper
-check`.
+The tests and `sphyper check` hold every path to the dense product, summed
+by numpy over basis blocks of every node.
 
 Above dim 625 both ends of the spectrum come from one Lanczos run
 (`_lanczos_extremes`), on the Gram's triangle or on the run operator.
@@ -68,13 +65,12 @@ import ctypes
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _check_degree, _chunk_points,
-                        _legendre_table, _real_array, basis_chunks)
+from .harmonics import (SPHERE_AREA, _BLOCK_VALUES, _check_degree, _chunk_points, _legendre_table,
+                        _real_array)
 from .pointsets import product_gauss_rule
 
 __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
@@ -149,7 +145,7 @@ _found_threads = {}
 def _one_blas_thread():
     """Runs its block, or as a decorator its function, with numpy's and
     scipy's BLAS on one thread each, and puts back the counts it found.
-    OpenBLAS cuts a dsyrk, dgemv, dsymv or dsyevd differently at each thread
+    OpenBLAS cuts a dgemm, dgemv, dsymv or dsyevd differently at each thread
     count, so a sum under the pin is the same bits at any count.  Nested and
     concurrent callers share one pin: the last to leave puts the counts back.
     A BLAS without the thread calls (`_blas_thread_calls`) runs as it is."""
@@ -207,7 +203,7 @@ def node_sum(n, points, v):
     value v_j per node: fit's coefficients, and the rule's moments (v = w).
     Nodes in runs of equal z that pay (`_paying_runs`) are summed per run
     (`_run_sums`); every other rule, from its nodes' (theta, phi) Fourier
-    sums (`_fourier_sums`).  The basis walk (`_gram_walk`) is their oracle."""
+    sums (`_fourier_sums`).  The dense basis product B v is their oracle."""
     n = _check_degree(n)
     starts = _paying_runs(points)
     if starts is not None:
@@ -226,7 +222,10 @@ def _rings(points):
     return np.flatnonzero(np.concatenate([[True], new_run]))
 
 
-# nodes per run, on average, from which the sums over runs pay.  Measured on
+# nodes per run, on average, from which the sums over runs pay.  These
+# numbers were taken against the dsyrk basis walk, since deleted, that rules
+# without paying runs took before the Fourier sums and the grid twin; the
+# crossover against those two is an open item of ROADMAP.md.  Measured on
 # rules of runs of s nodes at random heights and azimuths, m = 2 10^4 and
 # 2 10^5, n = 6, 15, 24 (one BLAS thread, 2-vCPU VM; run path against walk):
 #   s = 3: node sums 21 against 47 ms (m = 2 10^4, n = 24), Gram 174 against
@@ -440,12 +439,13 @@ def _theta_coefficients(L):
 
 @_one_blas_thread()
 def _gram(rule, n, v=None):
-    """(G, c) as _gram_walk gives them, for every caller of a Gram: on a rule
-    whose runs pay (`_paying_runs`), G from the runs (`_run_gram`) and c
-    from the run sums; on any other rule, one pass over the nodes
-    (`_fourier_sums`) takes c at n and the moments at 2n, and G comes from
-    the moments' grid twin (`_twin_gram`).  c is node_sum's (fit's) bit for
-    bit."""
+    """(G, c) for every caller of a Gram: G's upper triangle at degree n, with
+    a zero strict lower triangle, and c = node_sum(n, points, v) (None
+    without `v`).  On a rule whose runs pay (`_paying_runs`), G from the runs
+    (`_run_gram`) and c from the run sums; on any other rule, one pass over
+    the nodes (`_fourier_sums`) takes c at n and the moments at 2n, and G
+    comes from the moments' grid twin (`_twin_gram`).  c is node_sum's
+    (fit's) bit for bit."""
     n = _check_degree(n)   # before anything is allocated
     starts = _paying_runs(rule.points)
     if starts is None:
@@ -459,9 +459,9 @@ def _gram(rule, n, v=None):
 
 
 def _twin_gram(n, mu):
-    """The upper triangle at degree n of the discrete Gram of the rule whose
-    degree-2n moments are mu (`_fourier_sums` of its weights), as the walk
-    leaves it, from the rule's grid twin: the product Gauss grid of 2n+1
+    """The upper triangle at degree n, with a zero strict lower triangle, of
+    the discrete Gram of the rule whose degree-2n moments are mu
+    (`_fourier_sums` of its weights), from the rule's grid twin: the product Gauss grid of 2n+1
     rings and 4n+2 azimuths (exact to degree 4n), weighted by w_g
     sigma(x_g), where sigma = sum_{l <= 2n} mu_{l,k} Y_{l,k}.
 
@@ -486,8 +486,8 @@ def _twin_gram(n, mu):
 
 
 def _run_gram(n, points, weights, starts):
-    """The upper triangle of the discrete Gram at degree n, as the walk
-    leaves it, from the runs that start at `starts` (`_rings`).
+    """The upper triangle of the discrete Gram at degree n, with a zero
+    strict lower triangle, from the runs that start at `starts` (`_rings`).
 
     On a run of height z_r, with u = x + iy and |u|^2 = rho_r^2 = 1 - z_r^2,
     a product of harmonics of orders M <= M' reduces to two azimuth sums,
@@ -498,14 +498,16 @@ def _run_gram(n, points, weights, starts):
     (c or s; Y_{l,1} is c at M = 0) against a c or s column of order M',
       k_cc = (Re S + Re D) / 2,   k_cs = (Im S + Im D) / 2,
       k_sc = (Im S - Im D) / 2,   k_ss = (Re D - Re S) / 2.
-    That costs O(R dim^2) for R runs, against O(m dim^2) for the walk.  In
+    That costs O(R dim^2) for R runs, against O(m dim^2) for the dense
+    product B diag(w) B^T.  In
     an order-major layout (per order M its c rows l = M..n, then its s
     rows) the blocks M' >= M of order M's rows are one contiguous strip,
     one product per kind of row.  The layout's P is indexed straight out
     of the table, row (M, l) for each c row and for its s twin; the blocks
     M' < M are transposes, and each row of the canonical triangle is
     gathered from its layout row once at the end.  A Gram that overflows
-    comes out non-finite, as the walk's does, and mz_report refuses it.
+    comes out non-finite, as the dense product does, and mz_report refuses
+    it.
     """
     dim = (n + 1) ** 2
     cos_rows, sin_rows = _order_rows(n)
@@ -541,87 +543,10 @@ def _run_gram(n, points, weights, starts):
         G[b:, a:b] = G[a:b, b:].T
     back = np.empty(dim, dtype=int)   # canonical row a is layout row back[a]
     back[canonical] = np.arange(dim)
-    upper = np.zeros((dim, dim))   # the triangle alone, as dsyrk leaves it
+    upper = np.zeros((dim, dim))   # the upper triangle, the strict lower one zero
     for a, i in enumerate(back.tolist()):
         upper[a, a:] = G[i].take(back[a:])
     return upper
-
-
-@_one_blas_thread()
-def _gram_walk(rule, n, v=None):
-    """(G, c) from one chunk walk: the upper triangle of the discrete Gram
-    G = B diag(w) B^T, as dsyrk leaves it (the strict lower triangle is
-    zero), and, when `v` is given, the node sum c = B v (else c is None).
-    It runs on every rule, and it is the oracle of the run Gram, the grid
-    twin and the node sums; no library call takes it.
-
-    In the degree-major basis, G and c at any degree n' <= n are the leading
-    (n'+1)^2 block and slice of these, so one walk at the largest degree
-    serves every smaller one.
-
-    One worker thread adds block k to G while this thread evaluates block
-    k+1, so the walk costs about the larger of the two instead of their sum.
-    Block k+1 is handed over only once block k is added, so at most two
-    blocks are alive, each at least _MIN_CHUNK // 2 points wide.  Each
-    block adds B v to c.  The BLAS runs on one thread meanwhile
-    (`_one_blas_thread`), so G and c are the same bits at any thread count.
-    """
-    n = _check_degree(n)   # before anything is allocated
-    chunks = basis_chunks(n, rule.points, _MIN_CHUNK // 2)
-    dim = (n + 1) ** 2
-    G = np.zeros((dim, dim))
-    c = None if v is None else np.zeros(dim)
-    sqrt_w = np.sqrt(rule.weights)   # weights are positive
-    added = None   # the worker's future for the block before
-    with ThreadPoolExecutor(1) as worker:
-        for rows, B in chunks:
-            if c is not None:
-                c += B @ v[rows]   # from the block before its scaling
-            B *= sqrt_w[rows]
-            if added is not None:
-                added.result()
-            added = worker.submit(_syrk, B, G)
-            del B
-        added.result()
-    return G, c
-
-
-def _syrk(B, G):
-    """G += B B^T on G's upper triangle, for a C-ordered basis block B scaled
-    by sqrt(w) and a C-ordered Gram G: one BLAS dsyrk, a symmetric rank-k
-    update in place, with no dim x dim product per block.  B and G are the
-    Fortran arrays B^T and G^T to BLAS, so nothing is copied; G^T's lower
-    triangle is G's upper one.  The call releases the GIL (`_dsyrk`)."""
-    dim, k = B.shape
-    if not (B.dtype == G.dtype == np.float64 and G.shape == (dim, dim)
-            and B.flags.c_contiguous and G.flags.c_contiguous):
-        raise ValueError(f"dsyrk takes C-ordered float64 blocks, got {B.dtype} "
-                         f"{B.shape} and {G.dtype} {G.shape}")
-    one = ctypes.byref(ctypes.c_double(1.0))
-    _dsyrk()(b"L", b"T", ctypes.byref(ctypes.c_int(dim)), ctypes.byref(ctypes.c_int(k)),
-             one, B.ctypes.data, ctypes.byref(ctypes.c_int(max(k, 1))),
-             one, G.ctypes.data, ctypes.byref(ctypes.c_int(dim)))
-
-
-@functools.cache
-def _dsyrk():
-    """BLAS dsyrk as a ctypes function, bound once to the routine that
-    scipy.linalg.cython_blas exports.  scipy.linalg.blas's f2py wrappers
-    hold the GIL while BLAS runs; ctypes releases it for the call, so a
-    worker thread's dsyrk overlaps Python work on the calling thread.  It is
-    the routine the f2py wrapper calls, with the same arguments, so the bits
-    are the same."""
-    from scipy.linalg import cython_blas  # imported here: scipy.linalg takes ~0.3 s
-    capsule = cython_blas.__pyx_capi__["dsyrk"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    # dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc), every argument by reference
-    i, d = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    signature = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, i, d,
-                                 ctypes.c_void_p, i, d, ctypes.c_void_p, i)
-    return signature(get_pointer(capsule, get_name(capsule)))
 
 
 def mz_constant(rule, n):
@@ -636,10 +561,10 @@ def mz_report(G):
 
     G must be a square array (or nested list) of floats with dim (n+1)^2
     for some n >= 0.  Both solvers read its upper triangle only, so G may
-    be the full matrix or the walk's triangle.  Above dim _LANCZOS_DIM,
-    lambda_max and lambda_min come from Lanczos (`_lanczos_extremes`); if
-    it spends its product budget first, or at smaller dims, from the dense
-    `eigvalsh`.  The two agree to about 1e-14.
+    be the full matrix or its upper triangle alone (`_gram`'s).  Above dim
+    _LANCZOS_DIM, lambda_max and lambda_min come from Lanczos
+    (`_lanczos_extremes`); if it spends its product budget first, or at
+    smaller dims, from the dense `eigvalsh`.  The two agree to about 1e-14.
     """
     try:
         G = _real_array(G, "a Gram's entries")
@@ -687,7 +612,8 @@ class _OverBudget(Exception):
 
 
 def _triangle_product(G):
-    """x -> G x from G's upper triangle, the triangle dsyrk writes (BLAS dsymv)."""
+    """x -> G x from G's upper triangle alone (BLAS dsymv), as `_gram`
+    returns it with a zero strict lower triangle."""
     from scipy.linalg.blas import dsymv
     # the Fortran view BLAS takes, whose lower triangle is G's upper one;
     # only a leading block of a larger Gram, which is not contiguous, is
@@ -784,7 +710,7 @@ def _run_operator(n, rule, starts):
     per-order Legendre table products at the run heights
     (`_legendre_table(n, z_r, rho_r)`, the basis at (rho_r, 0, z_r)) and a
     cos/sin table product (the per-order transforms of SHTns): O(R n^2) per
-    product for R runs, where the walk's Gram costs O(m n^4)."""
+    product for R runs, where the dense Gram B diag(w) B^T costs O(m n^4)."""
     points, K = rule.points, 4 * n + 1
     z = points[starts, 2]
     psi = 2.0 * math.pi * np.arange(K) / K

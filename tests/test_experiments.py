@@ -265,8 +265,8 @@ class TestRunSweep:
 
 
 class TestSharedBasisPass:
-    """A deterministic rule's cells share one chunk walk at their largest
-    degree; the per-n path (mz_constant, fit, l2_error) is the oracle."""
+    """A deterministic rule's cells share one Gram at their largest degree;
+    the per-n path (mz_constant, fit, l2_error) is the oracle."""
 
     def check_against_per_n(self, cfg):
         rows = sp.run_sweep(cfg)
@@ -313,7 +313,7 @@ class TestSharedBasisPass:
                             SimpleNamespace(perf_counter=lambda: next(clock)))
         rows = sp.run_sweep(config(points="equal_area", n_list=(2, 4, 3),
                                    m_list=(60,), repetitions=2))
-        # one tick per cell, plus one for the walk, on (4, 60, rep 0) only
+        # one tick per cell, plus one for the shared Gram, on (4, 60, rep 0) only
         assert [(r.n, r.wall_time) for r in rows] == [
             (2, 1), (2, 1), (4, 2), (4, 1), (3, 1), (3, 1)]
 

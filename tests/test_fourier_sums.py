@@ -1,8 +1,7 @@
 """Node sums of rules whose runs do not pay, from one pass over their nodes'
 (theta, phi) Fourier sums (`quadrature._fourier_sums`), and their Gram from
 the grid twin of their moments (`quadrature._twin_gram`), against the dense
-basis product and the walk (`quadrature._gram_walk`), which stays the
-oracle."""
+basis product (`oracles.dense_gram`), which stays the oracle."""
 
 import math
 import warnings
@@ -12,18 +11,20 @@ import numpy as np
 import pytest
 
 import sphyper as sp
-from sphyper import hyperinterp, quadrature
+from oracles import dense_gram
+from sphyper import harmonics, hyperinterp, quadrature
 from sphyper.harmonics import SPHERE_AREA, _legendre_table
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import _FOURIER_NODES, _fourier_sums, _gram, _gram_walk, _theta_coefficients
+from sphyper.quadrature import _FOURIER_NODES, _fourier_sums, _gram, _theta_coefficients
 
 # max |got - want| / max |want| for the node sums against the dense basis
-# product, as for the run sums: measured at most 2.4e-15 (n <= 46)
+# product, as for the run sums: measured at most 2.5e-15 (n <= 46)
 RUN_SUM_TOL = 5e-15
-# the same for the twin's Gram against the walk's, as for the run Gram:
-# measured at most 7.9e-15 (n <= 46, m from 1.2 dim to 40 dim)
+# the same for the twin's Gram against the dense Gram (dense_gram), as for
+# the run Gram: measured at most 6.9e-15 on RULES (n <= 25)
 GRAM_TOL = 2e-14
-# |eta of the twin's Gram - eta of the walk's|: measured at most 1.5e-14
+# |eta of the twin's Gram - eta of the dense Gram|: measured at most 6.7e-15
+# on RULES (n <= 25)
 ETA_TOL = 1e-13
 
 
@@ -84,11 +85,12 @@ class TestFourierSums:
     @pytest.mark.parametrize("L", [0, 1, 6, 15, 30, 46])
     @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
     def test_match_the_basis_product_and_the_walk(self, rule, L):
+        # against one basis block, and the dense oracle's walk over blocks
         rule = rule()
         v = rule.weights * sp.by_name("f3")(rule.points)
         got = _fourier_sums(rule.points, (L, v))[0]
         assert rel_gap(got, sp.eval_basis_block(L, rule.points) @ v) <= RUN_SUM_TOL
-        assert rel_gap(got, _gram_walk(rule, L, v)[1]) <= RUN_SUM_TOL
+        assert rel_gap(got, dense_gram(rule, L, v, gram=False)[1]) <= RUN_SUM_TOL
 
     @pytest.mark.parametrize("n", [0, 1, 6, 15])
     @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
@@ -151,10 +153,9 @@ class TestFourierSums:
 
     def test_no_basis_walk(self, monkeypatch):
         # fit, the exactness scan, the Gram and eta of a random rule never
-        # evaluate the basis at its nodes nor call dsyrk
+        # evaluate the basis at its nodes
         rule, f = random_rule(3000, 6), sp.by_name("f3")
-        monkeypatch.setattr(quadrature, "basis_chunks", None)
-        monkeypatch.setattr(quadrature, "_syrk", None)
+        monkeypatch.setattr(harmonics, "eval_basis_block", None)
         sp.fit(rule, f, 12)
         sp.exactness_degree(rule, 12)
         sp.mz_constant(rule, 30)
@@ -165,11 +166,12 @@ class TestTwinGram:
     @pytest.mark.parametrize("n", [0, 1, 6, 12, 25])
     @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
     def test_matches_the_walk(self, rule, n):
+        # against the dense oracle's walk over basis blocks
         rule = rule()
-        G, walk = _gram(rule, n)[0], _gram_walk(rule, n)[0]
-        assert np.array_equal(G, np.triu(G))   # the upper triangle, as the walk leaves it
-        assert rel_gap(G, walk) <= GRAM_TOL
-        assert abs(sp.mz_report(G).eta - sp.mz_report(walk).eta) <= ETA_TOL
+        G, dense = _gram(rule, n)[0], dense_gram(rule, n)[0]
+        assert np.array_equal(G, np.triu(G))   # the upper triangle alone
+        assert rel_gap(G, dense) <= GRAM_TOL
+        assert abs(sp.mz_report(G).eta - sp.mz_report(dense).eta) <= ETA_TOL
 
     def test_the_twin_is_2n_plus_1_runs(self, monkeypatch):
         rule, n, runs = random_rule(2000, 7), 9, Counter()

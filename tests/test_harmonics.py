@@ -1,7 +1,6 @@
 import ast
 import math
 import re
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,9 +12,9 @@ from scipy.special import eval_legendre, sph_harm_y
 
 import sphyper as sp
 from sphyper import quadrature
-from sphyper.harmonics import (SPHERE_AREA, _BLOCK_VALUES, _MIN_CHUNK, _chunk_points,
-                               _legendre_table, basis_chunks, basis_indices)
-from sphyper.quadrature import _gram, _gram_walk, node_sum
+from sphyper.harmonics import (SPHERE_AREA, _BLOCK_VALUES, _chunk_points, _legendre_table,
+                               basis_chunks, basis_indices)
+from sphyper.quadrature import _gram
 
 coords = st.floats(-1.0, 1.0).filter(lambda v: abs(v) > 1e-3)
 raw_vectors = st.tuples(coords, coords, coords).filter(
@@ -372,23 +371,6 @@ def floor_rule():
     return two_blocks_and_one(TestChunkBoundary.n_floor)
 
 
-def on_the_worker(monkeypatch, check):
-    """check(), asserted to have run every dsyrk of its walks on the walk's
-    worker thread."""
-    syrk = quadrature._syrk
-    threads = []
-
-    def recorded(B, G):
-        threads.append(threading.current_thread())
-        syrk(B, G)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(quadrature, "_syrk", recorded)
-        result = check()
-    assert threads and threading.main_thread() not in threads
-    return result
-
-
 def assert_rel_close(got, want, rtol=1e-12):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -407,35 +389,16 @@ class TestChunkBoundary:
         assert [rows.stop - rows.start for rows, _ in chunks] == [width, width, 1]
         assert_rel_close(np.hstack([B for _, B in chunks]), sp.eval_basis_block(n, rule.points))
 
-    def check_gram(self, rule, n, monkeypatch):
+    def check_gram(self, rule, n):
         B = sp.eval_basis_block(n, rule.points)
         w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
         unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
-
-        def check():
-            for r in (rule, unequal):
-                # the walk, the oracle, keeps the upper triangle dsyrk writes
-                # and its strict lower one zero
-                assert_rel_close(_gram_walk(r, n)[0], np.triu((B * r.weights) @ B.T))
-
-        on_the_worker(monkeypatch, check)
         for r in (rule, unequal):
             G = sp.discrete_gram(r, n)
             assert_rel_close(G, (B * r.weights) @ B.T)
             # discrete_gram mirrors the triangle of _gram exactly
             assert np.array_equal(_gram(r, n)[0], np.triu(G))
             assert np.array_equal(G, G.T)
-
-    def check_fused_walk(self, rule, n, monkeypatch):
-        w = np.random.default_rng(14).uniform(0.5, 1.5, rule.m)
-        unequal = sp.QuadratureRule(rule.points, w * SPHERE_AREA / w.sum())
-        v = unequal.weights * sp.by_name("f3")(rule.points)
-        G, c = on_the_worker(monkeypatch, lambda: _gram_walk(unequal, n, v))
-        # one walk gives the Gram and the node sum that the Fourier sums
-        # give in its place: G from the grid twin within the run Gram's
-        # 2e-14, c within node_sum's 5e-15 of the dense product
-        assert_rel_close(G, np.triu(sp.discrete_gram(unequal, n)), rtol=2e-14)
-        assert_rel_close(c, node_sum(n, rule.points, v), rtol=5e-15)
 
     def test_chunks_cover_points_in_order(self, boundary_rule):
         self.check_chunks(boundary_rule, self.n)
@@ -444,31 +407,11 @@ class TestChunkBoundary:
         assert _chunk_points(self.n_floor) == 2048
         self.check_chunks(floor_rule, self.n_floor)
 
-    def test_pipelined_walk_halves_the_floor(self, floor_rule, monkeypatch):
-        widths = []
-        monkeypatch.setattr(quadrature, "_syrk", lambda B, G: widths.append(B.shape[1]))
-        _gram_walk(floor_rule, self.n_floor)
-        assert widths == [1024] * 4 + [1]
+    def test_discrete_gram(self, boundary_rule):
+        self.check_gram(boundary_rule, self.n)
 
-    def test_discrete_gram(self, boundary_rule, monkeypatch):
-        self.check_gram(boundary_rule, self.n, monkeypatch)
-
-    def test_discrete_gram_at_floor_width(self, floor_rule, monkeypatch):
-        self.check_gram(floor_rule, self.n_floor, monkeypatch)
-
-    def test_fused_walk(self, boundary_rule, monkeypatch):
-        self.check_fused_walk(boundary_rule, self.n, monkeypatch)
-
-    def test_fused_walk_at_floor_width(self, floor_rule, monkeypatch):
-        self.check_fused_walk(floor_rule, self.n_floor, monkeypatch)
-
-    def test_one_block_walk_on_the_worker(self, monkeypatch):
-        # a walk of one block hands its dsyrk to the worker like any other
-        rule = sp.equal_weight_rule(sp.random_uniform(1000, seed=19), "random")
-        assert rule.m <= _chunk_points(self.n, _MIN_CHUNK // 2)
-        G = on_the_worker(monkeypatch, lambda: _gram_walk(rule, self.n)[0])
-        B = sp.eval_basis_block(self.n, rule.points)
-        assert_rel_close(G, np.triu((B * rule.weights) @ B.T))
+    def test_discrete_gram_at_floor_width(self, floor_rule):
+        self.check_gram(floor_rule, self.n_floor)
 
     def test_fit_coefficients(self, boundary_rule):
         y = sp.by_name("f3")(boundary_rule.points)
@@ -492,7 +435,7 @@ class TestChunkBoundary:
 
 def test_harmonics_imports_only_math_and_numpy():
     """The basis module holds the basis, its blocks and the kernel; every BLAS
-    product and thread of a sum over a rule's nodes lives in quadrature."""
+    product of a sum over a rule's nodes lives in quadrature."""
     tree = ast.parse(Path(sp.harmonics.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):   # imports inside functions too

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sphyper as sp
-from sphyper import quadrature
+from sphyper import harmonics, quadrature
 from sphyper.harmonics import SPHERE_AREA
 
 
@@ -265,7 +265,7 @@ class TestProjectReference:
 
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "_legendre_table", counted)
-            mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
+            mp.setattr(harmonics, "eval_basis_block", None)   # no basis at the nodes
             got = {n: sp.project_reference(f3, n, ref) for n, ref in refs.items()}
         # the exactness scan at n + 1, then fit at n, each taking the
         # Legendre table at the heights of the N latitudes only, N = n + 11

@@ -1,8 +1,8 @@
-"""Sums over latitude runs (`quadrature._run_sums`) against the basis
-product, the Gram of rules with runs (`quadrature._run_gram`) and their eta
-from the run operator (`quadrature._audit`) against the walk
-(`quadrature._gram_walk`), which stays the oracle.  The path a call takes
-is pinned by counting calls, not by timing."""
+"""Sums over latitude runs (`quadrature._run_sums`), the Gram of rules with
+runs (`quadrature._run_gram`) and their eta from the run operator
+(`quadrature._audit`), against the dense basis product (`oracles.dense_gram`),
+which stays the oracle.  The path a call takes is pinned by counting calls,
+not by timing."""
 
 import math
 import tracemalloc
@@ -13,16 +13,18 @@ import numpy as np
 import pytest
 
 import sphyper as sp
-from sphyper import quadrature
-from sphyper.harmonics import _MIN_CHUNK, SPHERE_AREA
+from oracles import dense_gram
+from sphyper import harmonics, quadrature
+from sphyper.harmonics import SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_LANCZOS_PRODUCTS, _audit, _fourier_sums, _gram, _gram_walk,
-                                _paying_runs, _rings, _run_gram, _run_sums, node_sum)
+from sphyper.quadrature import (_LANCZOS_PRODUCTS, _audit, _fourier_sums, _gram, _paying_runs,
+                                _rings, _run_gram, _run_sums, node_sum)
 
-# |eta (lambda_min, lambda_max) from the run operator - the walk's|: measured
-# at most 1.2e-14 on the audit's rules (equal_area(4 (n+1)^2) and
-# product_gauss_rule(n+1), n = 25..46) and 4.5e-15 on TestRingReport's, where
-# exact Gauss rules give eta <= 4.2e-14
+# |eta (lambda_min, lambda_max) from the run operator - the dense Gram's|:
+# measured at most 1.6e-14 on the audit's rules (equal_area(4 (n+1)^2) and
+# product_gauss_rule(n+1), n = 25..46; 9.8e-15 on the equal-area ones) and
+# 4.0e-15 on TestRingReport's, where exact Gauss rules give eta <= 6.1e-14;
+# 1.3e-15 for the Gram paths' eta in TestAuditedFitPath
 ETA_TOL = 1e-13
 
 
@@ -100,16 +102,6 @@ class TestRings:
         rule = rule()
         assert rel_gap(node_sum(L, rule.points, rule.weights),
                        sp.eval_basis_block(L, rule.points) @ rule.weights) <= RUN_SUM_TOL
-
-
-def basis_walk(n, points, v):
-    """sum_j v_j Y_{l,k}(x_j) by the chunked basis walk over every node, in
-    the blocks of the Gram's walk."""
-    out = np.zeros((n + 1) ** 2)
-    for rows, B in quadrature.basis_chunks(n, points, _MIN_CHUNK // 2):
-        out += B @ v[rows]
-        del B
-    return out
 
 
 def rel_gap(got, want):
@@ -195,11 +187,11 @@ class TestRunSums:
             return fourier(points, *values)
 
         with monkeypatch.context() as mp:
-            mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
+            mp.setattr(harmonics, "eval_basis_block", None)   # no basis at the nodes
             mp.setattr(quadrature, "_fourier_sums", counted)
             got = node_sum(15, rule.points, v)
         assert sums == [((15,), rule.m)]
-        assert rel_gap(got, basis_walk(15, rule.points, v)) <= RUN_SUM_TOL
+        assert rel_gap(got, dense_gram(rule, 15, v, gram=False)[1]) <= RUN_SUM_TOL
 
     def test_runs_of_one_take_the_fourier_sums(self):
         # a rule without runs takes the Fourier sums, bit for bit, within
@@ -210,7 +202,7 @@ class TestRunSums:
         got = node_sum(15, rule.points, v)
         with quadrature._one_blas_thread():   # the BLAS as node_sum runs it
             assert np.array_equal(got, _fourier_sums(rule.points, (15, v))[0])
-        assert rel_gap(got, basis_walk(15, rule.points, v)) <= RUN_SUM_TOL
+        assert rel_gap(got, dense_gram(rule, 15, v, gram=False)[1]) <= RUN_SUM_TOL
 
     def test_fit_holds_no_more_than_the_basis_walk(self):
         # fit of sampled values on 10^6 equal-area nodes at n = 15, against
@@ -219,7 +211,7 @@ class TestRunSums:
         y = sp.by_name("f3")(rule.points)
         peaks = {}
         for name, call in (("fit", lambda: sp.fit(rule, y, 15)),
-                           ("walk", lambda: basis_walk(15, rule.points, rule.weights * y))):
+                           ("walk", lambda: dense_gram(rule, 15, rule.weights * y, gram=False))):
             call()   # first-call costs outside the measurement
             tracemalloc.start()
             try:
@@ -230,10 +222,10 @@ class TestRunSums:
         assert peaks["fit"] <= peaks["walk"]
 
 
-# max |G - walk| / max |walk| for the run Gram against the walk: measured at
-# most 7.2e-15 over the rules of TestRunGram at n = 0, 1, 12, 25 (gauss at
-# n = 25), 3.1e-15 on equal_area(10^5) at n = 24 and 5.0e-14 on
-# equal_area(10^6) at n = 15, which Tier-1 does not run
+# max |G - dense| / max |dense| for the run Gram against the dense Gram
+# (dense_gram): measured at most 7.1e-15 over the rules of TestRunGram at
+# n = 0, 1, 12, 25 (gauss at n = 25) and 3.1e-15 on equal_area(10^6) at
+# n = 15, which Tier-1 does not run
 GRAM_TOL = 2e-14
 
 GRAM_RULES = {name: rule for name, rule in RUN_RULES.items() if name != "single-pair"}
@@ -261,10 +253,10 @@ class TestRunGram:
         G = _gram(rule, n)[0]
         with quadrature._one_blas_thread():   # the BLAS as _gram runs it
             run_gram = _run_gram(n, rule.points, rule.weights, starts)
-        # the run Gram, and the upper triangle alone, as the walk leaves it
+        # the run Gram, and the upper triangle alone
         assert np.array_equal(G, run_gram)
         assert np.array_equal(G, np.triu(G))
-        assert rel_gap(G, _gram_walk(rule, n)[0]) <= GRAM_TOL
+        assert rel_gap(G, dense_gram(rule, n)[0]) <= GRAM_TOL
 
     def test_blocks_of_a_few_runs_add_up(self, monkeypatch):
         # tables of 4 run heights each: the run sums and the run Gram add
@@ -302,7 +294,6 @@ class TestRunGram:
                                 n_list=(4, 10), m_list=(2704,), seed=1)
         with monkeypatch.context() as mp:
             mp.setattr(quadrature, "_run_gram", counted)
-            mp.setattr(quadrature, "_gram_walk", None)   # not called
             rows = sp.run_sweep(config)
         assert calls == {10: 1}
         rule = equal_area_rule(2704)
@@ -310,10 +301,10 @@ class TestRunGram:
             assert abs(row.eta - sp.mz_constant(rule, row.n).eta) <= 1e-14
 
 
-def node_sum_residuals(rule, L, sums=basis_walk):
-    """exactness_degree's residuals from the sums over every node (the basis
-    walk, or node_sum)."""
-    integrals = sums(L, rule.points, rule.weights)
+def moment_residuals(integrals):
+    """exactness_degree's residuals from the rule's moments up to degree L,
+    (L+1)^2 sums over every node (the basis walk's, or node_sum's)."""
+    L = math.isqrt(integrals.size) - 1
     errors = np.abs(integrals)
     errors[0] = abs(integrals[0] - math.sqrt(SPHERE_AREA))
     return [float(np.max(errors[ell * ell:(ell + 1) ** 2])) for ell in range(L + 1)]
@@ -328,10 +319,11 @@ class TestExactnessFromMoments:
         rule, tables = rule(), []
         with monkeypatch.context() as mp:
             count_tables(mp, tables)
-            mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
+            mp.setattr(harmonics, "eval_basis_block", None)   # no basis at the nodes
             residuals = sp.exactness_degree(rule, L).residuals
         assert tables == [(L, heads)]
-        assert np.abs(np.subtract(residuals, node_sum_residuals(rule, L))).max() <= 1e-13
+        want = moment_residuals(dense_gram(rule, L, rule.weights, gram=False)[1])
+        assert np.abs(np.subtract(residuals, want)).max() <= 1e-13
 
     @pytest.mark.parametrize("rule, L", [
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(5000, 8), "random"), 12,
@@ -342,8 +334,9 @@ class TestExactnessFromMoments:
         # their moments are node_sum's Fourier sums, near the basis walk's
         rule = rule()
         residuals = sp.exactness_degree(rule, L).residuals
-        assert residuals == node_sum_residuals(rule, L, node_sum)
-        assert np.abs(np.subtract(residuals, node_sum_residuals(rule, L))).max() <= 1e-13
+        assert residuals == moment_residuals(node_sum(L, rule.points, rule.weights))
+        want = moment_residuals(dense_gram(rule, L, rule.weights, gram=False)[1])
+        assert np.abs(np.subtract(residuals, want)).max() <= 1e-13
 
 
 class TestRingReport:
@@ -356,7 +349,7 @@ class TestRingReport:
     ])
     def test_matches_the_walk(self, rule, n):
         rule = rule()
-        got, want = _audit(rule, n)[0], sp.mz_report(_gram_walk(rule, n)[0])
+        got, want = _audit(rule, n)[0], sp.mz_report(dense_gram(rule, n)[0])
         assert got.dim == want.dim == (n + 1) ** 2
         for field in ("eta", "lambda_min", "lambda_max"):
             assert abs(getattr(got, field) - getattr(want, field)) <= ETA_TOL
@@ -438,8 +431,8 @@ class TestRingReport:
 
 def audited_fit_and_calls(monkeypatch, rule, f, n):
     """audited_fit(rule, f, n) (or the ValueError it raised) and the counts of
-    its dsyrk calls, walks, run Grams, grid twins, Lanczos operator products
-    and dense eigensolves."""
+    its run Grams, grid twins, Lanczos operator products and dense
+    eigensolves."""
     calls = Counter()
 
     def counted(fn, name):
@@ -453,8 +446,6 @@ def audited_fit_and_calls(monkeypatch, rule, f, n):
 
     extremes = quadrature._lanczos_extremes
     with monkeypatch.context() as mp:
-        mp.setattr(quadrature, "_syrk", counted(quadrature._syrk, "syrk"))
-        mp.setattr(quadrature, "_gram_walk", counted(quadrature._gram_walk, "walks"))
         mp.setattr(quadrature, "_run_gram", counted(quadrature._run_gram, "run_grams"))
         mp.setattr(quadrature, "_twin_gram", counted(quadrature._twin_gram, "twins"))
         mp.setattr(quadrature, "_dense_report", counted(quadrature._dense_report, "dense"))
@@ -474,7 +465,7 @@ class TestAuditedFitPath:
     def test_ring_rule_above_625_skips_the_walk(self, monkeypatch, rule):
         rule, f = rule(), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, 25)
-        assert calls["syrk"] == calls["walks"] == calls["run_grams"] == 0
+        assert calls["run_grams"] == calls["twins"] == 0
         assert 0 < calls["products"] <= _LANCZOS_PRODUCTS
         assert np.array_equal(h.coeffs, sp.fit(rule, f, 25).coeffs)   # bit for bit
         assert abs(h.eta_used - sp.mz_constant(rule, 25).eta) <= ETA_TOL
@@ -489,7 +480,7 @@ class TestAuditedFitPath:
         result, calls = audited_fit_and_calls(monkeypatch, rule, sp.by_name("f3"), 30)
         assert isinstance(result, ValueError) and "rank deficient" in str(result)
         assert calls["products"] == _LANCZOS_PRODUCTS + 218 and calls["dense"] == 0
-        assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
+        assert calls["run_grams"] == 1 and calls["twins"] == 0
         assert _audit(rule, 30)[0] == sp.mz_constant(rule, 30)   # field by field
 
     @pytest.mark.parametrize("rule, n", [
@@ -498,22 +489,21 @@ class TestAuditedFitPath:
     ])
     def test_other_rules_take_the_grid_twin(self, monkeypatch, rule, n):
         # a rule whose runs do not pay: G from its grid twin's run Gram,
-        # with no walk, and the coefficients of fit
+        # and the coefficients of fit
         rule, f = rule(), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, n)
         assert calls["twins"] == calls["run_grams"] == 1
-        assert calls["walks"] == calls["syrk"] == 0
         assert h.eta_used == sp.mz_constant(rule, n).eta
-        assert abs(h.eta_used - sp.mz_report(_gram_walk(rule, n)[0]).eta) <= ETA_TOL
+        assert abs(h.eta_used - sp.mz_report(dense_gram(rule, n)[0]).eta) <= ETA_TOL
         assert np.array_equal(h.coeffs, sp.fit(rule, f, n).coeffs)
 
     def test_ring_rule_at_dim_625_takes_one_run_gram(self, monkeypatch):
         rule, f = equal_area_rule(2500), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, 24)
-        assert calls["run_grams"] == 1 and calls["walks"] == calls["syrk"] == 0
+        assert calls["run_grams"] == 1 and calls["twins"] == 0
         assert calls["products"] == 0   # dim 625: the dense eigensolver
         assert h.eta_used == sp.mz_constant(rule, 24).eta
-        assert abs(h.eta_used - sp.mz_report(_gram_walk(rule, 24)[0]).eta) <= ETA_TOL
+        assert abs(h.eta_used - sp.mz_report(dense_gram(rule, 24)[0]).eta) <= ETA_TOL
         assert np.array_equal(h.coeffs, sp.fit(rule, f, 24).coeffs)
 
 
@@ -521,9 +511,9 @@ def test_sphyper_check_compares_the_two_paths(capsys):
     from sphyper.cli import main
     assert main(["check", "--filter", "gauss-exactness"]) == 0
     out = capsys.readouterr().out
-    assert "PASS gauss-exactness" in out and "|eta run operator - walk|" in out
-    assert "|eta run Gram - walk|" in out
-    assert "|eta fourier - walk|(random 2704, n=25)=" in out
+    assert "PASS gauss-exactness" in out and "|eta run operator - dense|" in out
+    assert "|eta run Gram - dense|" in out
+    assert "|eta fourier - dense|(random 2704, n=25)=" in out
     assert "|fit run sums - basis product|" in out
     assert "|Legendre table - basis at heights|(L=50)=0.0e+00" in out
 
@@ -553,7 +543,7 @@ class TestFitOverRuns:
             tables.clear()
             with monkeypatch.context() as mp:
                 count_tables(mp, tables)
-                mp.setattr(quadrature, "basis_chunks", None)   # no walk over the nodes
+                mp.setattr(harmonics, "eval_basis_block", None)   # no basis at the nodes
                 call()
             assert tables == want[name], name
 
@@ -565,7 +555,7 @@ class TestFitOverRuns:
         pytest.param(single_pair, 4, id="single-pair"),
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(3000, 9), "random"), 12,
                      id="random"),
-        # blocks at the floor: 1982 nodes per block, the walk's and node_sum's
+        # 8000 nodes: eight Fourier blocks of 1024 nodes, the last short
         pytest.param(lambda: sp.equal_weight_rule(sp.random_uniform(8000, 9), "random"), 22,
                      id="random-floor"),
     ])

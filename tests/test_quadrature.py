@@ -2,9 +2,7 @@ import math
 import re
 import sys
 import threading
-import time
 import warnings
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -17,7 +15,7 @@ import sphyper as sp
 from sphyper import harmonics, quadrature
 from sphyper.pointsets import QuadratureRule
 from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_thread_calls,
-                                _gram, _gram_walk, _one_blas_thread, _syrk, discrete_gram, node_sum)
+                                _gram, _one_blas_thread, discrete_gram, node_sum)
 
 
 class TestMZConstant:
@@ -331,118 +329,9 @@ class TestGramStructure:
         assert np.abs(gram - np.eye(36)).max() < 1e-12
 
 
-class TestSyrkBinding:
-    @pytest.mark.parametrize("n, k", [(15, 700), (46, 300)])
-    def test_matches_scipy_dsyrk_bit_for_bit(self, n, k):
-        B = sp.eval_basis_block(n, sp.random_uniform(k, seed=15))
-        G = np.random.default_rng(16).standard_normal((B.shape[0],) * 2)
-        want = G.copy()
-        _syrk(B, G)
-        scipy.linalg.blas.dsyrk(1.0, B.T, beta=1.0, c=want.T, trans=1, lower=1, overwrite_c=1)
-        assert np.array_equal(G, want)
-
-    def test_refuses_a_strided_block(self):
-        B = sp.eval_basis_block(3, sp.random_uniform(10, seed=15))
-        with pytest.raises(ValueError, match="C-ordered float64"):
-            _syrk(B[:, ::2], np.zeros((16, 16)))
-
-
 def three_block_rule(n):
     return sp.equal_weight_rule(sp.random_uniform(2 * harmonics._chunk_points(n) + 1, seed=17),
                                 "random")
-
-
-class TestPipelinedWalk:
-    """The Gram walk with its worker thread: errors from either thread reach
-    the caller, the worker is joined on every path, and no more than two
-    basis blocks are alive."""
-
-    n = 6
-
-    def test_worker_error_propagates(self, monkeypatch):
-        threads = []
-
-        def failing(B, G):
-            threads.append(threading.current_thread())
-            if len(threads) == 2:
-                raise RuntimeError("dsyrk failed on block 2")
-            _syrk(B, G)
-
-        monkeypatch.setattr(quadrature, "_syrk", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="dsyrk failed on block 2"):
-            _gram_walk(three_block_rule(self.n), self.n)
-        assert threads[1] is not threading.main_thread()
-        assert threading.active_count() == before
-
-    def test_basis_error_propagates(self, monkeypatch):
-        evaluate = harmonics.eval_basis_block
-        calls = []
-
-        def failing(n, points):
-            calls.append(n)
-            if len(calls) == 2:
-                raise RuntimeError("basis failed on block 2")
-            return evaluate(n, points)
-
-        def slow(B, G):   # the worker is still busy with block 1 when block 2 fails
-            time.sleep(0.2)
-            _syrk(B, G)
-
-        monkeypatch.setattr(harmonics, "eval_basis_block", failing)
-        monkeypatch.setattr(quadrature, "_syrk", slow)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="basis failed on block 2"):
-            _gram_walk(three_block_rule(self.n), self.n)
-        assert threading.active_count() == before
-
-    def test_at_most_two_blocks_alive(self, monkeypatch):
-        evaluate = harmonics.eval_basis_block
-        blocks, alive = [], []
-
-        def tracked(n, points):
-            B = evaluate(n, points)
-            blocks.append(weakref.ref(B))
-            alive.append(sum(ref() is not None for ref in blocks))
-            return B
-
-        def slow(B, G):   # a worker slower than the evaluation
-            time.sleep(0.05)
-            _syrk(B, G)
-
-        monkeypatch.setattr(harmonics, "eval_basis_block", tracked)
-        monkeypatch.setattr(quadrature, "_syrk", slow)
-        rule = sp.equal_weight_rule(sp.random_uniform(5 * harmonics._chunk_points(self.n), seed=18),
-                                    "random")
-        _gram_walk(rule, self.n)
-        assert alive == [1, 2, 2, 2, 2]
-
-    def test_concurrent_walks_under_fast_switching(self, monkeypatch):
-        # four callers, each with its worker: eight threads on fewer cores
-        rule = three_block_rule(self.n)
-        v = rule.weights * sp.by_name("f3")(rule.points)
-        G_alone, c_alone = _gram_walk(rule, self.n, v)
-        threads = blas_threads()
-        results = [None] * 4
-
-        def walk(i):
-            results[i] = _gram_walk(rule, self.n, v)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=walk, args=(i,)) for i in range(4)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        for G, c in results:
-            assert np.array_equal(G, G_alone) and np.array_equal(c, c_alone)
-        # the last walk to leave the shared pin put both counts back
-        assert blas_threads() == threads
 
 
 def blas_threads():
@@ -471,17 +360,33 @@ class TestOneBlasThread:
             assert blas_threads() == {"numpy": 1, "scipy": 1}
         assert blas_threads() == {"numpy": 2, "scipy": 2}
 
-    def test_the_walk_and_its_worker_run_pinned(self, monkeypatch, two_threads):
-        seen = []
+    def test_concurrent_grams_under_fast_switching(self):
+        # four callers share the pin; on the random rule each runs the
+        # Fourier pass and the grid twin's run Gram under it
+        rule = three_block_rule(6)
+        v = rule.weights * sp.by_name("f3")(rule.points)
+        G_alone, c_alone = _gram(rule, 6, v)
+        threads = blas_threads()
+        results = [None] * 4
 
-        def recorded(B, G):
-            seen.append(blas_threads())
-            _syrk(B, G)
+        def gram(i):
+            results[i] = _gram(rule, 6, v)
 
-        monkeypatch.setattr(quadrature, "_syrk", recorded)
-        _gram_walk(three_block_rule(6), 6)
-        assert seen and all(t == {"numpy": 1, "scipy": 1} for t in seen)
-        assert blas_threads() == {"numpy": 2, "scipy": 2}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=gram, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for G, c in results:
+            assert np.array_equal(G, G_alone) and np.array_equal(c, c_alone)
+        # the last caller to leave the shared pin put both counts back
+        assert blas_threads() == threads
 
     def test_a_blas_without_thread_calls_is_left_as_it_is(self, monkeypatch):
         class Bare:   # a shared library that exports no thread-count call
@@ -566,7 +471,7 @@ class TestOrthogonalInvariance:
     multiplies Y_l by (-1)^l.  Measured over 1800 draws of random,
     equal-area and design rules (m up to 4000, n <= 15): eta, lambda_min and
     lambda_max moved by at most 2.2e-14, and ||c_l|| by at most 1.3e-14 ||c||
-    (the leading blocks of a walk at the largest degree included); under the
+    (the leading blocks of a Gram at the largest degree included); under the
     antipodal map all of them matched bit for bit.  TOL = 1e-13 leaves a
     factor of 4.5.
     """
@@ -588,7 +493,7 @@ class TestOrthogonalInvariance:
         scale = self.TOL * np.linalg.norm(c)
         self.assert_same_spectrum(sp.mz_constant(rotated, n), want)
         assert np.abs(energies(sp.fit(rotated, y, n).coeffs) - energies(c)).max() <= scale
-        # the leading blocks of one walk at the largest degree, as a sweep takes them
+        # the leading blocks of one Gram at the largest degree, as a sweep takes them
         G, c_top = _gram(rotated, top, rule.weights * y)
         dim = (n + 1) ** 2
         self.assert_same_spectrum(sp.mz_report(G[:dim, :dim]), want)

@@ -10,13 +10,15 @@ import sphyper as sp
 
 SRC = Path(sp.__file__).resolve().parents[1]
 
-# Two sweeps, random and equal-area, each with a cell at n = 22 whose walk
-# has more than one block of the floor width (m > 2048 nodes), then eta of a
-# random rule above dim 625 (Lanczos on the walk's triangle), audited_fit on
-# an equal-area rule at n = 30 (eta from its run operator), the exactness
-# scan of an equal-area rule (its moments), a reference projection, and
-# the L2 error of two random fits at n = 60 on the 10082-node reference rule
-# (synthesis and the weighted sum of squares, both wide enough to thread).
+# Two sweeps, random and equal-area, each with a cell at n = 22: the random
+# rules' one Fourier pass spans several node blocks (m = 5000) and their
+# Gram is the grid twin's, the equal-area rule's is its run Gram.  Then eta
+# of a random rule above dim 625 (Lanczos on the twin Gram's triangle),
+# audited_fit on an equal-area rule at n = 30 (eta from its run operator),
+# the exactness scan of an equal-area rule (its moments), a reference
+# projection, and the L2 error of two random fits at n = 60 on the
+# 10082-node reference rule (synthesis and the weighted sum of squares, both
+# wide enough to thread).
 CHILD = """
 import sphyper as sp
 from sphyper.cli import main
@@ -75,3 +77,23 @@ def test_no_module_reads_the_environment():
             if names & {"environ", "environb", "getenv", "getenvb"}:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_no_module_starts_a_thread():
+    """The library starts no thread or process: no module imports
+    concurrent.futures or multiprocessing, or names threading.Thread."""
+    starters = []
+    for path in sorted((SRC / "sphyper").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {f"{node.module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            else:
+                continue
+            if any(name.split(".")[0] in {"concurrent", "multiprocessing"}
+                   or name == "threading.Thread" for name in names):
+                starters.append(f"{path.name}:{node.lineno}")
+    assert starters == []
