@@ -56,7 +56,7 @@ _RUN_GRAM_ETA_TOL = 5e-14
 def check_gauss_exactness():
     eta = mz_constant(product_gauss_rule(8), 7).eta
     degree = exactness_degree(product_gauss_rule(4), max_scan=8).degree
-    # a rule with runs takes its Gram from them, audited_fit above dim 625
+    # a rule with runs takes its Gram from them, audited_fit above dim 400
     # takes eta from its run operator, and fit sums over the runs; a random
     # rule takes its Gram from its grid twin, through its Fourier sums: each
     # against the dense products B diag(w) B^T and B (w f) of the basis B at
@@ -240,16 +240,19 @@ def check_wendland_values():
 
 
 def check_kernel_consistency():
+    # evaluate_block on random targets (basis blocks) and on an equal-area
+    # grid (the synthesis over its rings) against the kernel sums
     rng = np.random.default_rng(11)
     rule = equal_weight_rule(random_uniform(400, 42), "random")
     f = by_name("f3")
     h = fit(rule, f, 5)
     x = rng.standard_normal((10, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    direct = evaluate_block(h, x)
-    kernel = evaluate_kernel(rule, f, 5, x)
-    worst = float(np.abs(direct - kernel).max())
-    return worst < 1e-9, f"basis vs kernel evaluation, max deviation {worst:.2e}"
+    worst = [float(np.abs(evaluate_block(h, t) - evaluate_kernel(rule, f, 5, t)).max())
+             for t in (x, equal_area(200))]
+    return max(worst) < 1e-9, ("coefficient vs kernel evaluation, max deviation "
+                               f"{worst[0]:.2e} (10 random targets), "
+                               f"{worst[1]:.2e} (equal-area 200, over its rings)")
 
 
 CHECKS = (

@@ -166,7 +166,10 @@ def run_sweep(config, force=False):
     """Execute every cell, a rank-deficient one only with `force`; returns
     rows in deterministic (n, m, rep) order.
 
-    Each rule takes one basis pass, at the largest degree of its cells.
+    Each rule takes one Gram and one fit, at the largest degree of its
+    cells (`_gram_fit`: on a ring rule, one run Gram and one run-sum pass).
+    Each cell adds an eigensolve of its leading block (`mz_report`) and its
+    L2 error, whose synthesis runs over the reference rule's rings.
     """
     cells = sweep_cells(config)
     # deterministic sources: one rule per size, built before any cell runs;

@@ -189,11 +189,13 @@ def basis_chunks(n, points):
     points[rows])), with n checked when it is called, before any block.
 
     Each chunk has _chunk_points(n) points, the last at most that many;
-    `rows` is the slice of `points` that the block's columns cover.  Every
-    synthesis at many points (`hyperinterp.evaluate_block`) goes through
-    this one walk; no sum over a rule's nodes evaluates the basis there.  A
-    consumer that deletes its block at the end of each step keeps one block
-    alive instead of two while the next one is built.
+    `rows` is the slice of `points` that the block's columns cover.  The
+    synthesis at points without runs that pay (`hyperinterp.evaluate_block`
+    at random points) and the tests' dense oracle go through this one walk;
+    no sum over a rule's nodes, and no synthesis at points in runs that pay,
+    evaluates the basis there.  A consumer that deletes its block at the end
+    of each step keeps one block alive instead of two while the next one is
+    built.
     """
     width = _chunk_points(n)
     chunks = [slice(lo, min(lo + width, len(points))) for lo in range(0, len(points), width)]

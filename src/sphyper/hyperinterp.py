@@ -9,9 +9,11 @@ differing only in the quadrature rule supplied, so one implementation
 serves all three.  Fitting never gates on eta; use `audited_fit` to
 refuse rules with eta >= 1.  It takes eta and the coefficients from one
 call, `quadrature._audit`, which picks the route: the run operator on rules
-whose latitude runs pay above dim 625, else the Gram from the fit's own pass
+whose latitude runs pay above dim 400, else the Gram from the fit's own pass
 (the run Gram, or on random points the grid twin of the moments that the
 same pass over their Fourier sums gives beside the coefficients).
+Evaluation at points in latitude runs that pay, as every reference rule's
+and equal-area grid's are, is the synthesis over their runs.
 """
 
 from dataclasses import dataclass
@@ -20,8 +22,8 @@ import numpy as np
 
 from .harmonics import _BLOCK_VALUES, _check_degree, _real_array, basis_chunks, kernel_dot
 from .pointsets import unit_points
-from .quadrature import (RANK_TOL, _audit, _gram, _one_blas_thread, exactness_degree, node_sum,
-                         sample_values)
+from .quadrature import (RANK_TOL, _audit, _gram, _one_blas_thread, _paying_runs, _run_synthesis,
+                         exactness_degree, node_sum, sample_values)
 
 __all__ = ["Hyperinterpolant", "fit", "audited_fit", "evaluate_block",
            "evaluate_kernel", "project_reference"]
@@ -83,7 +85,7 @@ def audited_fit(rule, f, n):
     eta >= 1 by lambda_max >= 2, the stability and error theory is vacuous,
     so we fail loudly, naming the condition, instead of degrading silently.
     The report and the coefficients come from one call (`quadrature._audit`):
-    eta from the run operator on rules whose runs pay above dim 625, else
+    eta from the run operator on rules whose runs pay above dim 400, else
     from the rule's Gram (`quadrature._gram`: the run Gram, or the grid twin
     of a rule whose runs do not pay, such as random points).  Either way the
     coefficients are fit()'s, bit for bit.
@@ -105,8 +107,18 @@ def audited_fit(rule, f, n):
 
 @_one_blas_thread()
 def evaluate_block(h, points):
-    """Evaluate via the coefficient sum at many unit vectors; returns shape (m,)."""
+    """Evaluate via the coefficient sum at many unit vectors; returns shape (m,).
+
+    Points in runs of equal z that pay (`quadrature._paying_runs`, the cost
+    test of the node sums), such as the rings of a reference rule or of an
+    equal-area grid, take the synthesis over their runs
+    (`quadrature._run_synthesis`), from the Legendre table at the run
+    heights; any other points, the basis blocks of `basis_chunks`.
+    """
     pts = unit_points(points)
+    starts = _paying_runs(pts)
+    if starts is not None:
+        return _run_synthesis(h.n, pts, starts, h.coeffs)
     out = np.empty(pts.shape[0])
     for rows, B in basis_chunks(h.n, pts):
         out[rows] = h.coeffs @ B

@@ -1,5 +1,5 @@
 """Every sum over a rule's nodes: node sums, moments, exactness degree, the
-Gram and eta.
+Gram and eta; and the synthesis at points in runs, their transpose.
 
 The Marcinkiewicz-Zygmund constant of a rule at degree n is the spectral
 norm of G - I where G is the discrete Gram matrix of the orthonormal
@@ -27,6 +27,13 @@ eval_basis_block's per-(l, M) loop, with the same bits.  The run Gram, the
 grid twin and the run operator take it too; no sum here evaluates
 eval_basis_block at the nodes or the run heights.
 
+The transpose of the run sums, a degree-n polynomial synthesised at every
+node of points whose runs pay (`_run_synthesis`), is
+`hyperinterp.evaluate_block`'s path on them: the rings of every reference
+rule, and so every L2 error, and of every equal-area grid.  It takes the
+Legendre table at the run heights and one Horner pass in x + iy per node,
+O(R n^2 + m n) against O(m n^2) for the basis at every node.
+
 Three paths compute eta.  Every caller of a Gram (`mz_constant`,
 `discrete_gram`, the sweeps) reaches the first two through `_gram`;
 `audited_fit` makes one call, `_audit`, which picks among all three:
@@ -43,18 +50,20 @@ Three paths compute eta.  Every caller of a Gram (`mz_constant`,
   Gram, against O(m dim^2) for the dense product, and within 6.9e-15 of
   it on the test rules;
 - the run operator (`_run_operator`, for `_audit`): rules whose runs pay,
-  no more runs than dim, above dim 625: Lanczos on a matrix-free operator
+  no more runs than dim, above dim 400: Lanczos on a matrix-free operator
   that synthesises x at each run height, weights it by the run's azimuth
   measure to degree 2n and analyses it back, with no dim^2 array.  Its eta
   agrees with the dense product's to 1e-13 (at most 1.6e-14 measured on
-  the audit's rules, n = 25..46); where Lanczos spends its budget, `_gram` and
-  `mz_report` take over.  `mz_constant` stays on the Gram, whose eta the
-  tests pin to 1e-14 against the dense solver.
+  the audit's rules, n = 25..46, and 1.1e-14 at n = 20..24); where Lanczos
+  spends its budget, `_gram` and `mz_report` take over.  `mz_constant`
+  stays on the Gram, whose eta the tests pin to 1e-14 against the dense
+  solver.
 The tests and `sphyper check` hold every path to the dense product, summed
 by numpy over basis blocks of every node.
 
-Above dim 625 both ends of the spectrum come from one Lanczos run
-(`_lanczos_extremes`), on the Gram's triangle or on the run operator.
+Above dim 400 (`_LANCZOS_DIM`, n >= 20) both ends of the spectrum come from
+one Lanczos run (`_lanczos_extremes`), on the Gram's triangle or on the run
+operator, within a budget of dim // 4 products (250 at most).
 
 Every sum here runs with numpy's and scipy's BLAS on one thread each
 (`_one_blas_thread`), so it gives the same bits at any BLAS thread count.
@@ -80,18 +89,33 @@ __all__ = ["MZReport", "ExactnessReport", "sample_values", "mz_constant",
 # hyperinterpolation theory vacuous)
 RANK_TOL = 1e-10
 
-# Grams above this dim take their extreme eigenvalues from Lanczos; the
-# sweep configs' Grams (dim <= 625) stay on the dense solver
-_LANCZOS_DIM = 625
+# Grams above this dim take their extreme eigenvalues from Lanczos.  The
+# sweep's leading blocks of the n = 24 Gram of equal_area(10^4) and
+# equal_area(10^5), best of 7 (one BLAS thread, 2-vCPU VM), dense eigvalsh
+# against Lanczos (products), eta within 1.1e-15:
+#   dim 289: 2.7 against 4.4 ms (58) and 2.7 against 2.0 ms (31);
+#   dim 361: 4.6 against 3.5 ms (50) and 4.4 against 3.2 ms (36);
+#   dim 441: 7.0 against 2.4 ms (30) and 7.1 against 4.0 ms (42);
+#   dim 529: 11.5 against 3.0 ms (30) and 11.5 against 2.7 ms (31);
+#   dim 625: 18.2 against 2.7 ms (26) and 17.0 against 5.3 ms (41).
+# At dims 289-361 Lanczos won 3 of 4 here and 1 of 4 in an earlier run, so
+# the switch sits above them; the figure configs' Grams (dim <= 289) stay
+# on the dense solver
+_LANCZOS_DIM = 400
 
 # Gram-vector products Lanczos may spend on both ends of the spectrum before
-# the dense eigensolver takes over.  Measured: the run operator of
+# the dense eigensolver takes over, at most dim // 4 of them, as a product
+# costs about 1/dim of a dense solve.  Measured: the run operator of
 # equal_area(4 dim) at n = 25-46 in 36-91, of exact Gauss rules in 10-16;
-# Gram triangles of equal_area(4 dim) in 56-91, of random rules with m = 8
-# dim in about 100, of aliased Gauss rules (lambda_min = 0 in a cluster at
-# rounding level) in 143-230.  A random rule with m = 1.2 dim (lambda_min =
-# 1.2e-5 among many small eigenvalues) spends it: 0.08 s at dim 961, about
-# the dense solve that follows (one BLAS thread)
+# Gram triangles of equal_area(4 dim) in 56-91 (26-58 at dims 289-625), of
+# random rules with m = 8 dim in about 100, of aliased Gauss rules
+# (lambda_min = 0 in a cluster at rounding level) in 143-230.  A random
+# rule with m = 1.2 dim (lambda_min = 1e-5 among many small eigenvalues)
+# spends it, about the dense solve that follows (one BLAS thread): 110
+# products in 6.5-8.2 ms against 8.2-8.3 ms at dim 441, 240 in 71 against
+# 74 ms at dim 961.  At m = 2 dim (eta 1.8-2.3, which audited_fit refuses)
+# the spent budget made _audit 1.7-2.7x slower at dims 441 and 625 (27-77
+# against 14-34 ms, two seeds)
 _LANCZOS_PRODUCTS = 250
 
 # Lanczos stops once both extreme Ritz pairs' residual bounds are at most
@@ -236,7 +260,12 @@ def _rings(points):
 # The node sums gain from s = 3 on, the Gram only from s = 6-8, and n moves
 # neither crossover much.  One test serves both, and at s = 4 the larger
 # loss either way is least: the walk's node sums at most 2.2x slower below
-# it, the run Gram at most 2.1x slower above it
+# it, the run Gram at most 2.1x slower above it.  The same test serves the
+# synthesis at many points (`_run_synthesis`, against basis_chunks' blocks,
+# best of 5, m = 2 10^4 and 2 10^5, n = 6, 15, 24): over runs it was 1.1-1.7x
+# faster at s = 2, 1.4-2.3x at s = 3, 1.6-3.4x at s = 4 and 2.8-7.5x at
+# s = 8: every point set the test sends over its runs gains, and runs of
+# 2-3 nodes, which it leaves to the blocks, would gain too
 _RUN_NODES = 4
 
 
@@ -251,34 +280,44 @@ def _paying_runs(points):
     return starts
 
 
-# nodes per chunk of _azimuth_sums: its two complex arrays hold 1/8 of a
-# basis block.  On equal_area(10^6) at n = 15 the sums took 37-44 ms at this
-# width and 49-60 ms at four times it (one BLAS thread, 2-vCPU VM)
-_RUN_CHUNK = _BLOCK_VALUES // 16
+# nodes per chunk of whole runs (`_run_chunks`): each complex row of a chunk
+# holds 1/16 of a basis block.  Best of 9 on equal_area(10^6) (one BLAS
+# thread, 2-vCPU VM), at this width against twice it: the azimuth sums took
+# 21 against 25 ms at d <= 15 and 37-53 against 43-62 ms at d <= 30; the
+# synthesis of equal_area(256000) at n = 24, 15 against 21 ms (16 at half
+# this width, 18 at a quarter)
+_RUN_CHUNK = _BLOCK_VALUES // 32
+
+
+def _run_chunks(points, starts):
+    """Walk the runs that start at `starts` (`_rings`) in chunks of whole
+    runs, _RUN_CHUNK nodes at most (a longer run is one chunk): an iterator
+    of (runs, nodes, u), the slices of the runs and of their nodes, and u =
+    x + iy at those nodes."""
+    ends = np.append(starts[1:], len(points))
+    lo = 0
+    while lo < starts.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _RUN_CHUNK, "right")))
+        nodes = slice(starts[lo], ends[hi - 1])
+        u = np.empty(nodes.stop - nodes.start, dtype=complex)
+        u.real, u.imag = points[nodes, 0], points[nodes, 1]
+        yield slice(lo, hi), nodes, u
+        lo = hi
 
 
 def _azimuth_sums(points, starts, v, D):
     """T[d, r] = sum_{j in run r} v_j (x_j + iy_j)^d for d = 0..D and the runs
     that start at `starts` (`_rings`), as a (D + 1, R) complex array: one
-    running power per chunk of whole runs, _RUN_CHUNK nodes at most (a
-    longer run is one chunk), updated in place."""
-    m = len(points)
-    ends = np.append(starts[1:], m)
+    running power per chunk of whole runs (`_run_chunks`), updated in
+    place."""
     sums = np.empty((D + 1, starts.size), dtype=complex)
-    lo = 0
-    while lo < starts.size:
-        # the runs lo..hi-1, _RUN_CHUNK nodes at most, or one longer run
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _RUN_CHUNK, "right")))
-        nodes = slice(starts[lo], ends[hi - 1])
-        u = np.empty(nodes.stop - nodes.start, dtype=complex)
-        u.real, u.imag = points[nodes, 0], points[nodes, 1]
+    for runs, nodes, u in _run_chunks(points, starts):
         power = v[nodes].astype(complex)   # v (x + iy)^d
         for d in range(D + 1):
             if d:
                 power *= u
-            sums[d, lo:hi] = np.add.reduceat(power, starts[lo:hi] - starts[lo])
+            sums[d, runs] = np.add.reduceat(power, starts[runs] - nodes.start)
         del u, power
-        lo = hi
     return sums
 
 
@@ -315,6 +354,39 @@ def _run_sums(n, points, starts, v):
             if M:
                 out[cos_rows[M, M:] + 1] += P @ sums[M, rows].imag
         del table
+    return out
+
+
+def _run_synthesis(n, points, starts, c):
+    """sum_{l,k} c_{l,k} Y_{l,k}(x_j) at every node x_j, for nodes in the runs
+    that start at `starts` (`_rings`): the transpose of `_run_sums`.
+
+    On a run of height z_r, with u_j = x_j + iy_j,
+      h(x_j) = Re sum_M C_M(z_r) u_j^M,
+      C_M(z_r) = sum_l (c_{l,M}^cos - i c_{l,M}^sin) sqrt(2) p_{l,M}(z_r)
+    (p_{l,0} alone at M = 0), so the basis enters only through the Legendre
+    table at the run heights (`_height_tables`), O(R n^2) for R runs, and
+    each node through one Horner pass in u over the orders, O(n), where the
+    basis at every node costs O(m n^2).  The nodes are walked in chunks of
+    whole runs (`_run_chunks`): the temporaries are a few complex rows of a
+    chunk, 1/16 of a basis block each.
+    """
+    cos_rows, sin_rows = _order_rows(n)
+    x = np.append(c, 0.0)   # the row past the last: 0 where no harmonic is
+    C = np.empty((n + 1, starts.size), dtype=complex)   # [M, run]
+    for runs, table in _height_tables(n, points, starts):
+        C.real[:, runs] = (x[cos_rows][:, None, :] @ table)[:, 0]
+        C.imag[:, runs] = -(x[sin_rows][:, None, :] @ table)[:, 0]
+        del table
+    out = np.empty(len(points))
+    for runs, nodes, u in _run_chunks(points, starts):
+        run = np.repeat(np.arange(runs.start, runs.stop), np.diff(starts[runs], append=nodes.stop))
+        h = C[n].take(run)
+        for M in range(n - 1, -1, -1):
+            h *= u
+            h += C[M].take(run)
+        out[nodes] = h.real
+        del u, h
     return out
 
 
@@ -630,13 +702,13 @@ def _lanczos_extremes(product, dim):
     one tridiagonal T.  It stops once both extreme Ritz pairs' residual
     bounds |beta s_last| are within tol = _LANCZOS_TOL max(1, |theta_max|),
     which a beta within _LANCZOS_TOL ensures (the Krylov space closes, as
-    on the identity), or after dim vectors.  It looks at the bounds every
-    _LANCZOS_CHECK products, and at every product once both have been
-    within sqrt(tol): near lambda_min = 0 the bound of that end jumps by
-    decades from one product to the next.  Raises _OverBudget after
-    _LANCZOS_PRODUCTS products, or on a value that is not finite."""
+    on the identity).  It looks at the bounds every _LANCZOS_CHECK products,
+    and at every product once both have been within sqrt(tol): near
+    lambda_min = 0 the bound of that end jumps by decades from one product
+    to the next.  Raises _OverBudget after min(_LANCZOS_PRODUCTS, dim // 4)
+    products, or on a value that is not finite."""
     from scipy.linalg import eigh_tridiagonal
-    steps = min(_LANCZOS_PRODUCTS, dim)
+    steps = min(_LANCZOS_PRODUCTS, dim // 4)
     V = np.empty((steps + 1, dim))   # the Lanczos vectors
     v = np.random.default_rng(0).standard_normal(dim)
     V[0] = v / math.sqrt(v @ v)
@@ -653,13 +725,13 @@ def _lanczos_extremes(product, dim):
         beta.append(math.sqrt(w @ w))
         if not math.isfinite(a + beta[-1]):
             raise _OverBudget
-        if near or beta[-1] <= _LANCZOS_TOL or k + 1 == dim or (k + 1) % _LANCZOS_CHECK == 0:
+        if near or beta[-1] <= _LANCZOS_TOL or (k + 1) % _LANCZOS_CHECK == 0:
             ends = [eigh_tridiagonal(alpha, beta[:-1], select="i", select_range=(i, i))
                     for i in (0, k)]
             theta = [float(value[0]) for value, _ in ends]
             bound = max(beta[-1] * abs(s[-1, 0]) for _, s in ends)
             tol = _LANCZOS_TOL * max(1.0, abs(theta[1]))
-            if bound <= tol or k + 1 == dim:
+            if bound <= tol:
                 return theta
             near = near or bound <= math.sqrt(tol)
         V[k + 1] = w / beta[-1]

@@ -292,7 +292,7 @@ class TestSharedBasisPass:
         assert max(r.eta for r in rows) < 1e-12   # exact to degree >= 2n
 
     def test_leading_block_on_the_lanczos_branch(self):
-        # dim 2025 > 625: Lanczos on the n = 44 leading block of the n = 46 Gram
+        # dim 2025 > 400: Lanczos on the n = 44 leading block of the n = 46 Gram
         self.check_against_per_n(config(
             points="equal_area", function="f3", n_list=(44, 46), m_list=(9000,)))
 

@@ -14,11 +14,11 @@ import pytest
 
 import sphyper as sp
 from oracles import dense_gram
-from sphyper import harmonics, quadrature
+from sphyper import harmonics, hyperinterp, quadrature
 from sphyper.harmonics import SPHERE_AREA
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_LANCZOS_PRODUCTS, _audit, _fourier_sums, _gram, _paying_runs,
-                                _rings, _run_gram, _run_sums, node_sum)
+from sphyper.quadrature import (_audit, _fourier_sums, _gram, _paying_runs, _rings, _run_gram,
+                                _run_sums, _run_synthesis, node_sum)
 
 # |eta (lambda_min, lambda_max) from the run operator - the dense Gram's|:
 # measured at most 1.6e-14 on the audit's rules (equal_area(4 (n+1)^2) and
@@ -222,6 +222,89 @@ class TestRunSums:
         assert peaks["fit"] <= peaks["walk"]
 
 
+# |_run_synthesis - c @ eval_basis_block|, the dense basis product, relative
+# to sum |c|, which bounds |h|: measured at most 7.9e-17 over the cases of
+# TestRunSynthesis (N(0, 1) coefficients, n = 0..46)
+SYNTHESIS_TOL = 1e-15
+
+
+def loaded_gauss(tmp_path, N=35):
+    """product_gauss_rule(N) written to a .txt file with its weights and
+    loaded back.  The loader renormalizes every row, which moves some z by
+    an ulp, so its N rings come back as more runs of bit-equal z (367 at N
+    = 35), which still pay."""
+    rule = sp.product_gauss_rule(N)
+    path = tmp_path / "gauss.txt"
+    np.savetxt(path, np.column_stack([rule.points, rule.weights]))
+    return sp.source_rule("loaded", path=path)
+
+
+SYNTHESIS_POINTS = {
+    "equal_area": lambda tmp_path: sp.equal_area(2704),   # one-node polar caps
+    "gauss": lambda tmp_path: sp.product_gauss_rule(26).points,
+    "loaded": lambda tmp_path: loaded_gauss(tmp_path).points,
+    "random-runs": lambda tmp_path: random_runs(np.random.default_rng(5).integers(1, 60, 80),
+                                                7).points,
+}
+
+
+class TestRunSynthesis:
+    """h(x_j) over the runs of the points (`_run_synthesis`), the transpose of
+    the run sums, against the dense basis product; evaluate_block takes it
+    where the runs pay, as on every reference rule and equal-area grid."""
+
+    @pytest.mark.parametrize("n", [0, 1, 24, 46])
+    @pytest.mark.parametrize("points", SYNTHESIS_POINTS.values(), ids=SYNTHESIS_POINTS.keys())
+    def test_matches_the_basis_product(self, tmp_path, points, n):
+        points = points(tmp_path)
+        c = np.random.default_rng(n).standard_normal((n + 1) ** 2)
+        starts = _rings(points)
+        got = _run_synthesis(n, points, starts, c)
+        assert np.abs(got - c @ sp.eval_basis_block(n, points)).max() \
+            <= SYNTHESIS_TOL * np.abs(c).sum()
+        if _paying_runs(points) is not None:
+            assert np.array_equal(sp.Hyperinterpolant(n, c)(points), got)
+
+    def test_chunks_of_whole_runs(self, monkeypatch):
+        # chunks end on run boundaries; a run longer than a chunk is one chunk
+        points = random_runs([1, 30, 5, 40, 1, 7, 7, 7, 90], 8).points
+        c = np.random.default_rng(2).standard_normal(13 ** 2)
+        monkeypatch.setattr(quadrature, "_RUN_CHUNK", 16)
+        got = _run_synthesis(12, points, _rings(points), c)
+        assert np.abs(got - c @ sp.eval_basis_block(12, points)).max() \
+            <= SYNTHESIS_TOL * np.abs(c).sum()
+
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_no_basis_for_the_l2_error_or_an_equal_area_grid(self, monkeypatch, n):
+        # the reference rule's rings and an equal-area grid take the
+        # synthesis over their runs: no basis is evaluated at their nodes
+        f, ref, grid = sp.by_name("f3"), sp.reference_rule_for(n), sp.equal_area(10 ** 4)
+        h = sp.fit(equal_area_rule(4 * (n + 1) ** 2), f, n)
+        want = (sp.l2_error(f, h, ref), sp.evaluate_block(h, grid))
+        with monkeypatch.context() as mp:
+            mp.setattr(harmonics, "eval_basis_block", None)
+            got = (sp.l2_error(f, h, ref), sp.evaluate_block(h, grid))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        diff = f(ref.points) - h.coeffs @ sp.eval_basis_block(n, ref.points)
+        assert abs(got[0] - math.sqrt(float(ref.weights @ (diff * diff)))) <= 1e-15
+
+    def test_random_points_take_the_basis_blocks(self, monkeypatch):
+        points, chunks = sp.random_uniform(3000, 5), []
+        h = sp.Hyperinterpolant(6, np.random.default_rng(1).standard_normal(49))
+
+        def counted(n, pts):
+            chunks.append(len(pts))
+            return basis_chunks(n, pts)
+
+        basis_chunks = hyperinterp.basis_chunks
+        monkeypatch.setattr(hyperinterp, "basis_chunks", counted)
+        monkeypatch.setattr(hyperinterp, "_run_synthesis", None)   # not called
+        got = sp.evaluate_block(h, points)
+        assert chunks == [3000]
+        assert np.abs(got - h.coeffs @ sp.eval_basis_block(6, points)).max() \
+            <= SYNTHESIS_TOL * np.abs(h.coeffs).sum()
+
+
 # max |G - dense| / max |dense| for the run Gram against the dense Gram
 # (dense_gram): measured at most 7.1e-15 over the rules of TestRunGram at
 # n = 0, 1, 12, 25 (gauss at n = 25) and 3.1e-15 on equal_area(10^6) at
@@ -362,7 +445,7 @@ class TestRingReport:
                      id="random"),
         pytest.param(lambda: sp.bundled_tdesign_rule(20), 25, id="t-design"),
         pytest.param(lambda: rotated(equal_area_rule(2704), about_x(0.3)), 25, id="about-x"),
-        pytest.param(lambda: equal_area_rule(2500), 24, id="dim-625"),
+        pytest.param(lambda: equal_area_rule(1600), 19, id="dim-400"),
         pytest.param(lambda: sp.product_gauss_rule(26), -30, id="negative-n"),
         # 700 runs of 4 pay, but are more than dim 676: the run Gram
         pytest.param(lambda: random_runs([4] * 700, 7), 25, id="more-runs-than-dim"),
@@ -466,20 +549,20 @@ class TestAuditedFitPath:
         rule, f = rule(), sp.by_name("f3")
         h, calls = audited_fit_and_calls(monkeypatch, rule, f, 25)
         assert calls["run_grams"] == calls["twins"] == 0
-        assert 0 < calls["products"] <= _LANCZOS_PRODUCTS
+        assert 0 < calls["products"] < 676 // 4   # within the budget
         assert np.array_equal(h.coeffs, sp.fit(rule, f, 25).coeffs)   # bit for bit
         assert abs(h.eta_used - sp.mz_constant(rule, 25).eta) <= ETA_TOL
 
     def test_aliased_gauss_rule_spends_the_budget_then_takes_the_run_gram(self, monkeypatch):
         # 50 azimuths alias orders k and 50 - k for k >= 20: lambda_min = 0 at
         # n = 30, in a cluster at rounding level that the run operator's
-        # Lanczos does not resolve within its budget; Lanczos on the run
-        # Gram's triangle (mz_report) does, in 218 products, with no dense
-        # eigensolve
+        # Lanczos does not resolve within its budget (961 // 4 = 240
+        # products); Lanczos on the run Gram's triangle (mz_report) does, in
+        # 218 products, with no dense eigensolve
         rule = sp.product_gauss_rule(25)
         result, calls = audited_fit_and_calls(monkeypatch, rule, sp.by_name("f3"), 30)
         assert isinstance(result, ValueError) and "rank deficient" in str(result)
-        assert calls["products"] == _LANCZOS_PRODUCTS + 218 and calls["dense"] == 0
+        assert calls["products"] == 240 + 218 and calls["dense"] == 0
         assert calls["run_grams"] == 1 and calls["twins"] == 0
         assert _audit(rule, 30)[0] == sp.mz_constant(rule, 30)   # field by field
 
@@ -497,14 +580,22 @@ class TestAuditedFitPath:
         assert abs(h.eta_used - sp.mz_report(dense_gram(rule, n)[0]).eta) <= ETA_TOL
         assert np.array_equal(h.coeffs, sp.fit(rule, f, n).coeffs)
 
-    def test_ring_rule_at_dim_625_takes_one_run_gram(self, monkeypatch):
-        rule, f = equal_area_rule(2500), sp.by_name("f3")
-        h, calls = audited_fit_and_calls(monkeypatch, rule, f, 24)
+    def test_ring_rule_at_dim_400_takes_one_run_gram(self, monkeypatch):
+        rule, f = equal_area_rule(1600), sp.by_name("f3")
+        h, calls = audited_fit_and_calls(monkeypatch, rule, f, 19)
         assert calls["run_grams"] == 1 and calls["twins"] == 0
-        assert calls["products"] == 0   # dim 625: the dense eigensolver
-        assert h.eta_used == sp.mz_constant(rule, 24).eta
-        assert abs(h.eta_used - sp.mz_report(dense_gram(rule, 24)[0]).eta) <= ETA_TOL
-        assert np.array_equal(h.coeffs, sp.fit(rule, f, 24).coeffs)
+        assert calls["products"] == 0   # dim 400: the dense eigensolver
+        assert h.eta_used == sp.mz_constant(rule, 19).eta
+        assert abs(h.eta_used - sp.mz_report(dense_gram(rule, 19)[0]).eta) <= ETA_TOL
+        assert np.array_equal(h.coeffs, sp.fit(rule, f, 19).coeffs)
+
+    def test_ring_rule_at_dim_441_takes_the_run_operator(self, monkeypatch):
+        rule, f = equal_area_rule(1764), sp.by_name("f3")
+        h, calls = audited_fit_and_calls(monkeypatch, rule, f, 20)
+        assert calls["run_grams"] == calls["twins"] == 0
+        assert 0 < calls["products"] < 441 // 4
+        assert abs(h.eta_used - sp.mz_report(dense_gram(rule, 20)[0]).eta) <= ETA_TOL
+        assert np.array_equal(h.coeffs, sp.fit(rule, f, 20).coeffs)
 
 
 def test_sphyper_check_compares_the_two_paths(capsys):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import sphyper as sp
 from sphyper import harmonics, quadrature
 from sphyper.pointsets import QuadratureRule
-from sphyper.quadrature import (_EXACTNESS_TOL, _LANCZOS_PRODUCTS, _blas_thread_calls,
-                                _gram, _one_blas_thread, discrete_gram, node_sum)
+from sphyper.quadrature import (_EXACTNESS_TOL, _blas_thread_calls, _gram, _one_blas_thread,
+                                discrete_gram, node_sum)
 
 
 class TestMZConstant:
@@ -113,7 +113,7 @@ class TestMZConstant:
             sp.mz_report(np.eye(4))
 
     def test_lanczos_branch_repeats_and_matches_dense(self):
-        # dim 2025 > 625 takes the Lanczos branch
+        # dim 2025 > 400 takes the Lanczos branch
         rule = sp.equal_weight_rule(sp.equal_area(2600), "equal_area")
         first, second = sp.mz_constant(rule, 44), sp.mz_constant(rule, 44)
         assert first.dim == 2025
@@ -168,6 +168,11 @@ def report_and_calls(monkeypatch, G):
     return report, calls
 
 
+# |eta by Lanczos - eta by the dense solver| on the sweep's leading blocks:
+# measured at most 1.1e-15
+ETA_TOL = 1e-13
+
+
 def random_gram(per_dim, n, seed):
     m = round(per_dim * (n + 1) ** 2)
     return discrete_gram(sp.equal_weight_rule(sp.random_uniform(m, seed), "random"), n)
@@ -180,7 +185,7 @@ class TestEigensolverBranch:
         G = discrete_gram(sp.equal_weight_rule(sp.equal_area(4 * 676), "equal_area"), 25)
         report, calls = report_and_calls(monkeypatch, G)
         assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
-        assert 0 < calls["dsymv"] <= _LANCZOS_PRODUCTS
+        assert 0 < calls["dsymv"] < 676 // 4   # within the budget
         assert sp.mz_report(G) == report   # bit for bit
         lam = np.linalg.eigvalsh(G)
         assert report.dim == 676
@@ -188,15 +193,18 @@ class TestEigensolverBranch:
         assert abs(report.lambda_max - lam[-1]) <= 1e-14
         assert abs(report.eta - max(abs(lam[0] - 1.0), abs(lam[-1] - 1.0))) <= 1e-14
 
-    @pytest.mark.parametrize("gram", [
-        pytest.param(lambda: random_gram(1.2, 30, seed=1), id="random-1.2dim"),
+    @pytest.mark.parametrize("gram, budget", [
+        pytest.param(lambda: random_gram(1.2, 30, seed=1), 240, id="random-1.2dim"),
+        pytest.param(lambda: random_gram(1.2, 20, seed=1), 110, id="random-1.2dim-441"),
     ])
-    def test_near_singular_gram_spends_the_budget_then_goes_dense(self, monkeypatch, gram):
-        # lambda_min = 1.2e-5, in a dense spread of small eigenvalues
+    def test_near_singular_gram_spends_the_budget_then_goes_dense(self, monkeypatch, gram,
+                                                                  budget):
+        # lambda_min = 1.2e-5 (dim 961) and 7.1e-5 (dim 441), in a dense
+        # spread of small eigenvalues: the budget is dim // 4 products
         G = gram()
         report, calls = report_and_calls(monkeypatch, G)
         assert calls["_lanczos_extremes"] == 1
-        assert calls["dsymv"] == _LANCZOS_PRODUCTS
+        assert calls["dsymv"] == budget == G.shape[0] // 4
         assert calls["eigvalsh"] == 1
         with _one_blas_thread():   # the solver's bits, as mz_report runs it
             lam = np.linalg.eigvalsh(G)
@@ -214,17 +222,33 @@ class TestEigensolverBranch:
         G = discrete_gram(rule(), n)
         report, calls = report_and_calls(monkeypatch, G)
         assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
-        assert 0 < calls["dsymv"] < _LANCZOS_PRODUCTS
+        assert 0 < calls["dsymv"] < G.shape[0] // 4   # within the budget
         assert report.rank_deficient
         lam = np.linalg.eigvalsh(G)
         assert abs(report.lambda_min - lam[0]) <= 1e-14
         assert abs(report.lambda_max - lam[-1]) <= 1e-14
 
-    def test_dim_625_stays_dense(self, monkeypatch):
-        G = discrete_gram(sp.equal_weight_rule(sp.equal_area(2500), "equal_area"), 24)
+    def test_dim_400_stays_dense(self, monkeypatch):
+        G = discrete_gram(sp.equal_weight_rule(sp.equal_area(1600), "equal_area"), 19)
         report, calls = report_and_calls(monkeypatch, G)
-        assert report.dim == 625
+        assert report.dim == 400
         assert calls == {"eigvalsh": 1}
+
+    @pytest.mark.parametrize("m", [10 ** 4, 10 ** 5])
+    def test_sweep_blocks_above_400_take_lanczos(self, monkeypatch, m):
+        # the leading blocks of the sweep's n = 24 Gram, as run_sweep slices
+        # them: dim 361 on the dense solver, 441-625 on Lanczos (26-42
+        # products measured), each eta within ETA_TOL of the dense solver's
+        G = _gram(sp.equal_weight_rule(sp.equal_area(m), "equal_area"), 24)[0]
+        for n in (18, 20, 22, 24):
+            block = G[:(n + 1) ** 2, :(n + 1) ** 2]
+            report, calls = report_and_calls(monkeypatch, block)
+            if n == 18:
+                assert calls == {"eigvalsh": 1}
+                continue
+            assert calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0
+            assert 0 < calls["dsymv"] < block.shape[0] // 4
+            assert abs(report.eta - quadrature._dense_report(block).eta) <= ETA_TOL
 
     def test_random_gram_with_eta_above_one_converges(self, monkeypatch):
         G = random_gram(8, 30, seed=5)
@@ -307,7 +331,7 @@ class TestGramTriangle:
         assert report == sp.mz_report(G)   # field by field, bit for bit
         assert {"dense": calls == {"eigvalsh": 1},
                 "lanczos": calls["_lanczos_extremes"] == 1 and calls["eigvalsh"] == 0,
-                "fallback": calls["dsymv"] == _LANCZOS_PRODUCTS and calls["eigvalsh"] == 1,
+                "fallback": calls["dsymv"] == 240 and calls["eigvalsh"] == 1,   # dim 961 // 4
                 }[branch]
 
 

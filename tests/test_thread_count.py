@@ -12,13 +12,13 @@ SRC = Path(sp.__file__).resolve().parents[1]
 
 # Two sweeps, random and equal-area, each with a cell at n = 22: the random
 # rules' one Fourier pass spans several node blocks (m = 5000) and their
-# Gram is the grid twin's, the equal-area rule's is its run Gram.  Then eta
-# of a random rule above dim 625 (Lanczos on the twin Gram's triangle),
-# audited_fit on an equal-area rule at n = 30 (eta from its run operator),
-# the exactness scan of an equal-area rule (its moments), a reference
-# projection, and the L2 error of two random fits at n = 60 on the
-# 10082-node reference rule (synthesis and the weighted sum of squares, both
-# wide enough to thread).
+# Gram is the grid twin's, the equal-area rule's is its run Gram (its n = 22
+# block, dim 529, on Lanczos).  Then eta of a random rule above dim 400
+# (Lanczos on the twin Gram's triangle), audited_fit on an equal-area rule
+# at n = 30 (eta from its run operator), the exactness scan of an
+# equal-area rule (its moments), a reference projection, and the L2 error
+# of two random fits at n = 60 on the 10082-node reference rule (the
+# synthesis over its runs and the weighted sum of squares).
 CHILD = """
 import sphyper as sp
 from sphyper.cli import main
